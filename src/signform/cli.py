@@ -230,7 +230,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, metavar="N",
                         help="master seed override (beats SIGNFORM_SEED)")
     parser.add_argument("--threads", type=int, metavar="N",
-                        help="worker threads (beats SIGNFORM_THREADS)")
+                        help="languages a batch runs at once (beats "
+                             "SIGNFORM_THREADS); single-language commands "
+                             "ignore it")
     parser.add_argument("--out", metavar="DIR", help="output directory")
     sub = parser.add_subparsers(dest="command", required=True)
 

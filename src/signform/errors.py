@@ -20,7 +20,7 @@ class WhitespaceInFormError(SignformError):
 
 
 class SchemaError(SignformError):
-    """A required column was missing from an input table."""
+    """An input table or config lacks a required column or repeats a key."""
 
 
 class EmptyLexiconError(SignformError):

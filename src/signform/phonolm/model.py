@@ -6,6 +6,15 @@ the start-of-word input), the output is a softmax over the inventory, and
 the end marker is predicted as the final token. Conditioning enters as the
 initial recurrent state of the first layer.
 
+The LSTM runs on a packed, time-major layout, as PyTorch's PackedSequence:
+a batch's rows are sorted by length (stable, longest first) and every
+per-cell array is (n_cells, .), with step t holding the rows still inside
+their word as one contiguous block. Padding cells are never computed. Per
+layer, the input projection is one GEMM over all cells and each step adds
+only the recurrent GEMM over its active rows; the four gates go through one
+tanh; the backward pass builds each weight gradient from one GEMM over all
+cells.
+
 Everything here is deterministic given the parameter values; all sampling
 (init, dropout) flows through generators passed in by the caller.
 """
@@ -15,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from ..errors import (
     DimensionMismatchError,
@@ -251,15 +259,58 @@ def _dropout_mask(rng, shape, p):
     return (rng.random(shape) >= p) / (1.0 - p)
 
 
-def forward(params: LMParameters, cfg: LMConfig, inputs: np.ndarray,
-            v: np.ndarray | None = None, cidx: np.ndarray | None = None,
-            drop_rng: np.random.Generator | None = None):
-    """Run the network over a padded batch of input token indices.
+@dataclass(frozen=True)
+class _Packing:
+    """Packed, time-major cell layout of one batch.
 
-    inputs is (batch, T) int64. Returns (logits (batch, T, phones), cache).
-    Dropout is active only when drop_rng is given (training mode); it is
-    applied to the embedded inputs and to each non-top layer's output,
-    never to the initial state.
+    Rows are sorted by length, longest first (stable); step t holds the
+    sizes[t] rows still inside their word as cells offsets[t]:offsets[t+1],
+    always a prefix of step t-1's rows. cells maps each packed cell to its
+    flat index row * T + t in the (batch, T) arrays, and prev maps each cell
+    of steps t >= 1 to the cell before it in the same row.
+    """
+
+    order: np.ndarray
+    sizes: np.ndarray
+    offsets: np.ndarray
+    cells: np.ndarray
+    prev: np.ndarray
+
+    def gather(self, arr: np.ndarray) -> np.ndarray:
+        """Packed cells of a (batch, T, ...) array."""
+        return arr.reshape((-1,) + arr.shape[2:])[self.cells]
+
+
+def _pack(lengths: np.ndarray, t_len: int) -> _Packing:
+    lengths = np.asarray(lengths, dtype=np.int64)
+    order = np.argsort(-lengths, kind="stable")
+    sizes = np.count_nonzero(
+        lengths[:, None] > np.arange(lengths.max(initial=0)), axis=0)
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    none = np.zeros(0, dtype=np.int64)
+    cells = np.concatenate(
+        [none] + [order[:n] * t_len + t for t, n in enumerate(sizes)])
+    prev = np.concatenate(
+        [none] + [np.arange(offsets[t - 1], offsets[t - 1] + n)
+                  for t, n in enumerate(sizes) if t > 0])
+    return _Packing(order, sizes, offsets, cells, prev)
+
+
+def _mask_lengths(mask: np.ndarray) -> np.ndarray:
+    """Per row, one past the last cell with a nonzero mask (0 if none)."""
+    live = np.asarray(mask) != 0
+    return np.where(live.any(axis=1),
+                    live.shape[1] - np.argmax(live[:, ::-1], axis=1), 0)
+
+
+def _lstm_forward(params: LMParameters, cfg: LMConfig, inputs: np.ndarray,
+                  pk: _Packing, v: np.ndarray | None,
+                  cidx: np.ndarray | None,
+                  drop_rng: np.random.Generator | None):
+    """Top-layer outputs (n_cells, hidden) of the packed cells, plus cache.
+
+    Dropout masks are drawn in the (batch, T, .) shape and row order, so the
+    generator's stream and each cell's mask do not depend on the packing.
     """
     bsz, t_len = inputs.shape
     h = cfg.hidden_size
@@ -269,60 +320,147 @@ def forward(params: LMParameters, cfg: LMConfig, inputs: np.ndarray,
         v = np.asarray(v, dtype=np.float64)
     if cidx is not None:
         cidx = np.asarray(cidx, dtype=np.int64)
-    h0 = _h0_batch(cfg, params, v, cidx, bsz)
+    n0 = int(pk.sizes[0]) if pk.sizes.size else 0
+    h0 = _h0_batch(cfg, params, v, cidx, bsz)[pk.order[:n0]]
     conditioned = ([0] if cfg.condition_layers == "first"
                    else list(range(cfg.layers)))
-    init_h = np.zeros((cfg.layers, bsz, h))
-    init_c = np.zeros((cfg.layers, bsz, h))
-    for l in conditioned:
-        if cfg.condition_state in ("both", "hidden"):
-            init_h[l] = h0
-        if cfg.condition_state in ("both", "cell"):
-            init_c[l] = h0
+    zeros = np.zeros((n0, h))
+    hidden_cond = cfg.condition_state in ("both", "hidden")
+    cell_cond = cfg.condition_state in ("both", "cell")
 
-    x = params.embed[inputs]
+    tokens = inputs.ravel()[pk.cells]
+    x = params.embed[tokens]
     embed_drop = None
     if p_drop > 0:
-        embed_drop = _dropout_mask(drop_rng, x.shape, p_drop)
+        embed_drop = pk.gather(_dropout_mask(
+            drop_rng, (bsz, t_len, x.shape[1]), p_drop))
         x = x * embed_drop
-    cache = {"inputs": inputs, "v": v, "cidx": cidx, "layers": [],
-             "init_h": init_h, "init_c": init_c, "conditioned": conditioned,
-             "embed_drop": embed_drop}
+    cache = {"tokens": tokens, "v": v, "cidx": cidx, "layers": [],
+             "h0": h0, "conditioned": conditioned, "embed_drop": embed_drop}
 
+    # tanh(z * scale) * scale + (1 - scale) is sigmoid(z) = 0.5 * (1 +
+    # tanh(z / 2)) on the i, f, o columns and tanh(z) on g: one tanh call
+    # for all four gates.
+    scale = np.full(4 * h, 0.5)
+    scale[2 * h:3 * h] = 1.0
+    shift = 1.0 - scale
+    n_cells = pk.cells.size
     for l in range(cfg.layers):
-        wx, wh, b = params.wx[l], params.wh[l], params.b[l]
-        i_g = np.empty((bsz, t_len, h))
-        f_g = np.empty((bsz, t_len, h))
-        g_g = np.empty((bsz, t_len, h))
-        o_g = np.empty((bsz, t_len, h))
-        cs = np.empty((bsz, t_len, h))
-        tcs = np.empty((bsz, t_len, h))
-        hs = np.empty((bsz, t_len, h))
-        h_t = init_h[l]
-        c_t = init_c[l]
-        for t in range(t_len):
-            a = x[:, t] @ wx.T + h_t @ wh.T + b
-            i_t = expit(a[:, :h])
-            f_t = expit(a[:, h:2 * h])
-            g_t = np.tanh(a[:, 2 * h:3 * h])
-            o_t = expit(a[:, 3 * h:])
-            c_t = f_t * c_t + i_t * g_t
-            tc_t = np.tanh(c_t)
-            h_t = o_t * tc_t
-            i_g[:, t], f_g[:, t], g_g[:, t], o_g[:, t] = i_t, f_t, g_t, o_t
-            cs[:, t], tcs[:, t], hs[:, t] = c_t, tc_t, h_t
-        layer_cache = {"x": x, "i": i_g, "f": f_g, "g": g_g, "o": o_g,
-                       "c": cs, "tc": tcs, "h": hs, "drop": None}
+        init_h = h0 if l in conditioned and hidden_cond else zeros
+        init_c = h0 if l in conditioned and cell_cond else zeros
+        wh_t = params.wh[l].T
+        acts = x @ params.wx[l].T
+        acts += params.b[l]
+        cs = np.empty((n_cells, h))
+        tcs = np.empty((n_cells, h))
+        hs = np.empty((n_cells, h))
+        h_prev, c_prev = init_h, init_c
+        for lo, hi in zip(pk.offsets[:-1], pk.offsets[1:]):
+            m = hi - lo
+            a = acts[lo:hi]
+            a += h_prev[:m] @ wh_t
+            a *= scale
+            np.tanh(a, out=a)
+            a *= scale
+            a += shift
+            c_t = cs[lo:hi]
+            np.multiply(a[:, h:2 * h], c_prev[:m], out=c_t)
+            c_t += a[:, :h] * a[:, 2 * h:3 * h]
+            np.tanh(c_t, out=tcs[lo:hi])
+            np.multiply(a[:, 3 * h:], tcs[lo:hi], out=hs[lo:hi])
+            h_prev, c_prev = hs[lo:hi], c_t
+        layer_cache = {"x": x, "acts": acts, "c": cs, "tc": tcs, "h": hs,
+                       "init_c": init_c, "drop": None}
         out = hs
         if p_drop > 0 and l < cfg.layers - 1:
-            m = _dropout_mask(drop_rng, out.shape, p_drop)
-            layer_cache["drop"] = m
-            out = out * m
+            drop = pk.gather(
+                _dropout_mask(drop_rng, (bsz, t_len, h), p_drop))
+            layer_cache["drop"] = drop
+            out = out * drop
         cache["layers"].append(layer_cache)
         x = out
+    return x, cache
 
-    logits = x @ params.w_out.T + params.b_out
-    cache["top"] = x
+
+def _lstm_backward(params: LMParameters, cfg: LMConfig, pk: _Packing,
+                   cache: dict, dtop: np.ndarray, grads: dict,
+                   bsz: int) -> None:
+    """Accumulate LSTM, embedding and conditioning gradients into grads.
+
+    dtop, the gradient of the packed top-layer outputs, is overwritten, and
+    so is each layer's cache of gate activations: step by step, the
+    backward pass writes the gates' pre-activation gradients over them.
+    """
+    h = cfg.hidden_size
+    n0 = cache["h0"].shape[0]
+    dh0_cond = np.zeros((n0, h))
+    dx = dtop
+    for l in range(cfg.layers - 1, -1, -1):
+        lc = cache["layers"][l]
+        if lc["drop"] is not None:
+            dx = dx * lc["drop"]
+        acts, cs, tcs = lc["acts"], lc["c"], lc["tc"]
+        wh = params.wh[l]
+        dh_rec = dc_rec = np.zeros((0, h))
+        for t in range(pk.sizes.size - 1, -1, -1):
+            lo, hi = pk.offsets[t], pk.offsets[t + 1]
+            a = acts[lo:hi]
+            i_t, f_t = a[:, :h], a[:, h:2 * h]
+            g_t, o_t = a[:, 2 * h:3 * h], a[:, 3 * h:]
+            tc_t = tcs[lo:hi]
+            c_prev = (cs[pk.offsets[t - 1]:pk.offsets[t - 1] + hi - lo]
+                      if t > 0 else lc["init_c"])
+            k = dh_rec.shape[0]
+
+            dh = dx[lo:hi]
+            dh[:k] += dh_rec
+            dc = dh * o_t * (1.0 - tc_t ** 2)
+            dc[:k] += dc_rec
+            dc_rec = dc * f_t
+            o_t *= dh * tc_t * (1.0 - o_t)
+            f_t *= dc * c_prev * (1.0 - f_t)
+            di = dc * g_t * i_t * (1.0 - i_t)
+            g_t[...] = dc * i_t * (1.0 - g_t ** 2)
+            i_t[...] = di
+            dh_rec = a @ wh
+        grads[f"wx{l}"] += acts.T @ lc["x"]
+        grads[f"wh{l}"] += acts[n0:].T @ lc["h"][pk.prev]
+        grads[f"b{l}"] += acts.sum(axis=0)
+        if l in cache["conditioned"]:
+            if cfg.condition_state in ("both", "hidden"):
+                grads[f"wh{l}"] += acts[:n0].T @ cache["h0"]
+                dh0_cond += dh_rec
+            if cfg.condition_state in ("both", "cell"):
+                dh0_cond += dc_rec
+        dx = acts @ params.wx[l]
+
+    if cache["embed_drop"] is not None:
+        dx = dx * cache["embed_drop"]
+    np.add.at(grads["embed"], cache["tokens"], dx)
+
+    dh0 = np.zeros((bsz, h))
+    dh0[pk.order[:n0]] = dh0_cond
+    _h0_backward(cfg, params, grads, dh0, cache["v"], cache["cidx"])
+
+
+def _logits(params: LMParameters, top: np.ndarray) -> np.ndarray:
+    return top @ params.w_out.T + params.b_out
+
+
+def forward(params: LMParameters, cfg: LMConfig, inputs: np.ndarray,
+            v: np.ndarray | None = None, cidx: np.ndarray | None = None,
+            drop_rng: np.random.Generator | None = None):
+    """Run the network over a batch of input token indices.
+
+    inputs is (batch, T) int64 and every row counts as full length. Returns
+    (logits (batch, T, phones), cache). Dropout is active only when drop_rng
+    is given (training mode); it is applied to the embedded inputs and to
+    each non-top layer's output, never to the initial state.
+    """
+    bsz, t_len = inputs.shape
+    pk = _pack(np.full(bsz, t_len), t_len)
+    top, cache = _lstm_forward(params, cfg, inputs, pk, v, cidx, drop_rng)
+    logits = _logits(params, top).reshape(t_len, bsz, -1).swapaxes(0, 1)
     return logits, cache
 
 
@@ -340,72 +478,31 @@ def loss_and_grads(params: LMParameters, cfg: LMConfig, inputs: np.ndarray,
                    drop_rng: np.random.Generator | None = None):
     """Total code length in bits of targets, plus gradients of it.
 
-    Returns (total_bits, total_tokens, grads) where grads maps parameter
-    names (as in named_arrays) to arrays of matching shape.
+    Each row is computed up to its last nonzero mask cell; cells after it
+    are padding and never computed. Returns (total_bits, total_tokens,
+    grads) where grads maps parameter names (as in named_arrays) to arrays
+    of matching shape.
     """
-    logits, cache = forward(params, cfg, inputs, v=v, cidx=cidx,
-                            drop_rng=drop_rng)
-    logp2 = log_softmax2(logits)
-    bsz, t_len, n_out = logits.shape
-    rows = np.arange(bsz)[:, None], np.arange(t_len)[None, :], targets
-    total_bits = float(-(logp2[rows] * mask).sum())
+    # The returned gradients are allocated before the forward cache, so the
+    # cache's blocks, freed on return, do not leave holes below them.
+    grads = {name: np.zeros_like(arr) for name, arr in params.named_arrays()}
+    mask = np.asarray(mask, dtype=np.float64)
+    pk = _pack(_mask_lengths(mask), inputs.shape[1])
+    top, cache = _lstm_forward(params, cfg, inputs, pk, v, cidx, drop_rng)
+    logp2 = log_softmax2(_logits(params, top))
+    rows = np.arange(pk.cells.size), targets.ravel()[pk.cells]
+    weight = mask.ravel()[pk.cells]
+    total_bits = float(-(logp2[rows] * weight).sum())
     total_tokens = float(mask.sum())
 
     dlogits = np.exp(logp2 * LN2)
     dlogits[rows] -= 1.0
-    dlogits *= mask[:, :, None] / LN2
+    dlogits *= (weight / LN2)[:, None]
 
-    grads = {name: np.zeros_like(arr) for name, arr in params.named_arrays()}
-    top = cache["top"]
-    grads["w_out"] += np.einsum("btv,bth->vh", dlogits, top)
-    grads["b_out"] += dlogits.sum(axis=(0, 1))
-    dx = dlogits @ params.w_out
-
-    h = cfg.hidden_size
-    dh0_cond = np.zeros((bsz, h))
-    for l in range(cfg.layers - 1, -1, -1):
-        lc = cache["layers"][l]
-        if lc["drop"] is not None:
-            dx = dx * lc["drop"]
-        wx, wh = params.wx[l], params.wh[l]
-        d_in = np.zeros_like(lc["x"])
-        dh_rec = np.zeros((bsz, h))
-        dc_rec = np.zeros((bsz, h))
-        for t in range(t_len - 1, -1, -1):
-            i_t, f_t = lc["i"][:, t], lc["f"][:, t]
-            g_t, o_t = lc["g"][:, t], lc["o"][:, t]
-            tc_t = lc["tc"][:, t]
-            c_prev = lc["c"][:, t - 1] if t > 0 else cache["init_c"][l]
-            h_prev = lc["h"][:, t - 1] if t > 0 else cache["init_h"][l]
-
-            dh = dx[:, t] + dh_rec
-            do = dh * tc_t
-            dc = dc_rec + dh * o_t * (1.0 - tc_t ** 2)
-            di = dc * g_t
-            dg = dc * i_t
-            df = dc * c_prev
-            dc_rec = dc * f_t
-            da = np.concatenate([di * i_t * (1 - i_t),
-                                 df * f_t * (1 - f_t),
-                                 dg * (1 - g_t ** 2),
-                                 do * o_t * (1 - o_t)], axis=1)
-            grads[f"wx{l}"] += da.T @ lc["x"][:, t]
-            grads[f"wh{l}"] += da.T @ h_prev
-            grads[f"b{l}"] += da.sum(axis=0)
-            d_in[:, t] = da @ wx
-            dh_rec = da @ wh
-        if l in cache["conditioned"]:
-            if cfg.condition_state in ("both", "hidden"):
-                dh0_cond += dh_rec
-            if cfg.condition_state in ("both", "cell"):
-                dh0_cond += dc_rec
-        dx = d_in
-
-    if cache["embed_drop"] is not None:
-        dx = dx * cache["embed_drop"]
-    np.add.at(grads["embed"], cache["inputs"], dx)
-
-    _h0_backward(cfg, params, grads, dh0_cond, cache["v"], cache["cidx"])
+    grads["w_out"] += dlogits.T @ top
+    grads["b_out"] += dlogits.sum(axis=0)
+    _lstm_backward(params, cfg, pk, cache, dlogits @ params.w_out, grads,
+                   inputs.shape[0])
     return total_bits, total_tokens, grads
 
 
@@ -484,25 +581,27 @@ def evaluate(params: LMParameters, cfg: LMConfig, signs,
                             dtype=np.int64)
 
     encoded = encode_signs(signs, inventory)
-    out: list[PerWordLoss] = []
+    lengths = np.array([len(e) + 1 for e in encoded], dtype=np.int64)
+    by_length = np.argsort(-lengths, kind="stable")
+    out: list[PerWordLoss | None] = [None] * len(signs)
     for lo in range(0, len(signs), batch_size):
-        hi = min(lo + batch_size, len(signs))
-        chunk = encoded[lo:hi]
-        inputs, targets, mask = pack_batch(chunk, inventory.eos_index)
-        logits, _ = forward(params, cfg, inputs,
-                            v=None if v is None else v[lo:hi],
-                            cidx=None if cidx_all is None else cidx_all[lo:hi])
-        logp2 = log_softmax2(logits)
-        bsz, t_len = targets.shape
-        picked = logp2[np.arange(bsz)[:, None], np.arange(t_len)[None, :],
-                       targets]
-        for j in range(bsz):
-            n = len(chunk[j]) + 1
-            bits = -picked[j, :n]
-            out.append(PerWordLoss(key=signs[lo + j].key,
-                                   total_bits=float(bits.sum()),
-                                   token_count=n,
-                                   position_bits=bits))
+        rows = by_length[lo:lo + batch_size]
+        inputs, targets, _ = pack_batch([encoded[j] for j in rows],
+                                        inventory.eos_index)
+        pk = _pack(lengths[rows], inputs.shape[1])
+        top, _ = _lstm_forward(
+            params, cfg, inputs, pk, None if v is None else v[rows],
+            None if cidx_all is None else cidx_all[rows], None)
+        logp2 = log_softmax2(_logits(params, top))
+        bits = np.zeros(inputs.size)
+        bits[pk.cells] = -logp2[np.arange(pk.cells.size),
+                                targets.ravel()[pk.cells]]
+        bits = bits.reshape(inputs.shape)
+        for r, j in enumerate(rows):
+            n = int(lengths[j])
+            out[j] = PerWordLoss(key=signs[j].key,
+                                 total_bits=float(bits[r, :n].sum()),
+                                 token_count=n, position_bits=bits[r, :n])
     return out
 
 

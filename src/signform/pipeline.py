@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SignformError
+from .errors import SchemaError, SignformError
 from .hyperopt import Dimension, SearchSpace, run_search
 from .infotheory import (
     MIReport,
@@ -373,9 +373,15 @@ def run_batch(configs, out_dir: str, threads: int = 1) -> BatchOutput:
 
     Each language writes into out_dir/<language>/; a failure there is
     captured into that directory's error.json and the batch carries on.
+    Repeated language names are rejected with SchemaError before any run.
     """
     if not configs:
         raise ValueError("batch needs at least one language config")
+    names = [c.language for c in configs]
+    duplicates = sorted({n for n in names if names.count(n) > 1})
+    if duplicates:
+        raise SchemaError("batch repeats language names, which would share "
+                          f"one output directory: {', '.join(duplicates)}")
     os.makedirs(out_dir, exist_ok=True)
 
     def job(config: RunConfig):

@@ -1,8 +1,11 @@
-"""Shared helpers: loss tables built from the exact synthetic oracle."""
+"""Shared helpers: loss tables built from the exact synthetic oracle, and
+the padded per-step LSTM that the packed kernel is checked against."""
 
 import numpy as np
+from scipy.special import expit
 
-from signform.phonolm import PerWordLoss
+from signform.phonolm import PerWordLoss, log_softmax2
+from signform.phonolm.model import LN2, _dropout_mask, _h0_backward, _h0_batch
 from signform.synthbench import oracle_word_bits
 
 
@@ -29,3 +32,144 @@ def oracle_loss_tables(spec, lex, labels, conditional="cluster"):
         uncond.append(loss_from_bits(sign.key, bu))
         cond.append(loss_from_bits(sign.key, bc))
     return uncond, cond
+
+
+# The plain LSTM the packed kernel must match: batch-major (B, T, h) arrays,
+# one step at a time over every cell, padding included, with scipy's expit
+# for the gates and three weight-gradient GEMMs per step.
+
+def _reference_forward(params, cfg, inputs, v=None, cidx=None,
+                      drop_rng=None):
+    """The padded, batch-major, per-step LSTM: every (batch, T) cell."""
+    bsz, t_len = inputs.shape
+    h = cfg.hidden_size
+    p_drop = cfg.dropout if drop_rng is not None else 0.0
+
+    if v is not None:
+        v = np.asarray(v, dtype=np.float64)
+    if cidx is not None:
+        cidx = np.asarray(cidx, dtype=np.int64)
+    h0 = _h0_batch(cfg, params, v, cidx, bsz)
+    conditioned = ([0] if cfg.condition_layers == "first"
+                   else list(range(cfg.layers)))
+    init_h = np.zeros((cfg.layers, bsz, h))
+    init_c = np.zeros((cfg.layers, bsz, h))
+    for l in conditioned:
+        if cfg.condition_state in ("both", "hidden"):
+            init_h[l] = h0
+        if cfg.condition_state in ("both", "cell"):
+            init_c[l] = h0
+
+    x = params.embed[inputs]
+    embed_drop = None
+    if p_drop > 0:
+        embed_drop = _dropout_mask(drop_rng, x.shape, p_drop)
+        x = x * embed_drop
+    cache = {"inputs": inputs, "v": v, "cidx": cidx, "layers": [],
+             "init_h": init_h, "init_c": init_c, "conditioned": conditioned,
+             "embed_drop": embed_drop}
+
+    for l in range(cfg.layers):
+        wx, wh, b = params.wx[l], params.wh[l], params.b[l]
+        i_g = np.empty((bsz, t_len, h))
+        f_g = np.empty((bsz, t_len, h))
+        g_g = np.empty((bsz, t_len, h))
+        o_g = np.empty((bsz, t_len, h))
+        cs = np.empty((bsz, t_len, h))
+        tcs = np.empty((bsz, t_len, h))
+        hs = np.empty((bsz, t_len, h))
+        h_t = init_h[l]
+        c_t = init_c[l]
+        for t in range(t_len):
+            a = x[:, t] @ wx.T + h_t @ wh.T + b
+            i_t = expit(a[:, :h])
+            f_t = expit(a[:, h:2 * h])
+            g_t = np.tanh(a[:, 2 * h:3 * h])
+            o_t = expit(a[:, 3 * h:])
+            c_t = f_t * c_t + i_t * g_t
+            tc_t = np.tanh(c_t)
+            h_t = o_t * tc_t
+            i_g[:, t], f_g[:, t], g_g[:, t], o_g[:, t] = i_t, f_t, g_t, o_t
+            cs[:, t], tcs[:, t], hs[:, t] = c_t, tc_t, h_t
+        layer_cache = {"x": x, "i": i_g, "f": f_g, "g": g_g, "o": o_g,
+                       "c": cs, "tc": tcs, "h": hs, "drop": None}
+        out = hs
+        if p_drop > 0 and l < cfg.layers - 1:
+            m = _dropout_mask(drop_rng, out.shape, p_drop)
+            layer_cache["drop"] = m
+            out = out * m
+        cache["layers"].append(layer_cache)
+        x = out
+
+    logits = x @ params.w_out.T + params.b_out
+    cache["top"] = x
+    return logits, cache
+
+
+def reference_loss_and_grads(params, cfg, inputs, targets, mask, v=None,
+                             cidx=None, drop_rng=None):
+    """(total_bits, total_tokens, grads) from the padded per-step loop."""
+    logits, cache = _reference_forward(params, cfg, inputs, v=v, cidx=cidx,
+                                       drop_rng=drop_rng)
+    logp2 = log_softmax2(logits)
+    bsz, t_len, n_out = logits.shape
+    rows = np.arange(bsz)[:, None], np.arange(t_len)[None, :], targets
+    total_bits = float(-(logp2[rows] * mask).sum())
+    total_tokens = float(mask.sum())
+
+    dlogits = np.exp(logp2 * LN2)
+    dlogits[rows] -= 1.0
+    dlogits *= mask[:, :, None] / LN2
+
+    grads = {name: np.zeros_like(arr) for name, arr in params.named_arrays()}
+    top = cache["top"]
+    grads["w_out"] += np.einsum("btv,bth->vh", dlogits, top)
+    grads["b_out"] += dlogits.sum(axis=(0, 1))
+    dx = dlogits @ params.w_out
+
+    h = cfg.hidden_size
+    dh0_cond = np.zeros((bsz, h))
+    for l in range(cfg.layers - 1, -1, -1):
+        lc = cache["layers"][l]
+        if lc["drop"] is not None:
+            dx = dx * lc["drop"]
+        wx, wh = params.wx[l], params.wh[l]
+        d_in = np.zeros_like(lc["x"])
+        dh_rec = np.zeros((bsz, h))
+        dc_rec = np.zeros((bsz, h))
+        for t in range(t_len - 1, -1, -1):
+            i_t, f_t = lc["i"][:, t], lc["f"][:, t]
+            g_t, o_t = lc["g"][:, t], lc["o"][:, t]
+            tc_t = lc["tc"][:, t]
+            c_prev = lc["c"][:, t - 1] if t > 0 else cache["init_c"][l]
+            h_prev = lc["h"][:, t - 1] if t > 0 else cache["init_h"][l]
+
+            dh = dx[:, t] + dh_rec
+            do = dh * tc_t
+            dc = dc_rec + dh * o_t * (1.0 - tc_t ** 2)
+            di = dc * g_t
+            dg = dc * i_t
+            df = dc * c_prev
+            dc_rec = dc * f_t
+            da = np.concatenate([di * i_t * (1 - i_t),
+                                 df * f_t * (1 - f_t),
+                                 dg * (1 - g_t ** 2),
+                                 do * o_t * (1 - o_t)], axis=1)
+            grads[f"wx{l}"] += da.T @ lc["x"][:, t]
+            grads[f"wh{l}"] += da.T @ h_prev
+            grads[f"b{l}"] += da.sum(axis=0)
+            d_in[:, t] = da @ wx
+            dh_rec = da @ wh
+        if l in cache["conditioned"]:
+            if cfg.condition_state in ("both", "hidden"):
+                dh0_cond += dh_rec
+            if cfg.condition_state in ("both", "cell"):
+                dh0_cond += dc_rec
+        dx = d_in
+
+    if cache["embed_drop"] is not None:
+        dx = dx * cache["embed_drop"]
+    np.add.at(grads["embed"], cache["inputs"], dx)
+
+    _h0_backward(cfg, params, grads, dh0_cond, cache["v"], cache["cidx"])
+    return total_bits, total_tokens, grads

@@ -161,6 +161,23 @@ class TestBatchCommand:
         assert (out / "appendix.tsv").exists()
         assert (out / "broken" / "error.json").exists()
 
+    def test_duplicate_languages_rejected_before_training(self, corpus,
+                                                          tmp_path, capsys):
+        lang = write_config(tmp_path / "unused.json", corpus,
+                            language="alpha")
+        out = tmp_path / "batchout"
+        batch_cfg = tmp_path / "batch.json"
+        batch_cfg.write_text(json.dumps(
+            {"out_dir": str(out), "languages": [lang, lang]}))
+        rc = main(["--config", str(batch_cfg), "batch"])
+        assert rc == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        record = json.loads(lines[0])
+        assert record["error"] == "SchemaError"
+        assert "alpha" in record["message"]
+        assert not (out / "alpha").exists()
+
     def test_all_failed_is_an_error(self, tmp_path, capsys):
         bad = {"language": "x", "lexicon_path": str(tmp_path / "no.tsv"),
                "embeddings_path": str(tmp_path / "no.vec")}

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracle_utils import reference_loss_and_grads
 
 from signform.errors import (
     ArchiveFormatError,
@@ -30,6 +31,7 @@ from signform.phonolm import (
     train_on_indices,
 )
 from signform.phonolm.archive import FORMAT_VERSION
+from signform.phonolm.model import CONDITION_MODES
 from signform.seeding import derive_rng
 
 
@@ -123,6 +125,74 @@ class TestGradients:
                        pca_d=3, condition_on="meaning",
                        condition_state="cell")
         assert max_grad_rel_err(cfg) <= 1e-4
+
+
+def assert_matches_reference(params, cfg, inputs, targets, mask, v, cidx,
+                             seed=None):
+    """Packed kernel against the padded per-step reference, same dropout."""
+    def drop_rng():
+        return None if seed is None else np.random.default_rng(seed)
+
+    bits, tokens, grads = loss_and_grads(params, cfg, inputs, targets, mask,
+                                         v=v, cidx=cidx, drop_rng=drop_rng())
+    ref_bits, ref_tokens, ref_grads = reference_loss_and_grads(
+        params, cfg, inputs, targets, mask, v=v, cidx=cidx,
+        drop_rng=drop_rng())
+    assert tokens == ref_tokens
+    assert abs(bits - ref_bits) <= 1e-10 * abs(ref_bits)
+    assert grads.keys() == ref_grads.keys()
+    for name, ref in ref_grads.items():
+        err = np.max(np.abs(grads[name] - ref))
+        assert err <= 1e-10 * np.max(np.abs(ref)), name
+
+
+KERNEL_CASES = [
+    (layers, cond, state, where, dropout)
+    for layers in (1, 2, 3)
+    for cond in CONDITION_MODES
+    for state, where in (("both", "first"), ("hidden", "first"),
+                         ("cell", "first"), ("both", "all"),
+                         ("hidden", "all"), ("cell", "all"))
+    if cond != "nothing" or (state, where) == ("both", "first")
+    for dropout in (0.0, 0.3)
+]
+
+
+class TestPackedKernel:
+    """The packed, time-major kernel computes what the padded loop did."""
+
+    def ragged_batch(self, cfg, t_len=7, n_phones=6, seed=0):
+        """Words of every length 0..t_len-1 phones in shuffled order, so
+        the sequences (phones + end marker) have lengths 1..t_len."""
+        rng = np.random.default_rng(seed)
+        encoded = [rng.integers(0, n_phones - 1, size=n)
+                   for n in rng.permutation(t_len)]
+        inputs, targets, mask = pack_batch(encoded, n_phones - 1)
+        classes = ("N", "V", "A") if cfg.uses_class else None
+        params = init_params(cfg, n_phones, classes=classes, rng=rng)
+        bsz = len(encoded)
+        v = rng.normal(size=(bsz, cfg.pca_d)) if cfg.uses_meaning else None
+        cidx = rng.integers(0, 3, size=bsz) if cfg.uses_class else None
+        return params, inputs, targets, mask, v, cidx
+
+    @pytest.mark.parametrize("layers,cond,state,where,dropout", KERNEL_CASES)
+    def test_matches_padded_reference(self, layers, cond, state, where,
+                                      dropout):
+        cfg = LMConfig(layers=layers, hidden_size=6, phone_embed_size=4,
+                       pca_d=3, condition_on=cond, condition_state=state,
+                       condition_layers=where, dropout=dropout)
+        params, inputs, targets, mask, v, cidx = self.ragged_batch(cfg)
+        assert_matches_reference(params, cfg, inputs, targets, mask, v, cidx,
+                                 seed=5 if dropout else None)
+
+    def test_mask_sets_each_rows_length(self):
+        cfg = LMConfig(layers=2, hidden_size=6, phone_embed_size=4, pca_d=3,
+                       condition_on="meaning", condition_layers="all")
+        params, inputs, targets, mask, v, cidx = self.ragged_batch(cfg)
+        mask[np.argmax(mask.sum(axis=1))] = 0.0
+        mask[:, -2:] = 0.0
+        mask[:, 1] *= 0.5
+        assert_matches_reference(params, cfg, inputs, targets, mask, v, cidx)
 
 
 class TestLogProb:
@@ -275,15 +345,27 @@ class TestEvaluate:
         assert micro_bits_per_phone(losses) == pytest.approx(manual)
 
     def test_batch_boundaries_do_not_matter(self):
-        lex = make_lexicon(["kat", "sam", "ta", "maks", "mm", "s"])
-        cfg = LMConfig(hidden_size=8, phone_embed_size=4)
-        params = init_params(cfg, len(lex.inventory),
+        lex = make_lexicon(["kat", "sam", "ta", "maks", "mm", "s", "takma",
+                            "a", "sk"], pos=list("NVNVNVNVN"))
+        cfg = LMConfig(hidden_size=8, phone_embed_size=4, pca_d=3, layers=2,
+                       condition_on="meaning_and_class")
+        params = init_params(cfg, len(lex.inventory), classes=lex.classes,
                              rng=np.random.default_rng(10))
-        a = evaluate(params, cfg, lex.signs, lex.inventory, batch_size=2)
-        b = evaluate(params, cfg, lex.signs, lex.inventory, batch_size=256)
-        for x, y in zip(a, b):
-            np.testing.assert_allclose(x.position_bits, y.position_bits,
-                                       atol=1e-12)
+        v = np.random.default_rng(11).normal(size=(len(lex.signs), 3))
+        base = evaluate(params, cfg, lex.signs, lex.inventory, v=v)
+        perm = np.random.default_rng(12).permutation(len(lex.signs))
+        runs = [(np.arange(len(lex.signs)), evaluate(
+                    params, cfg, lex.signs, lex.inventory, v=v,
+                    batch_size=size)) for size in (1, 3, 256)]
+        runs.append((perm, evaluate(params, cfg,
+                                    [lex.signs[j] for j in perm],
+                                    lex.inventory, v=v[perm])))
+        for rows, losses in runs:
+            for j, loss in zip(rows, losses):
+                assert loss.key == base[j].key
+                np.testing.assert_allclose(loss.position_bits,
+                                           base[j].position_bits,
+                                           rtol=0, atol=1e-12)
 
 
 def small_corpus_lexicon(n=60, seed=0):
