@@ -8,9 +8,19 @@ distribution comes from Monte Carlo draws without replacement from all
 eligible words, and candidates are corrected jointly with Benjamini-
 Hochberg.
 
+The draws for one k form a single stream of uniform permutations of the
+eligible words, keyed by (seed, k) alone: the first n words of each
+permutation are the random set for every candidate of size n, prefix and
+suffix alike. Candidates of one k therefore share their null draws. Each
+p-value is still a valid add-one-smoothed Monte Carlo p; the candidates'
+p-values were already dependent, since nested affixes such as g- and gl-
+share words, so the joint correction stays Benjamini-Hochberg.
+
 Suffixes are handled by the same machinery on reversed word forms scored
 by a model pair trained on reversed forms: the last k positions of a word
-are the first k of its reversal, where prediction is causal.
+are the first k of its reversal, where prediction is causal. A suffix
+reads the same permutations as the equal reversed-form prefix, so mining
+the reversed lexicon for prefixes reproduces its p-value exactly.
 """
 
 from __future__ import annotations
@@ -119,72 +129,108 @@ def enumerate_candidates(lex: Lexicon, k_range, side: str,
     return out
 
 
-def _subset_means(pop: np.ndarray, n: int, n_samples: int,
-                  rng: np.random.Generator) -> np.ndarray:
-    """Means of uniform size-n subsets of pop, drawn without replacement."""
-    big = pop.size
-    if not (1 <= n <= big):
-        raise ValueError(f"subset size {n} out of range for {big} words")
-    if n == big:
-        return np.full(n_samples, float(pop.mean()))
-    complement = n > big // 2
-    m = big - n if complement else n
-    total = float(pop.sum())
-    out = np.empty(n_samples)
-    chunk = max(1, (1 << 21) // big)
-    base = np.arange(big, dtype=np.int64)
+# Null samples are drawn in chunks of about this many permutation entries;
+# the index and value buffers are allocated once per sampler call.
+_CHUNK_ELEMS = 1 << 19
+
+
+def _permutation_sums(pops: np.ndarray, widths, n_samples: int,
+                      rng: np.random.Generator):
+    """Running sums of each row of pops along shared uniform permutations.
+
+    pops is (n_rows, N), every row over the same N words in the same order.
+    Draws n_samples uniform permutations of the words and yields, chunk by
+    chunk and row by row, (row, sums): sums[s, i] adds the row's values at
+    the first i + 1 words of sample s's permutation, for i < widths[row].
+    The first n words of a uniform permutation are a uniform n-subset, so
+    sums[:, n - 1] / n are null means for every size n at once. Rows of
+    width 0 are skipped. sums is a buffer that the next yield overwrites.
+    """
+    n_rows, big = pops.shape
+    widths = [int(w) for w in widths]
+    if (len(widths) != n_rows or not all(0 <= w <= big for w in widths)
+            or max(widths) < 1):
+        raise ValueError(f"widths {widths} out of range for {big} words")
+    rows = min(n_samples, max(1, _CHUNK_ELEMS // big))
+    base = np.arange(big, dtype=np.intp)
+    perm = np.empty((rows, big), dtype=np.intp)
+    buf = np.empty(rows * max(widths))
     done = 0
     while done < n_samples:
-        take = min(chunk, n_samples - done)
-        idx = np.tile(base, (take, 1))
-        rows = np.arange(take)
-        # Partial Fisher-Yates: after m steps the first m columns of each
-        # row hold a uniform m-subset.
-        for j in range(m):
-            r = rng.integers(j, big, size=take)
-            vj = idx[rows, j].copy()
-            vr = idx[rows, r].copy()
-            idx[rows, j] = vr
-            idx[rows, r] = vj
-        sums = pop[idx[:, :m]].sum(axis=1)
-        out[done:done + take] = ((total - sums) / n if complement
-                                 else sums / n)
+        take = min(rows, n_samples - done)
+        idx = perm[:take]
+        idx[:] = base
+        rng.permuted(idx, axis=1, out=idx)
+        for row, w in enumerate(widths):
+            if w == 0:
+                continue
+            sums = buf[:take * w].reshape(take, w)
+            np.take(pops[row], idx[:, :w], out=sums)
+            np.cumsum(sums, axis=1, out=sums)
+            yield row, sums
         done += take
+
+
+def _test_k(tables, candidates, k: int, n_samples: int, seed: int):
+    """(p_value, observed_mean) of each (orientation, candidate) pair of
+    one k, all read from the k's single permutation stream.
+
+    tables holds one PMI-at-k vector per orientation, all with NaN at the
+    same ineligible words. A candidate counts the samples whose mean is at
+    least its observed mean, ties extreme, add-one smoothed. p = 1 without
+    sampling when it holds every eligible word or its orientation's values
+    are constant: every same-sized draw then has the observed mean.
+    """
+    if not candidates:
+        return []
+    eligible = ~np.isnan(tables[0])
+    pops = np.stack([t[eligible] for t in tables])
+    big = pops.shape[1]
+    constant = pops.min(axis=1) == pops.max(axis=1)
+    out = []
+    sampled = []
+    widths = [0] * len(tables)
+    for i, (row, cand) in enumerate(candidates):
+        if cand.count != int(cand.word_indices.shape[0]):
+            raise ValueError("candidate count does not match its word set")
+        vals = tables[row][cand.word_indices]
+        if np.any(np.isnan(vals)):
+            raise ValueError("candidate includes words without a PMI value")
+        observed = float(vals.mean())
+        if cand.count > big:
+            raise ValueError(f"candidate count {cand.count} exceeds "
+                             f"population {big}")
+        out.append((1.0, observed))
+        if cand.count < big and not constant[row]:
+            sampled.append((i, row, cand.count, observed))
+            widths[row] = max(widths[row], cand.count)
+    if sampled:
+        counts = np.zeros(len(candidates), dtype=np.int64)
+        rng = derive_rng(seed, "phonesthemes", k)
+        for row, sums in _permutation_sums(pops, widths, n_samples, rng):
+            for i, r, n, observed in sampled:
+                if r == row:
+                    counts[i] += np.count_nonzero(sums[:, n - 1] / n
+                                                  >= observed)
+        for i, _, _, observed in sampled:
+            out[i] = ((int(counts[i]) + 1) / (n_samples + 1), observed)
     return out
 
 
 def phonestheme_test(candidate: AffixCandidate, pmis_by_sign: np.ndarray,
-                     n_samples: int = 100_000, seed: int = 0,
-                     eval_phones: tuple | None = None):
+                     n_samples: int = 100_000, seed: int = 0):
     """Monte Carlo tail test of one candidate against random word sets.
 
     pmis_by_sign holds each sign's pointwise MI at the candidate's k (NaN
     for ineligible words). Draws n_samples sets of candidate.count words
     (without replacement, from eligible words only) and counts sample means
     at least as large as the observed mean, ties extreme, add-one smoothed.
-    Returns (p_value, observed_mean). The random stream is keyed by the
-    affix in evaluation orientation so suffix tests match the equivalent
-    reversed-prefix tests exactly.
+    Returns (p_value, observed_mean). The draws come from the stream keyed
+    by (seed, k) that mine() shares among all candidates of that k, so the
+    result equals the candidate's p-value within mine().
     """
-    if candidate.count != int(candidate.word_indices.shape[0]):
-        raise ValueError("candidate count does not match its word set")
-    observed_vals = pmis_by_sign[candidate.word_indices]
-    if np.any(np.isnan(observed_vals)):
-        raise ValueError("candidate includes words without a PMI value")
-    pop = pmis_by_sign[~np.isnan(pmis_by_sign)]
-    n = candidate.count
-    if n > pop.size:
-        raise ValueError(f"candidate count {n} exceeds population {pop.size}")
-    observed = float(observed_vals.mean())
-    if n == pop.size or pop.min() == pop.max():
-        # Every same-sized draw has the same mean: all samples tie.
-        return 1.0, observed
-    tag = "|".join(eval_phones if eval_phones is not None
-                   else candidate.phones)
-    rng = derive_rng(seed, "phonesthemes", candidate.k, tag)
-    means = _subset_means(pop, n, n_samples, rng)
-    extreme = int(np.count_nonzero(means >= observed))
-    return (extreme + 1) / (n_samples + 1), observed
+    return _test_k([pmis_by_sign], [(0, candidate)], candidate.k,
+                   n_samples, seed)[0]
 
 
 def reverse_forms(lex: Lexicon) -> Lexicon:
@@ -220,18 +266,20 @@ def mine(lex: Lexicon, uncond, cond, *, k_range=(1, 2, 3), min_count: int = 20,
                 "reversed_lex is not the sign-for-sign reversal of lex")
         jobs.append((reversed_lex, reversed_uncond, reversed_cond, "suffix"))
 
+    ks = sorted(set(int(k) for k in k_range))
+    tables = [{k: pointwise_mi_table(job_lex, job_u, job_c, k) for k in ks}
+              for job_lex, job_u, job_c, _ in jobs]
+    stubs = [enumerate_candidates(job_lex, ks, "prefix", min_count)
+             for job_lex, _, _, _ in jobs]
     candidates: list[AffixCandidate] = []
-    for job_lex, job_u, job_c, side in jobs:
-        stubs = enumerate_candidates(job_lex, k_range, "prefix", min_count)
-        tables = {k: pointwise_mi_table(job_lex, job_u, job_c, k)
-                  for k in sorted(set(int(k) for k in k_range))}
-        for cand in stubs:
-            eval_phones = cand.phones
-            p, observed = phonestheme_test(cand, tables[cand.k],
-                                           n_samples=n_samples, seed=seed,
-                                           eval_phones=eval_phones)
-            surface = (eval_phones if side == "prefix"
-                       else tuple(reversed(eval_phones)))
+    for k in ks:
+        batch = [(row, cand) for row, side_stubs in enumerate(stubs)
+                 for cand in side_stubs if cand.k == k]
+        results = _test_k([t[k] for t in tables], batch, k, n_samples, seed)
+        for (row, cand), (p, observed) in zip(batch, results):
+            job_lex, _, _, side = jobs[row]
+            surface = (cand.phones if side == "prefix"
+                       else tuple(reversed(cand.phones)))
             lemmata = tuple(job_lex.signs[i].lemma
                             for i in cand.word_indices[:5])
             candidates.append(AffixCandidate(

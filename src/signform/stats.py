@@ -4,9 +4,9 @@ Spearman correlation, and Gaussian kernel density estimates.
 The permutation test asks whether per-word per-phone savings are centered
 above zero: each permutation flips every delta's sign independently and the
 p-value is the add-one-smoothed fraction of permutations whose mean reaches
-the observed one (ties count as extreme, so p is never 0). The looser
-two-sided asymptotic value, twice the raw extreme fraction, is carried
-alongside for comparison.
+the observed one (ties count as extreme, so p is never 0). Sign patterns
+are drawn as random bytes, eight deltas per byte, and each byte is looked
+up in a table of the sums of the deltas it flips.
 """
 
 from __future__ import annotations
@@ -19,9 +19,18 @@ from scipy.stats import rankdata
 from .errors import DegenerateRanksError
 from .seeding import derive_rng
 
-# Permutations are drawn in fixed-size blocks keyed by (seed, block index),
-# so the outcome is identical no matter how blocks are scheduled.
+# Permutations are drawn in blocks of about this many sign flips, keyed by
+# (seed, block index), so the outcome is identical no matter how blocks are
+# scheduled.
 _BLOCK_DRAWS = 1 << 22
+# A block's sign bytes are summed a slice of columns at a time, each slice
+# about this many table lookups, so the work arrays stay in cache; slices
+# stay at least _MIN_SLICE columns wide, as narrower ones cost more in call
+# overhead than they save.
+_SLICE_LOOKUPS = 1 << 16
+_MIN_SLICE = 2048
+# Bit j of byte value b: row b of this table says which of 8 deltas b flips.
+_BYTE_BITS = (np.arange(256)[:, None] >> np.arange(8)) & 1
 
 
 @dataclass(frozen=True)
@@ -30,7 +39,6 @@ class PermutationResult:
     n_permutations: int
     n_at_least_as_extreme: int
     p_value: float
-    p_two_sided: float
     seed: int
 
     def __post_init__(self):
@@ -48,6 +56,12 @@ def permutation_test(deltas, n_perm: int = 100_000,
     Flips each delta's sign independently with probability 1/2 per
     permutation; p = (r + 1)/(B + 1) where r counts permutation means at
     least as large as the observed mean.
+
+    Each permutation is one random byte per group of 8 deltas (the last
+    group zero-padded). table[g, b] sums the deltas of group g whose bit is
+    set in b, so a permutation's flipped mass is one lookup per group and
+    its mean is (total - 2 * flipped) / n. The unflipped pattern gives
+    exactly the observed mean, so it always counts as a tie.
     """
     deltas = np.asarray(deltas, dtype=np.float64)
     if deltas.size == 0:
@@ -55,24 +69,44 @@ def permutation_test(deltas, n_perm: int = 100_000,
     if n_perm < 1:
         raise ValueError("need at least one permutation")
     n = deltas.size
-    observed = float(deltas.mean())
+    total = float(deltas.sum())
+    observed = total / n
+    n_bytes = -(-n // 8)
+    groups = np.zeros(n_bytes * 8)
+    groups[:n] = deltas
+    table = groups.reshape(n_bytes, 8) @ _BYTE_BITS.T
+    # Row g's entries sit at g * 256 in the flattened table.
+    offsets = (np.arange(n_bytes) * 256)[:, None]
 
-    block = max(1, _BLOCK_DRAWS // n)
+    block = max(1, _BLOCK_DRAWS // (8 * n_bytes))
+    width = min(block, n_perm, max(_MIN_SLICE, _SLICE_LOOKUPS // n_bytes))
+    idx_buf = np.empty(n_bytes * width, dtype=np.intp)
+    picked_buf = np.empty(n_bytes * width)
+    flipped_buf = np.empty(width)
     extreme = 0
     done = 0
     bno = 0
     while done < n_perm:
         take = min(block, n_perm - done)
         rng = derive_rng(seed, "signflip", bno)
-        signs = np.where(rng.random((take, n)) < 0.5, -1.0, 1.0)
-        means = signs @ deltas / n
-        extreme += int(np.count_nonzero(means >= observed))
+        codes = rng.integers(0, 256, size=(n_bytes, take), dtype=np.uint8)
+        for start in range(0, take, width):
+            w = min(width, take - start)
+            idx = idx_buf[:n_bytes * w].reshape(n_bytes, w)
+            picked = picked_buf[:n_bytes * w].reshape(n_bytes, w)
+            flipped = flipped_buf[:w]
+            np.add(codes[:, start:start + w], offsets, out=idx)
+            # Every index is in range by construction; "clip" skips the
+            # bounds check.
+            np.take(table, idx, out=picked, mode="clip")
+            picked.sum(axis=0, out=flipped)
+            means = (total - 2.0 * flipped) / n
+            extreme += int(np.count_nonzero(means >= observed))
         done += take
         bno += 1
     p = (extreme + 1) / (n_perm + 1)
     return PermutationResult(observed_mean=observed, n_permutations=n_perm,
                              n_at_least_as_extreme=extreme, p_value=p,
-                             p_two_sided=min(1.0, 2.0 * extreme / n_perm),
                              seed=seed)
 
 
@@ -89,11 +123,16 @@ def exact_sign_flip_p(deltas) -> float:
     if n > 24:
         raise ValueError("exhaustive enumeration is limited to 24 deltas")
     observed = deltas.sum()
-    codes = np.arange(1 << n, dtype=np.uint64)[:, None]
-    bits = (codes >> np.arange(n, dtype=np.uint64)[None, :]) & 1
-    signs = np.where(bits == 1, -1.0, 1.0)
-    sums = signs @ deltas
-    return float(np.count_nonzero(sums >= observed)) / (1 << n)
+    shifts = np.arange(n, dtype=np.uint64)[None, :]
+    count = 0
+    # Patterns are enumerated 2^16 at a time: all 2^24 at once would need
+    # several GB.
+    for start in range(0, 1 << n, 1 << 16):
+        codes = np.arange(start, min(start + (1 << 16), 1 << n),
+                          dtype=np.uint64)[:, None]
+        signs = np.where((codes >> shifts) & 1 == 1, -1.0, 1.0)
+        count += int(np.count_nonzero(signs @ deltas >= observed))
+    return count / (1 << n)
 
 
 def bh_correct(p_values, alpha: float = 0.05):

@@ -7,7 +7,8 @@ from signform.errors import SignSetMismatchError
 from signform.lexicon import Lexicon, Phone, PhoneInventory, Sign
 from signform.phonesthemes import (
     AffixCandidate,
-    _subset_means,
+    _permutation_sums,
+    _test_k,
     enumerate_candidates,
     mine,
     phonestheme_test,
@@ -165,6 +166,16 @@ class TestEnumerateCandidates:
             enumerate_candidates(lex, (0,), "prefix", min_count=1)
 
 
+def subset_means(pop, n, n_samples, rng, also=()):
+    """Null means of size n (and of each size in also) from one stream."""
+    pop = np.asarray(pop, dtype=np.float64)
+    sizes = (n,) + tuple(also)
+    chunks = [sums[:, [m - 1 for m in sizes]] / sizes for _, sums in
+              _permutation_sums(pop[None], [max(sizes)], n_samples, rng)]
+    means = np.concatenate(chunks)
+    return means[:, 0] if not also else means
+
+
 class TestSubsetMeans:
     def exact_means(self, pop, n):
         return sorted(np.mean(c) for c in itertools.combinations(pop, n))
@@ -173,30 +184,77 @@ class TestSubsetMeans:
     def test_matches_enumeration_distribution(self, n):
         pop = np.array([0.0, 1.0, 10.0, 100.0, 1000.0])
         rng = np.random.default_rng(100 + n)
-        draws = _subset_means(pop, n, 20000, rng)
+        draws = subset_means(pop, n, 20000, rng)
         support = self.exact_means(pop, n)
         assert set(np.round(draws, 9)) <= set(np.round(support, 9))
         for mean in support:
             freq = np.mean(np.isclose(draws, mean))
             assert freq == pytest.approx(1.0 / len(support), abs=0.015)
 
+    def test_shared_stream_matches_every_size(self):
+        # One permutation per sample serves all sizes; each size's means
+        # must still follow its own enumerated distribution.
+        pop = np.array([0.0, 1.0, 10.0, 100.0, 1000.0, 10000.0])
+        sizes = (1, 2, 3, 5)
+        draws = subset_means(pop, sizes[0], 30000,
+                             np.random.default_rng(12), also=sizes[1:])
+        assert draws.shape == (30000, len(sizes))
+        for col, n in enumerate(sizes):
+            support = self.exact_means(pop, n)
+            assert set(np.round(draws[:, col], 9)) <= set(
+                np.round(support, 9))
+            for mean in support:
+                freq = np.mean(np.isclose(draws[:, col], mean))
+                assert freq == pytest.approx(1.0 / len(support), abs=0.015)
+
     def test_full_population(self):
         pop = np.array([1.0, 2.0, 7.0])
-        draws = _subset_means(pop, 3, 50, np.random.default_rng(0))
+        draws = subset_means(pop, 3, 50, np.random.default_rng(0))
         np.testing.assert_array_equal(draws, np.full(50, pop.mean()))
 
     def test_unbiased_mean(self):
         rng = np.random.default_rng(5)
         pop = rng.normal(size=200)
-        draws = _subset_means(pop, 37, 4000, np.random.default_rng(6))
+        draws = subset_means(pop, 37, 4000, np.random.default_rng(6))
         assert draws.mean() == pytest.approx(pop.mean(), abs=0.012)
 
     def test_out_of_range(self):
         pop = np.arange(4.0)
         with pytest.raises(ValueError):
-            _subset_means(pop, 0, 10, np.random.default_rng(0))
+            subset_means(pop, 0, 10, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            _subset_means(pop, 5, 10, np.random.default_rng(0))
+            subset_means(pop, 5, 10, np.random.default_rng(0))
+
+    def test_shared_counts_match_enumerated_tails(self):
+        # Several candidates of one k counted from one stream: each p must
+        # match the exact share of same-sized word sets whose mean reaches
+        # the candidate's own.
+        pop = np.array([0.0, 1.0, 10.0, 100.0, 1000.0, 10000.0, 3.0, 30.0])
+        cands = [stub_candidate(idx) for idx in
+                 ([2], [1, 3], [0, 2, 7], [1, 2, 3, 6, 7], [4, 5, 6])]
+        got = _test_k([pop], [(0, c) for c in cands], 1, 20000, 15)
+        for cand, (p, observed) in zip(cands, got):
+            means = [np.mean(c) for c in
+                     itertools.combinations(pop, cand.count)]
+            exact = np.mean(np.asarray(means) >= observed - 1e-9)
+            assert p == pytest.approx(exact, abs=0.015)
+
+    def test_count_ignores_other_candidates_of_its_k(self):
+        # Candidates of one k share the stream, but each one's count reads
+        # only its own column: adding or removing the others changes
+        # nothing, in mine() or alone.
+        rng = np.random.default_rng(13)
+        pmis = rng.normal(size=90)
+        pmis[:6] += 1.0
+        cands = [stub_candidate(np.arange(0, 6)),
+                 stub_candidate(np.arange(6, 40), phones=("y",)),
+                 stub_candidate(np.arange(40, 45), phones=("z",))]
+        alone = [phonestheme_test(c, pmis, n_samples=3000, seed=14)
+                 for c in cands]
+        for subset in ([0], [0, 1], [1, 2], [0, 1, 2], [2, 0]):
+            batch = [(0, cands[i]) for i in subset]
+            got = _test_k([pmis], batch, 1, 3000, 14)
+            assert got == [alone[i] for i in subset]
 
 
 def stub_candidate(indices, phones=("x",)):
@@ -243,10 +301,8 @@ class TestPhonesthemeTest:
         order = np.argsort(pmis)
         low = stub_candidate(order[:8])
         high = stub_candidate(order[-8:])
-        p_low, o_low = phonestheme_test(low, pmis, n_samples=2000, seed=3,
-                                        eval_phones=("z",))
-        p_high, o_high = phonestheme_test(high, pmis, n_samples=2000, seed=3,
-                                          eval_phones=("z",))
+        p_low, o_low = phonestheme_test(low, pmis, n_samples=2000, seed=3)
+        p_high, o_high = phonestheme_test(high, pmis, n_samples=2000, seed=3)
         assert o_high > o_low
         assert p_high < p_low
 
@@ -341,6 +397,25 @@ class TestMine:
             assert s.p_value == match.p_value
             np.testing.assert_array_equal(s.word_indices,
                                           match.word_indices)
+
+    def test_p_equals_single_candidate_test(self):
+        # Sharing a k's stream among candidates and both sides leaves each
+        # candidate's p what it would be if tested alone.
+        lex, u, c, rev, ru, rc = self.small_setup(seed=26)
+        res = mine(lex, u, c, k_range=(1, 2), min_count=3, n_samples=400,
+                   seed=6, reversed_lex=rev, reversed_uncond=ru,
+                   reversed_cond=rc)
+        assert {x.side for x in res} == {"prefix", "suffix"}
+        for cand in res:
+            eval_lex, eu, ec = ((lex, u, c) if cand.side == "prefix"
+                                else (rev, ru, rc))
+            phones = (cand.phones if cand.side == "prefix"
+                      else cand.phones[::-1])
+            table = pointwise_mi_table(eval_lex, eu, ec, cand.k)
+            alone = phonestheme_test(stub_candidate(cand.word_indices,
+                                                    phones),
+                                     table, n_samples=400, seed=6)
+            assert alone == (cand.p_value, cand.avg_pmi)
 
     def test_bh_is_joint_and_sorted(self):
         lex, u, c, rev, ru, rc = self.small_setup(seed=21)

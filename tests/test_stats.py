@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from signform import stats
 from signform.errors import DegenerateRanksError
 from signform.stats import (
     PermutationResult,
@@ -53,16 +54,40 @@ class TestPermutationTest:
         assert a == b
         assert a.n_at_least_as_extreme != c.n_at_least_as_extreme
 
-    def test_two_sided_column(self):
-        res = permutation_test(np.ones(6), n_perm=1000, seed=10)
-        assert res.p_two_sided == pytest.approx(
-            min(1.0, 2 * res.n_at_least_as_extreme / 1000))
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 17, 24])
+    def test_matches_exhaustive_at_byte_boundaries(self, n):
+        # Deltas are looked up 8 to a byte; sizes around multiples of 8
+        # exercise full, padded and single-delta groups.
+        deltas = np.random.default_rng(30 + n).normal(0.2, 1.0, size=n)
+        exact = exact_sign_flip_p(deltas)
+        res = permutation_test(deltas, n_perm=20_000, seed=n)
+        assert res.p_value == pytest.approx(exact, abs=0.01)
+
+    def test_unflipped_pattern_ties_observed(self):
+        # Every flip of all-positive deltas lowers the mean, so only the
+        # unflipped pattern (1 in 2^6) reaches the observed mean, and it
+        # must reproduce that mean exactly to count.
+        deltas = np.array([0.1, 0.2, 0.3, 0.7, 0.11, 0.13])
+        res = permutation_test(deltas, n_perm=64_000, seed=11)
+        assert res.observed_mean == deltas.sum() / deltas.size
+        assert res.n_at_least_as_extreme == pytest.approx(1000, rel=0.15)
+
+    def test_several_blocks(self):
+        # 20 deltas fill 3 bytes, so a block holds 2^22 // 24 = 174762
+        # permutations: 400_000 span two full blocks and a partial one.
+        deltas = np.random.default_rng(12).normal(0.1, 1.0, size=20)
+        assert 2 * (stats._BLOCK_DRAWS // 24) < 400_000
+        res = permutation_test(deltas, n_perm=400_000, seed=13)
+        assert res.n_permutations == 400_000
+        assert 0.0 < res.p_value <= 1.0
+        assert res.p_value == (res.n_at_least_as_extreme + 1) / 400_001
+        assert res.p_value == pytest.approx(exact_sign_flip_p(deltas),
+                                            abs=0.01)
 
     def test_invariant_enforced(self):
         with pytest.raises(ValueError):
             PermutationResult(observed_mean=0.0, n_permutations=10,
-                              n_at_least_as_extreme=5, p_value=0.9,
-                              p_two_sided=1.0, seed=0)
+                              n_at_least_as_extreme=5, p_value=0.9, seed=0)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
