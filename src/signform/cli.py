@@ -75,11 +75,13 @@ def _clear_stale_error(out_dir: str) -> None:
 
 
 def cmd_estimate(args) -> int:
+    config = None
     try:
         config = _load_run_config(args)
         out = run_estimate(config)
     except Exception as exc:
-        return _fail(exc, "estimate", args.out)
+        return _fail(exc, "estimate",
+                     config.out_dir if config else args.out)
     _clear_stale_error(out.out_dir)
     rep = out.report
     print(f"{rep.language}: H(W) {rep.h_w.bits_per_phone:.3f} bits/phone, "
@@ -91,6 +93,7 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_batch(args) -> int:
+    out_dir = args.out
     try:
         if not args.config:
             raise ValueError("batch needs --config with a languages list")
@@ -106,7 +109,7 @@ def cmd_batch(args) -> int:
             configs.append(RunConfig.from_dict(entry))
         out = run_batch(configs, out_dir, threads=threads)
     except Exception as exc:
-        return _fail(exc, "batch", args.out)
+        return _fail(exc, "batch", out_dir)
     for rep in out.reports:
         flags = out.significant[rep.language]
         mark = "*" if flags["significant"] else " "
@@ -122,11 +125,13 @@ def cmd_batch(args) -> int:
 
 
 def cmd_phonesthemes(args) -> int:
+    config = None
     try:
         config = _load_run_config(args)
         candidates, files = run_phonesthemes(config)
     except Exception as exc:
-        return _fail(exc, "phonesthemes", args.out)
+        return _fail(exc, "phonesthemes",
+                     config.out_dir if config else args.out)
     _clear_stale_error(config.out_dir)
     significant = [c for c in candidates if c.bh_significant]
     for cand in significant:
@@ -139,6 +144,7 @@ def cmd_phonesthemes(args) -> int:
 
 
 def cmd_hyperopt(args) -> int:
+    config = None
     try:
         config = _load_run_config(args)
         if config.hyperopt_budget < 1:
@@ -162,7 +168,8 @@ def cmd_hyperopt(args) -> int:
         best_path = os.path.join(config.out_dir, "best.json")
         write_json(best_path, best_by_kind)
     except Exception as exc:
-        return _fail(exc, "hyperopt", args.out)
+        return _fail(exc, "hyperopt",
+                     config.out_dir if config else args.out)
     _clear_stale_error(config.out_dir)
     for kind, best in best_by_kind.items():
         print(f"{kind}: {json.dumps(best, sort_keys=True)}")

@@ -92,15 +92,6 @@ class SearchSpace:
                 for dim, v in zip(self.dimensions, np.asarray(u))}
 
 
-def default_space() -> SearchSpace:
-    return SearchSpace(dimensions=(
-        Dimension("layers", "integer", 1, 3),
-        Dimension("hidden_size", "integer", 32, 512),
-        Dimension("pca_d", "integer", 2, 300),
-        Dimension("dropout", "continuous", 0.0, 0.5),
-    ))
-
-
 @dataclass(frozen=True)
 class Trial:
     """One evaluated configuration."""

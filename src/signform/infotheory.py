@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SignSetMismatchError, ZeroVarianceError
-from .phonolm import PerWordLoss
+from .phonolm import LossTable
 
 
 @dataclass(frozen=True)
@@ -28,16 +28,20 @@ class EntropyEstimate:
     n_words: int
 
 
-def entropy_estimate(losses) -> EntropyEstimate:
-    losses = list(losses)
-    if not losses:
+def _entropy(total_bits: np.ndarray,
+             token_count: np.ndarray) -> EntropyEstimate:
+    if total_bits.size == 0:
         raise ValueError("empty loss table")
-    total_bits = float(sum(pl.total_bits for pl in losses))
-    total_tokens = int(sum(pl.token_count for pl in losses))
-    return EntropyEstimate(bits_per_phone=total_bits / total_tokens,
-                           total_bits=total_bits,
-                           total_tokens=total_tokens,
-                           n_words=len(losses))
+    # Python's sum() adds in row order; numpy's pairwise sum would round
+    # the total differently.
+    bits = float(sum(total_bits.tolist()))
+    tokens = int(token_count.sum())
+    return EntropyEstimate(bits_per_phone=bits / tokens, total_bits=bits,
+                           total_tokens=tokens, n_words=total_bits.size)
+
+
+def entropy_estimate(table: LossTable) -> EntropyEstimate:
+    return _entropy(table.total_bits, table.token_count)
 
 
 @dataclass(frozen=True)
@@ -61,52 +65,42 @@ class MIEstimate:
             raise ValueError("mi does not match entropy difference")
 
 
-def _align(uncond, cond):
-    uncond = list(uncond)
-    cond = list(cond)
-    by_key = {}
-    for pl in cond:
-        if pl.key in by_key:
-            raise SignSetMismatchError(f"duplicate sign {pl.key!r}")
-        by_key[pl.key] = pl
-    if len(uncond) != len(by_key):
+def _align(uncond: LossTable, cond: LossTable) -> np.ndarray:
+    """The row of cond holding each of uncond's signs, in uncond's order."""
+    if len(uncond.keys) != len(cond.keys):
         raise SignSetMismatchError(
-            f"{len(uncond)} vs {len(by_key)} signs in the two tables")
-    aligned = []
-    seen = set()
-    for pl in uncond:
-        if pl.key in seen:
-            raise SignSetMismatchError(f"duplicate sign {pl.key!r}")
-        seen.add(pl.key)
-        other = by_key.get(pl.key)
-        if other is None:
-            raise SignSetMismatchError(f"sign {pl.key!r} missing from table")
-        if other.token_count != pl.token_count:
-            raise SignSetMismatchError(
-                f"token count differs for {pl.key!r}")
-        aligned.append(other)
-    return uncond, aligned
+            f"{len(uncond.keys)} vs {len(cond.keys)} signs in the two tables")
+    row_of = {key: i for i, key in enumerate(cond.keys)}
+    try:
+        rows = np.array([row_of[key] for key in uncond.keys], dtype=np.int64)
+    except KeyError as exc:
+        raise SignSetMismatchError(
+            f"sign {exc.args[0]!r} missing from table") from None
+    differ = np.flatnonzero(cond.token_count[rows] != uncond.token_count)
+    if differ.size:
+        raise SignSetMismatchError(
+            f"token count differs for {uncond.keys[differ[0]]!r}")
+    return rows
 
 
-def mi_estimate(unconditional, conditional) -> MIEstimate:
+def mi_estimate(unconditional: LossTable,
+                conditional: LossTable) -> MIEstimate:
     """MI(W;V) in bits/phone from matched loss tables, with per-word deltas.
 
     Tables are matched by sign identity (lemma, form, class); order need
     not agree. Raises SignSetMismatchError when they cover different signs.
+    Applied to the class-conditioned pair of tables, the same arithmetic
+    gives MI(W;V|C).
     """
-    uncond, cond = _align(unconditional, conditional)
-    h_u = entropy_estimate(uncond)
-    h_c = entropy_estimate(cond)
-    deltas = np.array([(u.total_bits - c.total_bits) / u.token_count
-                       for u, c in zip(uncond, cond)])
+    rows = _align(unconditional, conditional)
+    tokens = unconditional.token_count
+    cond_bits = conditional.total_bits[rows]
+    h_u = _entropy(unconditional.total_bits, tokens)
+    h_c = _entropy(cond_bits, tokens)
     return MIEstimate(mi=h_u.bits_per_phone - h_c.bits_per_phone,
-                      uncond=h_u, cond=h_c, deltas=deltas,
-                      keys=tuple(pl.key for pl in uncond))
-
-
-def conditional_mi(uncond_given_c, cond_given_vc) -> MIEstimate:
-    """MI(W;V|C): same arithmetic on the class-conditioned loss tables."""
-    return mi_estimate(uncond_given_c, cond_given_vc)
+                      uncond=h_u, cond=h_c,
+                      deltas=(unconditional.total_bits - cond_bits) / tokens,
+                      keys=unconditional.keys)
 
 
 def uncertainty_coefficient(mi: float, h: float) -> float:

@@ -31,6 +31,7 @@ import numpy as np
 
 from .errors import SignSetMismatchError
 from .lexicon import Lexicon, Phone, Sign
+from .phonolm import LossTable
 from .seeding import derive_rng
 from .stats import bh_correct
 
@@ -60,44 +61,35 @@ class AffixCandidate:
         return joined + "-" if self.side == "prefix" else "-" + joined
 
 
-def pointwise_affix_mi(uncond_bits, cond_bits, k: int,
-                       side: str = "prefix") -> float:
-    """Per-word pointwise MI of the first k predicted positions, bits/phone.
+def pointwise_mi_table(lex: Lexicon, uncond: LossTable, cond: LossTable,
+                       k: int) -> np.ndarray:
+    """Per-sign k-prefix pointwise MI; NaN for words shorter than k.
 
-    Both bit vectors must come from the evaluation orientation that makes
-    the affix word-initial: forward models for prefixes, reversed-form
-    models for suffixes (the arithmetic is identical, the caller guarantees
-    the orientation). k may extend to |form|+1, where the value equals the
-    word's whole per-phone delta including the end marker.
+    A word's value is the mean of its first k per-position savings,
+    uncond bits minus cond bits. Both tables must hold lex.signs in order
+    and come from the evaluation orientation that makes the affix
+    word-initial: forward models for prefixes, reversed-form models for
+    suffixes.
     """
-    if side not in SIDES:
-        raise ValueError(f"side must be one of {SIDES}")
-    ub = np.asarray(uncond_bits, dtype=np.float64)
-    cb = np.asarray(cond_bits, dtype=np.float64)
-    if ub.shape != cb.shape:
-        raise SignSetMismatchError("bit vectors differ in length")
-    if not (1 <= k <= ub.shape[0]):
-        raise ValueError(f"k={k} out of range for {ub.shape[0]} positions")
-    return float((ub[:k] - cb[:k]).mean())
-
-
-def _check_alignment(lex: Lexicon, losses, what: str):
-    if len(losses) != len(lex.signs):
-        raise SignSetMismatchError(f"{what}: {len(losses)} losses for "
-                                   f"{len(lex.signs)} signs")
-    for sign, pl in zip(lex.signs, losses):
-        if pl.key != sign.key:
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    keys = tuple(s.key for s in lex.signs)
+    counts = np.array([len(s.form) + 1 for s in lex.signs], dtype=np.int64)
+    for table in (uncond, cond):
+        if table.keys != keys or not np.array_equal(table.token_count,
+                                                    counts):
             raise SignSetMismatchError(
-                f"{what}: loss table out of order at {sign.key!r}")
-
-
-def pointwise_mi_table(lex: Lexicon, uncond, cond, k: int) -> np.ndarray:
-    """Per-sign k-prefix pointwise MI; NaN for words shorter than k."""
-    _check_alignment(lex, uncond, cond)
-    out = np.full(len(lex.signs), np.nan)
-    for i, (sign, u, c) in enumerate(zip(lex.signs, uncond, cond)):
-        if len(sign.form) >= k:
-            out[i] = pointwise_affix_mi(u.position_bits, c.position_bits, k)
+                "loss table does not hold the lexicon's signs in order")
+    # Row means over a padded matrix reduce each row's first k values as
+    # the mean of that row alone would; a cumsum rounds differently from
+    # k = 8 on.
+    row = np.repeat(np.arange(counts.size), counts)
+    padded = np.zeros((counts.size, int(counts.max(initial=0))))
+    padded[row, np.arange(row.size) - uncond.offsets[row]] = (
+        uncond.bits - cond.bits)
+    out = np.full(counts.size, np.nan)
+    eligible = counts > k
+    out[eligible] = padded[eligible, :k].mean(axis=1)
     return out
 
 

@@ -4,24 +4,20 @@ from .archive import ModelArchive, load_model, save_model
 from .model import (
     LMConfig,
     LMParameters,
-    PerWordLoss,
-    condition_init,
+    LossTable,
     encode_signs,
     evaluate,
     forward,
     init_params,
-    log_prob,
     log_softmax2,
     loss_and_grads,
-    micro_bits_per_phone,
     pack_batch,
 )
-from .training import OptSettings, TrainResult, train, train_on_indices
+from .training import OptSettings, TrainResult, train_on_indices
 
 __all__ = [
-    "LMConfig", "LMParameters", "PerWordLoss", "condition_init",
-    "encode_signs", "evaluate", "forward", "init_params", "log_prob",
-    "log_softmax2", "loss_and_grads", "micro_bits_per_phone", "pack_batch",
+    "LMConfig", "LMParameters", "LossTable", "encode_signs", "evaluate",
+    "forward", "init_params", "log_softmax2", "loss_and_grads", "pack_batch",
     "ModelArchive", "load_model", "save_model",
-    "OptSettings", "TrainResult", "train", "train_on_indices",
+    "OptSettings", "TrainResult", "train_on_indices",
 ]

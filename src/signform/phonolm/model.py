@@ -28,10 +28,11 @@ import numpy as np
 from ..errors import (
     DimensionMismatchError,
     OddHiddenSplitError,
+    SignSetMismatchError,
     UnknownClassError,
     UnknownPhoneError,
 )
-from ..lexicon import PhoneInventory, Sign
+from ..lexicon import PhoneInventory
 
 LN2 = float(np.log(2.0))
 
@@ -220,21 +221,6 @@ def _h0_batch(cfg: LMConfig, params: LMParameters,
     cfg.half_size()
     return np.concatenate([params.class_embed[cidx],
                            v @ params.w_v.T + params.b_v], axis=1)
-
-
-def condition_init(cfg: LMConfig, params: LMParameters,
-                   v: np.ndarray | None = None,
-                   c: str | None = None) -> np.ndarray:
-    """Initial hidden state for one word given its conditioning inputs."""
-    cidx = None
-    if c is not None:
-        cidx = np.array([params.class_index(c)])
-    elif cfg.uses_class:
-        raise UnknownClassError("class conditioning needs a label")
-    vv = None
-    if v is not None:
-        vv = np.asarray(v, dtype=np.float64)[None, :]
-    return _h0_batch(cfg, params, vv, cidx, 1)[0]
 
 
 def _h0_backward(cfg: LMConfig, params: LMParameters, grads: dict,
@@ -506,27 +492,53 @@ def loss_and_grads(params: LMParameters, cfg: LMConfig, inputs: np.ndarray,
     return total_bits, total_tokens, grads
 
 
-@dataclass(frozen=True)
-class PerWordLoss:
-    """Code length of one sign under a model: total bits over phones + EOS."""
+@dataclass(frozen=True, eq=False)
+class LossTable:
+    """Code lengths of a list of signs under one model, held as columns.
 
-    key: tuple
-    total_bits: float
-    token_count: int
-    position_bits: np.ndarray
+    Row i is the sign keys[i]: its bits over phones + end marker are
+    bits[offsets[i]:offsets[i + 1]], token_count[i] of them, summing to
+    total_bits[i]. Every row holds at least one position, and keys are
+    unique, so two tables over the same signs can be matched by key.
+    """
+
+    keys: tuple
+    bits: np.ndarray
+    offsets: np.ndarray
+    token_count: np.ndarray = field(init=False)
+    total_bits: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if abs(self.total_bits - float(self.position_bits.sum())) > 1e-9:
-            raise ValueError("total_bits does not match position bits")
-        if self.token_count != self.position_bits.shape[0]:
-            raise ValueError("token_count does not match position bits")
+        keys = tuple(self.keys)
+        bits = np.asarray(self.bits, dtype=np.float64)
+        offsets = np.asarray(self.offsets, dtype=np.int64)
+        if (bits.ndim != 1 or offsets.ndim != 1 or offsets.size == 0
+                or offsets[0] != 0 or offsets[-1] != bits.size):
+            raise ValueError("offsets must run from 0 to len(bits)")
+        counts = np.diff(offsets)
+        if np.any(counts < 1):
+            raise ValueError("offsets must rise by at least 1 per row")
+        if len(keys) != counts.size:
+            raise ValueError(f"{len(keys)} keys for {counts.size} rows")
+        if len(set(keys)) != len(keys):
+            raise SignSetMismatchError("duplicate sign in loss table")
+        # Each total is the sum of its own row's slice: np.add.reduceat
+        # over the flat bits rounds some totals differently.
+        totals = np.array([bits[lo:hi].sum() for lo, hi in
+                           zip(offsets[:-1].tolist(), offsets[1:].tolist())],
+                          dtype=np.float64)
+        for name, value in (("keys", keys), ("bits", bits),
+                            ("offsets", offsets), ("token_count", counts),
+                            ("total_bits", totals)):
+            object.__setattr__(self, name, value)
 
-
-def micro_bits_per_phone(losses) -> float:
-    """Micro-averaged bits per token: sum of bits over sum of token counts."""
-    total = sum(pl.total_bits for pl in losses)
-    tokens = sum(pl.token_count for pl in losses)
-    return total / tokens
+    @classmethod
+    def from_rows(cls, keys, rows) -> "LossTable":
+        """The table of one bit vector per sign, in the order of keys."""
+        rows = [np.asarray(r, dtype=np.float64) for r in rows]
+        offsets = np.cumsum([0] + [r.size for r in rows])
+        return cls(keys=keys, bits=np.concatenate([np.zeros(0)] + rows),
+                   offsets=offsets)
 
 
 def encode_signs(signs, inventory: PhoneInventory) -> list[np.ndarray]:
@@ -562,11 +574,12 @@ def pack_batch(encoded: list[np.ndarray], eos: int):
 
 def evaluate(params: LMParameters, cfg: LMConfig, signs,
              inventory: PhoneInventory, v: np.ndarray | None = None,
-             batch_size: int = 256) -> list[PerWordLoss]:
+             batch_size: int = 256) -> LossTable:
     """Per-word code lengths in evaluation mode (no dropout).
 
     v is an (n, pca_d) array aligned with signs when the model conditions
     on meaning; class indices are looked up from each sign's POS label.
+    The table's rows are the signs in the order given.
     """
     signs = list(signs)
     if cfg.uses_meaning:
@@ -582,8 +595,9 @@ def evaluate(params: LMParameters, cfg: LMConfig, signs,
 
     encoded = encode_signs(signs, inventory)
     lengths = np.array([len(e) + 1 for e in encoded], dtype=np.int64)
+    offsets = np.concatenate([[0], np.cumsum(lengths)])
+    bits = np.empty(offsets[-1])
     by_length = np.argsort(-lengths, kind="stable")
-    out: list[PerWordLoss | None] = [None] * len(signs)
     for lo in range(0, len(signs), batch_size):
         rows = by_length[lo:lo + batch_size]
         inputs, targets, _ = pack_batch([encoded[j] for j in rows],
@@ -593,32 +607,8 @@ def evaluate(params: LMParameters, cfg: LMConfig, signs,
             params, cfg, inputs, pk, None if v is None else v[rows],
             None if cidx_all is None else cidx_all[rows], None)
         logp2 = log_softmax2(_logits(params, top))
-        bits = np.zeros(inputs.size)
-        bits[pk.cells] = -logp2[np.arange(pk.cells.size),
-                                targets.ravel()[pk.cells]]
-        bits = bits.reshape(inputs.shape)
-        for r, j in enumerate(rows):
-            n = int(lengths[j])
-            out[j] = PerWordLoss(key=signs[j].key,
-                                 total_bits=float(bits[r, :n].sum()),
-                                 token_count=n, position_bits=bits[r, :n])
-    return out
-
-
-def log_prob(params: LMParameters, cfg: LMConfig, sign: Sign,
-             inventory: PhoneInventory, v: np.ndarray | None = None,
-             c: str | None = None) -> np.ndarray:
-    """Per-position log2-probabilities of one sign's form plus EOS."""
-    vv = None
-    if v is not None:
-        vv = np.asarray(v, dtype=np.float64)[None, :]
-    cidx = None
-    if c is not None:
-        cidx = np.array([params.class_index(c)], dtype=np.int64)
-    elif cfg.uses_class:
-        cidx = np.array([params.class_index(sign.pos)], dtype=np.int64)
-    encoded = encode_signs([sign], inventory)
-    inputs, targets, _ = pack_batch(encoded, inventory.eos_index)
-    logits, _ = forward(params, cfg, inputs, v=vv, cidx=cidx)
-    logp2 = log_softmax2(logits)
-    return logp2[0, np.arange(targets.shape[1]), targets[0]]
+        row, t = np.divmod(pk.cells, inputs.shape[1])
+        bits[offsets[rows[row]] + t] = -logp2[np.arange(pk.cells.size),
+                                              targets.ravel()[pk.cells]]
+    return LossTable(keys=tuple(s.key for s in signs), bits=bits,
+                     offsets=offsets)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import DimensionMismatchError, TrainingDivergedError
-from ..lexicon import FoldAssignment, Lexicon
+from ..lexicon import Lexicon
 from ..seeding import derive_rng
 from .model import (
     LMConfig,
@@ -23,7 +23,6 @@ from .model import (
     evaluate,
     init_params,
     loss_and_grads,
-    micro_bits_per_phone,
     pack_batch,
 )
 
@@ -153,8 +152,8 @@ def train_on_indices(lex: Lexicon, train_idx, val_idx, cfg: LMConfig,
                 _clip(grads, opt.clip_norm)
             adam.step(params, grads)
 
-        val_losses = evaluate(params, cfg, val_signs, inventory, v=val_v)
-        val_bpp = micro_bits_per_phone(val_losses)
+        val = evaluate(params, cfg, val_signs, inventory, v=val_v)
+        val_bpp = sum(val.total_bits.tolist()) / int(val.token_count.sum())
         if not np.isfinite(val_bpp):
             raise TrainingDivergedError(
                 f"non-finite validation loss {val_bpp} at epoch {epoch}",
@@ -172,10 +171,3 @@ def train_on_indices(lex: Lexicon, train_idx, val_idx, cfg: LMConfig,
                 break
     return result
 
-
-def train(lex: Lexicon, folds: FoldAssignment, cfg: LMConfig,
-          opt: OptSettings, seed: int, rotation: int = 0,
-          v: np.ndarray | None = None) -> TrainResult:
-    """Train with the fold protocol: validation and test picked by rotation."""
-    train_idx, val_idx, _ = folds.roles(rotation)
-    return train_on_indices(lex, train_idx, val_idx, cfg, opt, seed, v=v)

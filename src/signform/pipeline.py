@@ -21,12 +21,7 @@ import numpy as np
 
 from .errors import SchemaError, SignformError
 from .hyperopt import Dimension, SearchSpace, run_search
-from .infotheory import (
-    MIReport,
-    build_report,
-    conditional_mi,
-    mi_estimate,
-)
+from .infotheory import MIReport, build_report, mi_estimate
 from .lexicon import (
     Lexicon,
     attach_meanings,
@@ -37,6 +32,7 @@ from .lexicon import (
 from .phonesthemes import mine, reverse_forms
 from .phonolm import (
     LMConfig,
+    LossTable,
     OptSettings,
     evaluate,
     load_model,
@@ -190,8 +186,7 @@ class KindResult:
     params: object
     pca: object | None
     val_bits: float
-    test_losses: list
-    all_losses: list | None = None
+    test_losses: LossTable
 
 
 def _meanings_matrix(lex: Lexicon) -> np.ndarray:
@@ -210,9 +205,8 @@ def fit_meanings(lex: Lexicon, d: int, train_idx=None,
 
 def train_kind(lex: Lexicon, folds, rotation: int, kind: str,
                lm_cfg: LMConfig, opt: OptSettings, seed: int,
-               pca_train_only: bool = True,
-               score_all: bool = False) -> KindResult:
-    """Train one model kind and score the test fold (optionally all signs)."""
+               pca_train_only: bool = True) -> KindResult:
+    """Train one model kind and score the test fold."""
     train_idx, val_idx, test_idx = folds.roles(rotation)
     pca = None
     v_all = None
@@ -225,13 +219,8 @@ def train_kind(lex: Lexicon, folds, rotation: int, kind: str,
     test_v = v_all[test_idx] if v_all is not None else None
     test_losses = evaluate(result.params, lm_cfg, test_signs,
                            lex.inventory, v=test_v)
-    all_losses = None
-    if score_all:
-        all_losses = evaluate(result.params, lm_cfg, lex.signs,
-                              lex.inventory, v=v_all)
     return KindResult(kind=kind, cfg=lm_cfg, params=result.params, pca=pca,
-                      val_bits=result.best_val, test_losses=test_losses,
-                      all_losses=all_losses)
+                      val_bits=result.best_val, test_losses=test_losses)
 
 
 def _search_space(kind: str, meaning_dim: int) -> SearchSpace:
@@ -311,8 +300,8 @@ def run_estimate(config: RunConfig, lex: Lexicon | None = None,
     classed = None
     perm_pos = None
     if config.with_pos_control:
-        classed = conditional_mi(results["class"].test_losses,
-                                 results["meaning_and_class"].test_losses)
+        classed = mi_estimate(results["class"].test_losses,
+                              results["meaning_and_class"].test_losses)
         perm_pos = permutation_test(
             classed.deltas, n_perm=config.permutations,
             seed=seed_for(config.seed, "perm", "pos"))
@@ -486,26 +475,29 @@ def _model_pair(lex: Lexicon, config: RunConfig, folds, tag: str):
     for kind in ("uncond", "meaning"):
         name = f"{kind}_{tag}.archive" if tag else f"{kind}.archive"
         path = os.path.join(models_dir, name)
-        lm_cfg = make_lm_config(kind, dict(config.lm))
+        v_all = None
         if os.path.exists(path):
             archive = load_model(path)
-            v_all = None
-            if archive.cfg.uses_meaning:
+            cfg, params = archive.cfg, archive.params
+            if cfg.uses_meaning:
                 _, v_all = fit_meanings(
-                    lex, archive.cfg.pca_d,
-                    folds.roles(config.rotation)[0], config.pca_train_only)
-            losses[kind] = evaluate(archive.params, archive.cfg, lex.signs,
-                                    lex.inventory, v=v_all)
+                    lex, cfg.pca_d, folds.roles(config.rotation)[0],
+                    config.pca_train_only)
         else:
-            res = train_kind(lex, folds, config.rotation, kind, lm_cfg,
+            res = train_kind(lex, folds, config.rotation, kind,
+                             make_lm_config(kind, dict(config.lm)),
                              OptSettings(**config.opt),
                              seed_for(config.seed, tag or "fwd"),
-                             config.pca_train_only, score_all=True)
+                             config.pca_train_only)
             save_model(path, res.cfg, lex.inventory, res.params,
                        pca=res.pca,
                        extra={"kind": kind, "language": config.language,
                               "orientation": tag or "forward"})
-            losses[kind] = res.all_losses
+            cfg, params = res.cfg, res.params
+            if res.pca is not None:
+                v_all = pca_transform(res.pca, _meanings_matrix(lex))
+        losses[kind] = evaluate(params, cfg, lex.signs, lex.inventory,
+                                v=v_all)
     return losses["uncond"], losses["meaning"]
 
 

@@ -91,11 +91,3 @@ def pca_transform(model: PCAModel, v: np.ndarray) -> np.ndarray:
             f"vector dim {v.shape[-1]} != model dim {model.input_dim}")
     return (v - model.mean) @ model.components.T
 
-
-def pca_inverse(model: PCAModel, y: np.ndarray) -> np.ndarray:
-    """Map projected coordinates back: componentsᵀ @ y + mean."""
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape[-1] != model.d:
-        raise DimensionMismatchError(
-            f"coordinate dim {y.shape[-1]} != model d {model.d}")
-    return y @ model.components + model.mean

@@ -31,20 +31,19 @@ from .hyperopt import (
     gp_fit,
     run_search,
 )
-from .infotheory import build_report, mi_estimate
+from .infotheory import build_report, entropy_estimate, mi_estimate
 from .lexicon import Lexicon, Phone, PhoneInventory, Sign, split_folds
 from .phonesthemes import mine, reverse_forms
 from .phonolm import (
     LMConfig,
+    LossTable,
     OptSettings,
-    PerWordLoss,
     encode_signs,
     evaluate,
     forward,
     init_params,
     log_softmax2,
     loss_and_grads,
-    micro_bits_per_phone,
 )
 from .pipeline import (
     RunConfig,
@@ -101,44 +100,36 @@ def _fast_estimate(lex, seed, folds=5, permutations=1000, lm=None, **kw):
 
 def _loss_tables(spec, lex, labels, conditional=True):
     """Exact per-word code lengths: mixture model vs per-cluster model."""
-    uncond, cond = [], []
+    ubits, cbits = [], []
     for sign, c in zip(lex.signs, labels):
         phones = spec.encode_form(sign.form)
         bits = oracle_word_bits(spec, phones)
-        cbits = (oracle_word_bits(spec, phones, cluster=int(c))
-                 if conditional else bits.copy())
-        uncond.append(PerWordLoss(key=sign.key,
-                                  total_bits=float(bits.sum()),
-                                  token_count=bits.size,
-                                  position_bits=bits))
-        cond.append(PerWordLoss(key=sign.key, total_bits=float(cbits.sum()),
-                                token_count=cbits.size,
-                                position_bits=cbits))
-    return uncond, cond
+        ubits.append(bits)
+        cbits.append(oracle_word_bits(spec, phones, cluster=int(c))
+                     if conditional else bits)
+    keys = [s.key for s in lex.signs]
+    return LossTable.from_rows(keys, ubits), LossTable.from_rows(keys, cbits)
 
 
 def _noise_tables(uncond, scale=0.25, seed=0):
     """A null conditional table: per-word noise with no affix structure."""
     rng = np.random.default_rng(seed)
-    cond = []
-    for loss in uncond:
-        eps = scale * rng.standard_normal() / loss.token_count
-        bits = loss.position_bits - eps
-        cond.append(PerWordLoss(key=loss.key, total_bits=float(bits.sum()),
-                                token_count=bits.size, position_bits=bits))
-    return cond
+    eps = scale * rng.standard_normal(len(uncond.keys)) / uncond.token_count
+    return LossTable(keys=uncond.keys,
+                     bits=uncond.bits - np.repeat(eps, uncond.token_count),
+                     offsets=uncond.offsets)
 
 
-def _reverse_tables(lex, tables):
-    """Position-reversed tables aligned with reverse_forms(lex)."""
-    out = []
-    for sign, loss in zip(lex.signs, tables):
-        bits = np.concatenate([loss.position_bits[-2::-1],
-                               loss.position_bits[-1:]])
-        key = (sign.lemma, tuple(reversed(sign.form)), sign.pos)
-        out.append(PerWordLoss(key=key, total_bits=float(bits.sum()),
-                               token_count=bits.size, position_bits=bits))
-    return out
+def _reverse_tables(rev_lex, table):
+    """Position-reversed tables aligned with rev_lex = reverse_forms(lex):
+    each word's phone positions reversed, its end marker kept last."""
+    lo, hi = table.offsets[:-1], table.offsets[1:]
+    row = np.repeat(np.arange(lo.size), table.token_count)
+    pos = np.arange(row.size)
+    # Position j < n - 1 of an n-position row takes phone n - 2 - j.
+    source = np.where(pos < hi[row] - 1, lo[row] + hi[row] - 2 - pos, pos)
+    return LossTable(keys=[s.key for s in rev_lex.signs],
+                     bits=table.bits[source], offsets=table.offsets)
 
 
 def c01_gradient_check(hooks) -> tuple[bool, str]:
@@ -210,7 +201,7 @@ def c02_variational_bound(hooks) -> tuple[bool, str]:
                          make_lm_config("uncond", FAST_LM),
                          OptSettings(**FAST_OPT), seed)
         losses = evaluate(res.params, res.cfg, fresh.signs, fresh.inventory)
-        margins.append(micro_bits_per_phone(losses) - hstar)
+        margins.append(entropy_estimate(losses).bits_per_phone - hstar)
     worst = min(margins)
     return worst >= -0.01, (f"min test margin over H* across 10 seeds: "
                             f"{worst:+.4f} bits (tol -0.01)")
@@ -318,7 +309,7 @@ def c07_phonestheme_mining(hooks) -> tuple[bool, str]:
     lex, labels = generate(spec, 2500, seed=77)
     uncond, cond = _loss_tables(spec, lex, labels)
     rev = reverse_forms(lex)
-    rev_u, rev_c = _reverse_tables(lex, uncond), _reverse_tables(lex, cond)
+    rev_u, rev_c = _reverse_tables(rev, uncond), _reverse_tables(rev, cond)
     found = mine(lex, uncond, cond, k_range=(1, 2, 3), min_count=10,
                  n_samples=20_000, seed=7, reversed_lex=rev,
                  reversed_uncond=rev_u, reversed_cond=rev_c)
@@ -330,7 +321,7 @@ def c07_phonestheme_mining(hooks) -> tuple[bool, str]:
     null_found = mine(lex, uncond, null_cond, k_range=(1, 2, 3),
                       min_count=10, n_samples=2000, seed=8,
                       reversed_lex=rev, reversed_uncond=rev_u,
-                      reversed_cond=_reverse_tables(lex, null_cond))
+                      reversed_cond=_reverse_tables(rev, null_cond))
     n_null = len(null_found)
     fp_rate = sum(c.bh_significant for c in null_found) / n_null
     part_b = n_null >= 50 and fp_rate <= 0.05 + 0.05
@@ -406,15 +397,9 @@ def c09_table_schemas(hooks) -> tuple[bool, str]:
 
 def _toy_report():
     keys = [(f"w{i}", (), "X") for i in range(4)]
-
-    def loss(key, bits):
-        bits = np.asarray(bits, dtype=np.float64)
-        return PerWordLoss(key=key, total_bits=float(bits.sum()),
-                           token_count=bits.size, position_bits=bits)
-
-    uncond = [loss(k, [2.0, 2.0]) for k in keys]
-    cond = [loss(k, b) for k, b in zip(
-        keys, [[1.0, 1.0], [1.2, 1.0], [0.8, 1.0], [1.1, 0.9]])]
+    uncond = LossTable.from_rows(keys, [[2.0, 2.0]] * 4)
+    cond = LossTable.from_rows(
+        keys, [[1.0, 1.0], [1.2, 1.0], [0.8, 1.0], [1.1, 0.9]])
     return build_report("toy", mi_estimate(uncond, cond), p_value=0.01)
 
 

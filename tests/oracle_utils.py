@@ -1,37 +1,52 @@
-"""Shared helpers: loss tables built from the exact synthetic oracle, and
+"""Shared helpers: loss tables built from the exact synthetic oracle, the
+per-word pointwise MI that the vectorised table is checked against, and
 the padded per-step LSTM that the packed kernel is checked against."""
 
 import numpy as np
 from scipy.special import expit
 
-from signform.phonolm import PerWordLoss, log_softmax2
+from signform.errors import SignSetMismatchError
+from signform.phonolm import LossTable, log_softmax2
 from signform.phonolm.model import LN2, _dropout_mask, _h0_backward, _h0_batch
 from signform.synthbench import oracle_word_bits
 
 
-def loss_from_bits(key, bits):
-    bits = np.asarray(bits, dtype=np.float64)
-    return PerWordLoss(key=key, total_bits=float(bits.sum()),
-                       token_count=bits.shape[0], position_bits=bits)
-
-
 def oracle_loss_tables(spec, lex, labels, conditional="cluster"):
-    """(uncond, cond) PerWordLoss lists under the true model pair.
+    """(uncond, cond) loss tables under the true model pair.
 
     conditional="cluster" scores each word under its generating cluster's
     chain; "mixture" scores both sides identically (a null model pair).
     """
-    uncond, cond = [], []
+    ubits, cbits = [], []
     for sign, c in zip(lex.signs, labels):
         phones = spec.encode_form(sign.form)
         bu = oracle_word_bits(spec, phones)
-        if conditional == "cluster":
-            bc = oracle_word_bits(spec, phones, cluster=int(c))
-        else:
-            bc = bu.copy()
-        uncond.append(loss_from_bits(sign.key, bu))
-        cond.append(loss_from_bits(sign.key, bc))
-    return uncond, cond
+        ubits.append(bu)
+        cbits.append(oracle_word_bits(spec, phones, cluster=int(c))
+                     if conditional == "cluster" else bu)
+    keys = [s.key for s in lex.signs]
+    return LossTable.from_rows(keys, ubits), LossTable.from_rows(keys, cbits)
+
+
+def row_bits(table):
+    """Each row's per-position bits, in row order."""
+    return np.split(table.bits, table.offsets[1:-1])
+
+
+def pointwise_affix_mi(uncond_bits, cond_bits, k):
+    """One word's pointwise MI over its first k predicted positions.
+
+    The mean of the first k per-position savings, uncond minus cond bits.
+    k may extend to |form|+1, where the value equals the word's whole
+    per-phone delta including the end marker.
+    """
+    ub = np.asarray(uncond_bits, dtype=np.float64)
+    cb = np.asarray(cond_bits, dtype=np.float64)
+    if ub.shape != cb.shape:
+        raise SignSetMismatchError("bit vectors differ in length")
+    if not (1 <= k <= ub.shape[0]):
+        raise ValueError(f"k={k} out of range for {ub.shape[0]} positions")
+    return float((ub[:k] - cb[:k]).mean())
 
 
 # The plain LSTM the packed kernel must match: batch-major (B, T, h) arrays,

@@ -91,11 +91,18 @@ class TestEstimateCommand:
         assert record["error"] == "ValueError"
         assert record["stage"] == "estimate"
 
-    def test_bad_path_writes_error_json(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["estimate", "phonesthemes",
+                                         "hyperopt"])
+    @pytest.mark.parametrize("via_flag", [True, False])
+    def test_bad_path_writes_error_json(self, tmp_path, capsys, command,
+                                        via_flag):
+        # Without --out, the record goes to the config's out_dir.
         cfg = tmp_path / "bad.json"
-        write_config(cfg, str(tmp_path / "nowhere"))
         out = tmp_path / "failed"
-        rc = main(["--config", str(cfg), "--out", str(out), "estimate"])
+        write_config(cfg, str(tmp_path / "nowhere"), hyperopt_budget=1,
+                     **({} if via_flag else {"out_dir": str(out)}))
+        flags = ["--out", str(out)] if via_flag else []
+        rc = main(["--config", str(cfg)] + flags + [command])
         assert rc == 1
         record = json.loads(capsys.readouterr().out.splitlines()[0])
         assert record["error"] == "FileNotFoundError"
@@ -177,6 +184,7 @@ class TestBatchCommand:
         assert record["error"] == "SchemaError"
         assert "alpha" in record["message"]
         assert not (out / "alpha").exists()
+        assert read_json(out / "error.json") == record
 
     def test_all_failed_is_an_error(self, tmp_path, capsys):
         bad = {"language": "x", "lexicon_path": str(tmp_path / "no.tsv"),

@@ -9,13 +9,13 @@ from signform.hyperopt import (
     GPPosterior,
     SearchSpace,
     Trial,
-    default_space,
     expected_improvement,
     gp_fit,
     propose_next,
     read_log,
     run_search,
 )
+from signform.pipeline import _search_space
 from signform.seeding import derive_rng
 
 
@@ -63,20 +63,28 @@ class TestDimension:
         assert dim.from_unit(1.5) == 2.0
 
 
+def lm_space():
+    """The search space of a meaning model over 300-d embeddings."""
+    return _search_space("meaning", 300)
+
+
 class TestSearchSpace:
-    def test_default_space(self):
-        space = default_space()
-        names = {d.name: d for d in space.dimensions}
+    def test_lm_space_bounds(self):
+        names = {d.name: d for d in lm_space().dimensions}
         assert set(names) == {"layers", "hidden_size", "pca_d", "dropout"}
         assert (names["layers"].lower, names["layers"].upper) == (1, 3)
         assert (names["hidden_size"].lower,
                 names["hidden_size"].upper) == (32, 512)
         assert (names["pca_d"].lower, names["pca_d"].upper) == (2, 300)
         assert (names["dropout"].lower, names["dropout"].upper) == (0.0, 0.5)
+        narrow = {d.name: d for d in _search_space("meaning", 50).dimensions}
+        assert narrow["pca_d"].upper == 50
+        assert "pca_d" not in {d.name for d in
+                               _search_space("uncond", 300).dimensions}
 
     def test_roundtrip_and_validation(self):
-        space = default_space()
-        native = space.from_unit([0.0, 1.0, 0.5, 0.2])
+        space = lm_space()
+        native = space.from_unit([0.0, 1.0, 0.2, 0.5])
         assert native["layers"] == 1
         assert native["hidden_size"] == 512
         assert native["dropout"] == pytest.approx(0.1)
@@ -204,7 +212,7 @@ class TestExpectedImprovement:
 
 class TestProposeNext:
     def test_cold_start_in_bounds(self):
-        space = default_space()
+        space = lm_space()
         native = propose_next([], space, seed=4)
         assert 1 <= native["layers"] <= 3
         assert isinstance(native["layers"], int)

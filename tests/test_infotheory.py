@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
 
-from oracle_utils import loss_from_bits, oracle_loss_tables
+from oracle_utils import oracle_loss_tables
 from signform.errors import SignSetMismatchError, ZeroVarianceError
 from signform.infotheory import (
     build_report,
     cohens_d,
-    conditional_mi,
     entropy_estimate,
     mi_estimate,
     uncertainty_coefficient,
 )
+from signform.phonolm import LossTable
 from signform.synthbench import (
     ClusterChain,
     SyntheticSpec,
@@ -22,7 +22,8 @@ from signform.synthbench import (
 
 def table(spec_bits):
     """spec_bits: list of (key, bits list)."""
-    return [loss_from_bits(k, b) for k, b in spec_bits]
+    return LossTable.from_rows([k for k, _ in spec_bits],
+                               [b for _, b in spec_bits])
 
 
 class TestEntropyEstimate:
@@ -50,13 +51,13 @@ class TestEntropyEstimate:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            entropy_estimate([])
+            entropy_estimate(table([]))
 
     def test_concatenation_identity(self):
-        a = table([("w1", [2.0, 3.0]), ("w2", [1.0, 1.0, 1.0])])
-        b = table([("w3", [0.5, 0.25])])
-        whole = entropy_estimate(a + b)
-        ea, eb = entropy_estimate(a), entropy_estimate(b)
+        a = [("w1", [2.0, 3.0]), ("w2", [1.0, 1.0, 1.0])]
+        b = [("w3", [0.5, 0.25])]
+        whole = entropy_estimate(table(a + b))
+        ea, eb = entropy_estimate(table(a)), entropy_estimate(table(b))
         combined = ((ea.total_bits + eb.total_bits)
                     / (ea.total_tokens + eb.total_tokens))
         assert whole.bits_per_phone == pytest.approx(combined, abs=1e-15)
@@ -65,8 +66,7 @@ class TestEntropyEstimate:
 class TestMiEstimate:
     def test_identical_tables_zero(self):
         t = table([("w1", [2.0, 3.0]), ("w2", [1.0, 1.0, 1.0])])
-        est = mi_estimate(t, [loss_from_bits(pl.key, pl.position_bits)
-                              for pl in t])
+        est = mi_estimate(t, LossTable(t.keys, t.bits.copy(), t.offsets))
         assert est.mi == 0.0
         np.testing.assert_array_equal(est.deltas, 0.0)
 
@@ -104,12 +104,14 @@ class TestMiEstimate:
         assert est.deltas[0] == pytest.approx((5.0 - 3.0) / 2)
 
     def test_sign_set_mismatch(self):
-        a = table([("w1", [2.0, 3.0])])
-        b = table([("w2", [1.0, 2.0])])
+        a = [("w1", [2.0, 3.0])]
+        b = [("w2", [1.0, 2.0])]
         with pytest.raises(SignSetMismatchError):
-            mi_estimate(a, b)
+            mi_estimate(table(a), table(b))
         with pytest.raises(SignSetMismatchError):
-            mi_estimate(a, a + b)
+            mi_estimate(table(a), table(a + b))
+        with pytest.raises(SignSetMismatchError):
+            mi_estimate(table(a + b), table(b + a + a))
 
     def test_token_count_mismatch(self):
         a = table([("w1", [2.0, 3.0])])
@@ -119,10 +121,6 @@ class TestMiEstimate:
 
 
 class TestConditionalMi:
-    def test_identical_tables_zero(self):
-        t = table([("w1", [2.0, 3.0])])
-        assert conditional_mi(t, t).mi == 0.0
-
     def test_class_explains_form_meaning_adds_nothing(self):
         # Conditioning on the cluster (the class) leaves no residual MI for
         # the meaning vector: both class-aware tables are the cluster-true
@@ -130,8 +128,8 @@ class TestConditionalMi:
         spec = two_cluster_spec()
         lex, labels = generate(spec, 300, seed=4)
         _, cond = oracle_loss_tables(spec, lex, labels)
-        cond2 = [loss_from_bits(pl.key, pl.position_bits) for pl in cond]
-        est = conditional_mi(cond, cond2)
+        cond2 = LossTable(cond.keys, cond.bits.copy(), cond.offsets)
+        est = mi_estimate(cond, cond2)
         assert est.mi == pytest.approx(0.0, abs=1e-15)
 
 
@@ -175,7 +173,7 @@ class TestBuildReport:
         lex, labels = generate(spec, 400, seed=5)
         uncond, cond = oracle_loss_tables(spec, lex, labels)
         plain = mi_estimate(uncond, cond)
-        classed = conditional_mi(cond, cond)
+        classed = mi_estimate(cond, cond)
         rep = build_report("twoclust", plain, classed=None, p_value=0.01)
         assert rep.mi == pytest.approx(
             rep.h_w.bits_per_phone - rep.h_w_given_v.bits_per_phone,
@@ -193,7 +191,7 @@ class TestBuildReport:
         uc = table([(f"w{i}", [2.8, 2.8 + 0.01 * i]) for i in range(10)])
         vc = table([(f"w{i}", [2.6, 2.6 + 0.02 * i]) for i in range(10)])
         rep = build_report("xx", mi_estimate(u, c),
-                           classed=conditional_mi(uc, vc),
+                           classed=mi_estimate(uc, vc),
                            p_value=0.2, p_value_given_pos=0.4)
         assert rep.mi_given_pos == pytest.approx(
             rep.h_w_given_c.bits_per_phone

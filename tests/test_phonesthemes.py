@@ -12,14 +12,15 @@ from signform.phonesthemes import (
     enumerate_candidates,
     mine,
     phonestheme_test,
-    pointwise_affix_mi,
     pointwise_mi_table,
     reverse_forms,
 )
 from signform.stats import bh_correct
 from signform.synthbench import generate, planted_prefix_spec
 
-from oracle_utils import loss_from_bits, oracle_loss_tables
+from signform.phonolm import LossTable
+
+from oracle_utils import oracle_loss_tables, pointwise_affix_mi, row_bits
 
 
 def make_lex(forms, lemmas=None, dim=2, language="toy"):
@@ -35,14 +36,21 @@ def make_lex(forms, lemmas=None, dim=2, language="toy"):
 
 def random_tables(lex, rng, gap_scale=1.0):
     """Aligned (uncond, cond) loss tables with i.i.d. noise deltas."""
-    uncond, cond = [], []
+    ubits, cbits = [], []
     for sign in lex.signs:
         n = len(sign.form) + 1
         ub = rng.uniform(1.0, 4.0, size=n)
-        cb = ub - gap_scale * rng.normal(size=n)
-        uncond.append(loss_from_bits(sign.key, ub))
-        cond.append(loss_from_bits(sign.key, cb))
-    return uncond, cond
+        ubits.append(ub)
+        cbits.append(ub - gap_scale * rng.normal(size=n))
+    keys = [s.key for s in lex.signs]
+    return LossTable.from_rows(keys, ubits), LossTable.from_rows(keys, cbits)
+
+
+def take_rows(table, rows):
+    """The table of the given rows, in that order."""
+    bits = row_bits(table)
+    return LossTable.from_rows([table.keys[i] for i in rows],
+                               [bits[i] for i in rows])
 
 
 def ks_uniform(p):
@@ -75,30 +83,42 @@ class TestPointwiseAffixMI:
             pointwise_affix_mi([1.0, 2.0], [1.0, 2.0], 0)
         with pytest.raises(ValueError):
             pointwise_affix_mi([1.0, 2.0], [1.0, 2.0], 3)
-        with pytest.raises(ValueError):
-            pointwise_affix_mi([1.0], [1.0], 1, side="infix")
 
 
 class TestPointwiseMITable:
-    def test_nan_for_short_words(self):
-        lex = make_lex(["ka", "t", "tam"])
+    def test_matches_per_word_reference(self):
+        # Lengths 1..12 put rows on both sides of numpy's 8-wide pairwise
+        # summation; every k up to the longest end marker is checked.
         rng = np.random.default_rng(1)
-        u, c = random_tables(lex, rng)
-        table = pointwise_mi_table(lex, u, c, k=2)
-        assert not np.isnan(table[0])
-        assert np.isnan(table[1])
-        assert not np.isnan(table[2])
-        want = ((u[2].position_bits - c[2].position_bits)[:2]).mean()
-        assert table[2] == pytest.approx(want, abs=1e-12)
+        forms = ["ka", "t", "tam"] + [
+            "".join(rng.choice(list("akmt"), size=n)) for n in range(1, 13)]
+        lex = make_lex(forms)
+        u, c = random_tables(lex, rng, gap_scale=3.0)
+        for k in range(1, max(len(f) for f in forms) + 2):
+            table = pointwise_mi_table(lex, u, c, k=k)
+            for form, ub, cb, got in zip(forms, row_bits(u), row_bits(c),
+                                         table):
+                if len(form) < k:
+                    assert np.isnan(got)
+                else:
+                    assert got == pointwise_affix_mi(ub, cb, k)
 
     def test_misaligned_tables_rejected(self):
         lex = make_lex(["ka", "ta", "ma"])
         rng = np.random.default_rng(2)
         u, c = random_tables(lex, rng)
+        for rows in ([2, 1, 0], [0, 1]):
+            with pytest.raises(SignSetMismatchError):
+                pointwise_mi_table(lex, take_rows(u, rows),
+                                   take_rows(c, rows), k=1)
+            with pytest.raises(SignSetMismatchError):
+                pointwise_mi_table(lex, u, take_rows(c, rows), k=1)
+        short = LossTable(keys=u.keys, bits=u.bits[:-1],
+                          offsets=[0, 3, 6, 8])
         with pytest.raises(SignSetMismatchError):
-            pointwise_mi_table(lex, u[::-1], c[::-1], k=1)
-        with pytest.raises(SignSetMismatchError):
-            pointwise_mi_table(lex, u[:-1], c[:-1], k=1)
+            pointwise_mi_table(lex, u, short, k=1)
+        with pytest.raises(ValueError):
+            pointwise_mi_table(lex, u, c, k=0)
 
 
 class TestEnumerateCandidates:

@@ -1,37 +1,36 @@
 import numpy as np
 import pytest
-from oracle_utils import reference_loss_and_grads
+from oracle_utils import reference_loss_and_grads, row_bits
 
 from signform.errors import (
     ArchiveFormatError,
     DimensionMismatchError,
     OddHiddenSplitError,
+    SignSetMismatchError,
     TrainingDivergedError,
     UnknownClassError,
     UnknownPhoneError,
 )
+from signform.infotheory import entropy_estimate
 from signform.lexicon import Lexicon, Phone, PhoneInventory, Sign, split_folds
 from signform.phonolm import (
     LMConfig,
     LMParameters,
+    LossTable,
     OptSettings,
-    condition_init,
     encode_signs,
     evaluate,
     forward,
     init_params,
     load_model,
-    log_prob,
     log_softmax2,
     loss_and_grads,
-    micro_bits_per_phone,
     pack_batch,
     save_model,
-    train,
     train_on_indices,
 )
 from signform.phonolm.archive import FORMAT_VERSION
-from signform.phonolm.model import CONDITION_MODES
+from signform.phonolm.model import CONDITION_MODES, _h0_batch
 from signform.seeding import derive_rng
 
 
@@ -195,7 +194,7 @@ class TestPackedKernel:
         assert_matches_reference(params, cfg, inputs, targets, mask, v, cidx)
 
 
-class TestLogProb:
+class TestPositionBits:
     def zero_model(self, cfg, lex):
         params = init_params(cfg, len(lex.inventory),
                              rng=np.random.default_rng(0))
@@ -207,9 +206,9 @@ class TestLogProb:
         lex = make_lexicon(["kat"])
         cfg = LMConfig(hidden_size=8, phone_embed_size=4)
         params = self.zero_model(cfg, lex)
-        lp = log_prob(params, cfg, lex.signs[0], lex.inventory)
-        expected = -np.log2(len(lex.inventory))
-        np.testing.assert_allclose(lp, expected, atol=1e-12)
+        losses = evaluate(params, cfg, lex.signs, lex.inventory)
+        expected = np.log2(len(lex.inventory))
+        np.testing.assert_allclose(losses.bits, expected, atol=1e-12)
 
     def test_distributions_normalize(self):
         lex = make_lexicon(["kat", "ms"])
@@ -227,9 +226,8 @@ class TestLogProb:
         cfg = LMConfig(hidden_size=8, phone_embed_size=4)
         params = init_params(cfg, len(lex.inventory),
                              rng=np.random.default_rng(4))
-        base = log_prob(params, cfg, lex.signs[0], lex.inventory)
-        longer1 = log_prob(params, cfg, lex.signs[1], lex.inventory)
-        longer2 = log_prob(params, cfg, lex.signs[2], lex.inventory)
+        base, longer1, longer2 = row_bits(
+            evaluate(params, cfg, lex.signs, lex.inventory))
         np.testing.assert_allclose(base[:3], longer1[:3], atol=1e-12)
         np.testing.assert_allclose(longer1[:3], longer2[:3], atol=1e-12)
 
@@ -241,7 +239,7 @@ class TestLogProb:
         alien = Sign(lemma="x", form=(Phone("z"),), meaning=np.zeros(3),
                      pos="N")
         with pytest.raises(UnknownPhoneError):
-            log_prob(params, cfg, alien, lex.inventory)
+            evaluate(params, cfg, [lex.signs[0], alien], lex.inventory)
 
 
 class TestConditionInit:
@@ -253,9 +251,15 @@ class TestConditionInit:
                            classes=self.lex.classes if cfg.uses_class else None,
                            rng=np.random.default_rng(6))
 
+    def condition_init(self, cfg, params, v=None, c=None):
+        """The initial state of a batch of one word."""
+        vv = None if v is None else np.asarray(v, dtype=np.float64)[None]
+        cidx = None if c is None else np.array([params.class_index(c)])
+        return _h0_batch(cfg, params, vv, cidx, 1)[0]
+
     def test_nothing_gives_zero(self):
         cfg = LMConfig(hidden_size=8, phone_embed_size=4)
-        h0 = condition_init(cfg, self.params_for(cfg))
+        h0 = self.condition_init(cfg, self.params_for(cfg))
         np.testing.assert_array_equal(h0, np.zeros(8))
 
     def test_meaning_at_zero_gives_bias(self):
@@ -263,14 +267,14 @@ class TestConditionInit:
                        condition_on="meaning")
         params = self.params_for(cfg)
         params.b_v[...] = np.arange(8.0)
-        h0 = condition_init(cfg, params, v=np.zeros(3))
+        h0 = self.condition_init(cfg, params, v=np.zeros(3))
         np.testing.assert_allclose(h0, np.arange(8.0))
 
     def test_class_lookup(self):
         cfg = LMConfig(hidden_size=8, phone_embed_size=4,
                        condition_on="class")
         params = self.params_for(cfg)
-        h0 = condition_init(cfg, params, c="V")
+        h0 = self.condition_init(cfg, params, c="V")
         np.testing.assert_array_equal(
             h0, params.class_embed[params.classes.index("V")])
 
@@ -279,7 +283,7 @@ class TestConditionInit:
                        condition_on="meaning_and_class")
         params = self.params_for(cfg)
         v = np.array([1.0, -2.0, 0.5])
-        h0 = condition_init(cfg, params, v=v, c="N")
+        h0 = self.condition_init(cfg, params, v=v, c="N")
         np.testing.assert_array_equal(
             h0[:4], params.class_embed[params.classes.index("N")])
         np.testing.assert_allclose(h0[4:], params.w_v @ v + params.b_v)
@@ -296,14 +300,18 @@ class TestConditionInit:
                        condition_on="class")
         params = self.params_for(cfg)
         with pytest.raises(UnknownClassError):
-            condition_init(cfg, params, c="ADV")
+            self.condition_init(cfg, params, c="ADV")
+        with pytest.raises(UnknownClassError):
+            _h0_batch(cfg, params, None, np.array([len(params.classes)]), 1)
+        with pytest.raises(UnknownClassError):
+            _h0_batch(cfg, params, None, None, 1)
 
     def test_meaning_dim_mismatch(self):
         cfg = LMConfig(hidden_size=8, phone_embed_size=4, pca_d=3,
                        condition_on="meaning")
         params = self.params_for(cfg)
         with pytest.raises(DimensionMismatchError):
-            condition_init(cfg, params, v=np.zeros(5))
+            self.condition_init(cfg, params, v=np.zeros(5))
 
 
 class TestEvaluate:
@@ -318,10 +326,10 @@ class TestEvaluate:
         for _, arr in params.named_arrays():
             arr[...] = 0.0
         losses = evaluate(params, cfg, [sign], inventory)
-        assert losses[0].token_count == 4
-        assert losses[0].total_bits == pytest.approx(16.0, abs=1e-9)
+        assert losses.token_count.tolist() == [4]
+        assert losses.total_bits[0] == pytest.approx(16.0, abs=1e-9)
 
-    def test_matches_log_prob_with_conditioning(self):
+    def test_matches_forward_with_conditioning(self):
         lex = make_lexicon(["kat", "sam", "ta", "maks"], pos=list("NVNV"))
         cfg = LMConfig(hidden_size=8, phone_embed_size=4, pca_d=3,
                        condition_on="meaning_and_class", layers=2)
@@ -329,11 +337,15 @@ class TestEvaluate:
                              rng=np.random.default_rng(7))
         v = np.random.default_rng(8).normal(size=(4, 3))
         losses = evaluate(params, cfg, lex.signs, lex.inventory, v=v)
-        for j, s in enumerate(lex.signs):
-            lp = log_prob(params, cfg, s, lex.inventory, v=v[j])
-            np.testing.assert_allclose(losses[j].position_bits, -lp,
-                                       atol=1e-9)
-            assert losses[j].key == s.key
+        assert losses.keys == tuple(s.key for s in lex.signs)
+        for j, (s, bits) in enumerate(zip(lex.signs, row_bits(losses))):
+            inputs, targets, _ = pack_batch(
+                encode_signs([s], lex.inventory), lex.inventory.eos_index)
+            logits, _ = forward(params, cfg, inputs, v=v[j:j + 1],
+                                cidx=np.array([params.class_index(s.pos)]))
+            lp = log_softmax2(logits)[0, np.arange(targets.shape[1]),
+                                      targets[0]]
+            np.testing.assert_allclose(bits, -lp, atol=1e-9)
 
     def test_micro_average(self):
         lex = make_lexicon(["kat", "s"])
@@ -341,8 +353,10 @@ class TestEvaluate:
         params = init_params(cfg, len(lex.inventory),
                              rng=np.random.default_rng(9))
         losses = evaluate(params, cfg, lex.signs, lex.inventory)
-        manual = sum(pl.total_bits for pl in losses) / (4 + 2)
-        assert micro_bits_per_phone(losses) == pytest.approx(manual)
+        assert losses.token_count.tolist() == [4, 2]
+        manual = losses.total_bits.sum() / (4 + 2)
+        assert entropy_estimate(losses).bits_per_phone == pytest.approx(
+            manual)
 
     def test_batch_boundaries_do_not_matter(self):
         lex = make_lexicon(["kat", "sam", "ta", "maks", "mm", "s", "takma",
@@ -360,12 +374,55 @@ class TestEvaluate:
         runs.append((perm, evaluate(params, cfg,
                                     [lex.signs[j] for j in perm],
                                     lex.inventory, v=v[perm])))
+        base_bits = row_bits(base)
         for rows, losses in runs:
-            for j, loss in zip(rows, losses):
-                assert loss.key == base[j].key
-                np.testing.assert_allclose(loss.position_bits,
-                                           base[j].position_bits,
+            assert losses.keys == tuple(base.keys[j] for j in rows)
+            for j, bits in zip(rows, row_bits(losses)):
+                np.testing.assert_allclose(bits, base_bits[j],
                                            rtol=0, atol=1e-12)
+
+
+class TestLossTable:
+    def test_columns_from_rows(self):
+        t = LossTable.from_rows(["a", "b", "c"], [[1.0, 2.0, 0.5], [3.0],
+                                                  [0.25, 0.25]])
+        assert t.keys == ("a", "b", "c")
+        assert t.offsets.tolist() == [0, 3, 4, 6]
+        assert t.token_count.tolist() == [3, 1, 2]
+        assert t.total_bits.tolist() == [3.5, 3.0, 0.5]
+        assert t.bits.tolist() == [1.0, 2.0, 0.5, 3.0, 0.25, 0.25]
+
+    def test_totals_are_each_rows_own_sum(self):
+        rng = np.random.default_rng(13)
+        rows = [rng.uniform(0.0, 9.0, size=n) for n in range(1, 30)]
+        t = LossTable.from_rows(range(len(rows)), rows)
+        assert t.total_bits.tolist() == [float(r.sum()) for r in rows]
+
+    @pytest.mark.parametrize("offsets", [[1, 2, 4], [0, 3, 1, 4],
+                                         [0, 2, 2, 4], [0, 1, 3],
+                                         [0, 2, 5], []])
+    def test_bad_offsets_rejected(self, offsets):
+        n_rows = max(len(offsets) - 1, 0)
+        with pytest.raises(ValueError):
+            LossTable(keys=tuple(range(n_rows)), bits=np.ones(4),
+                      offsets=offsets)
+
+    def test_key_count_must_match_rows(self):
+        with pytest.raises(ValueError):
+            LossTable(keys=("a", "b", "c"), bits=np.ones(4),
+                      offsets=[0, 1, 4])
+        with pytest.raises(ValueError):
+            LossTable.from_rows(["a"], [[1.0], [2.0]])
+
+    def test_duplicate_keys_rejected(self):
+        with pytest.raises(SignSetMismatchError):
+            LossTable.from_rows(["a", "b", "a"], [[1.0], [2.0], [3.0]])
+
+    def test_empty_table(self):
+        t = LossTable.from_rows([], [])
+        assert t.keys == ()
+        assert t.offsets.tolist() == [0]
+        assert t.token_count.size == 0 and t.total_bits.size == 0
 
 
 def small_corpus_lexicon(n=60, seed=0):
@@ -395,7 +452,7 @@ class TestTraining:
         for _, arr in params.named_arrays():
             arr *= 1e-4
         losses = evaluate(params, cfg, lex.signs, lex.inventory)
-        assert micro_bits_per_phone(losses) == pytest.approx(
+        assert entropy_estimate(losses).bits_per_phone == pytest.approx(
             np.log2(len(lex.inventory)), abs=0.01)
 
     def test_deterministic_given_seed(self):
@@ -403,9 +460,10 @@ class TestTraining:
         folds = split_folds(lex, k=5, seed=2)
         cfg = LMConfig(hidden_size=8, phone_embed_size=4, dropout=0.2)
         opt = OptSettings(max_epochs=3, patience=10)
-        a = train(lex, folds, cfg, opt, seed=11)
-        b = train(lex, folds, cfg, opt, seed=11)
-        c = train(lex, folds, cfg, opt, seed=12)
+        train_idx, val_idx, _ = folds.roles(0)
+        a = train_on_indices(lex, train_idx, val_idx, cfg, opt, seed=11)
+        b = train_on_indices(lex, train_idx, val_idx, cfg, opt, seed=11)
+        c = train_on_indices(lex, train_idx, val_idx, cfg, opt, seed=12)
         for (n1, x), (_, y) in zip(a.params.named_arrays(),
                                    b.params.named_arrays()):
             assert x.tobytes() == y.tobytes(), n1
@@ -419,12 +477,12 @@ class TestTraining:
         folds = split_folds(lex, k=4, seed=3)
         cfg = LMConfig(hidden_size=12, phone_embed_size=6)
         opt = OptSettings(max_epochs=25, patience=6)
-        res = train(lex, folds, cfg, opt, seed=5)
-        assert res.best_val == pytest.approx(min(res.val_curve), abs=1e-12)
         train_idx, val_idx, _ = folds.roles(0)
+        res = train_on_indices(lex, train_idx, val_idx, cfg, opt, seed=5)
+        assert res.best_val == pytest.approx(min(res.val_curve), abs=1e-12)
         val_signs = [lex.signs[i] for i in val_idx]
-        again = micro_bits_per_phone(
-            evaluate(res.params, cfg, val_signs, lex.inventory))
+        again = entropy_estimate(
+            evaluate(res.params, cfg, val_signs, lex.inventory)).bits_per_phone
         assert again == pytest.approx(res.best_val, abs=1e-9)
 
     def test_empty_folds_rejected(self):

@@ -8,6 +8,7 @@ import pytest
 
 from signform.infotheory import build_report, mi_estimate
 from signform.phonesthemes import AffixCandidate
+from signform.phonolm import LossTable
 from signform.reports import (
     APPENDIX_COLUMNS,
     PHONESTHEME_COLUMNS,
@@ -27,20 +28,16 @@ from signform.reports import (
 )
 from signform.stats import kde
 
-from oracle_utils import loss_from_bits
-
 
 def toy_report(language="toy", with_pos=False):
     keys = [(f"w{i}", (), "X") for i in range(4)]
-    uncond = [loss_from_bits(k, [2.0, 2.0]) for k in keys]
-    cond_bits = [[1.0, 1.0], [1.2, 1.0], [0.8, 1.0], [1.1, 0.9]]
-    cond = [loss_from_bits(k, b) for k, b in zip(keys, cond_bits)]
-    plain = mi_estimate(uncond, cond)
+    cond = LossTable.from_rows(
+        keys, [[1.0, 1.0], [1.2, 1.0], [0.8, 1.0], [1.1, 0.9]])
+    plain = mi_estimate(LossTable.from_rows(keys, [[2.0, 2.0]] * 4), cond)
     classed = None
     if with_pos:
-        classed = mi_estimate(
-            [loss_from_bits(k, [1.9, 1.9]) for k in keys],
-            [loss_from_bits(k, b) for k, b in zip(keys, cond_bits)])
+        classed = mi_estimate(LossTable.from_rows(keys, [[1.9, 1.9]] * 4),
+                              cond)
     return build_report(language, plain, classed, p_value=0.004,
                         p_value_given_pos=0.2 if with_pos else None)
 
