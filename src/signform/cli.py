@@ -16,6 +16,7 @@ import sys
 from .lexicon import split_folds
 from .pipeline import (
     RunConfig,
+    _write_search_log,
     load_config,
     resolve_lexicon,
     run_batch,
@@ -51,7 +52,9 @@ def _load_run_config(args) -> RunConfig:
     if not args.config:
         raise ValueError("this command needs --config pointing at a JSON "
                          "config document")
-    return load_config(args.config, **_resolve_overrides(args))
+    overrides = _resolve_overrides(args)
+    del overrides["threads"]  # only batch runs languages concurrently
+    return load_config(args.config, **overrides)
 
 
 def _fail(exc: Exception, stage: str, out_dir: str | None = None) -> int:
@@ -154,17 +157,13 @@ def cmd_hyperopt(args) -> int:
         folds = split_folds(lex, config.folds, seed_for(config.seed,
                                                         "folds"))
         os.makedirs(config.out_dir, exist_ok=True)
+        trials_by_kind = {}
         best_by_kind = {}
+        for kind in config.model_kinds:
+            best_by_kind[kind], trials_by_kind[kind] = search_lm(
+                lex, folds, config.rotation, kind, config)
         log_path = os.path.join(config.out_dir, "search.jsonl")
-        with open(log_path, "w", encoding="utf-8") as fh:
-            for kind in config.model_kinds:
-                best, trials = search_lm(lex, folds, config.rotation, kind,
-                                         config)
-                best_by_kind[kind] = best
-                for t in trials:
-                    rec = json.loads(t.to_json())
-                    rec["kind"] = kind
-                    fh.write(json.dumps(rec, sort_keys=True) + "\n")
+        _write_search_log(log_path, trials_by_kind)
         best_path = os.path.join(config.out_dir, "best.json")
         write_json(best_path, best_by_kind)
     except Exception as exc:

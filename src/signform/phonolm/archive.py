@@ -8,6 +8,8 @@ loudly instead of deserializing garbage.
 from __future__ import annotations
 
 import json
+import os
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,8 +53,11 @@ def save_model(path, cfg: LMConfig, inventory: PhoneInventory,
     }
     arrays["meta"] = np.frombuffer(
         json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8)
-    with open(path, "wb") as fh:
+    # Write then rename, so a killed run never leaves a truncated archive.
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as fh:
         np.savez(fh, **arrays)
+    os.replace(tmp, path)
 
 
 def load_model(path) -> ModelArchive:
@@ -85,7 +90,8 @@ def load_model(path) -> ModelArchive:
                                explained_variance=data["pca.explained_variance"])
             return ModelArchive(cfg=cfg, inventory=inventory, params=params,
                                 pca=pca, extra=meta.get("extra") or {})
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, EOFError, ValueError, KeyError,
+            zipfile.BadZipFile) as exc:
         raise ArchiveFormatError(f"{path}: unreadable archive: {exc}") from exc
 
 

@@ -11,7 +11,9 @@ isolation, then corrects significance across languages and aggregates.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
+import logging
 import os
 import traceback
 from concurrent.futures import ThreadPoolExecutor
@@ -32,7 +34,6 @@ from .lexicon import (
 from .phonesthemes import mine, reverse_forms
 from .phonolm import (
     LMConfig,
-    LossTable,
     OptSettings,
     evaluate,
     load_model,
@@ -71,6 +72,8 @@ KIND_CONDITION = {
 }
 SCHEMA_VERSION = 1
 
+logger = logging.getLogger(__name__)
+
 
 @dataclass
 class RunConfig:
@@ -86,7 +89,6 @@ class RunConfig:
     folds: int = 10
     rotation: int = 0
     seed: int = 0
-    threads: int = 1
     model_kinds: tuple = ("uncond", "meaning")
     permutations: int = 100_000
     hyperopt_budget: int = 0
@@ -179,48 +181,62 @@ def seed_for(config_seed: int, *tags) -> int:
     return int(derive_rng(config_seed, *tags).integers(2 ** 31))
 
 
-@dataclass
-class KindResult:
-    kind: str
-    cfg: LMConfig
-    params: object
-    pca: object | None
-    val_bits: float
-    test_losses: LossTable
+def _fingerprint(lex: Lexicon, train_idx, val_idx, cfg: LMConfig,
+                 opt: OptSettings, seed: int, v) -> str:
+    """sha256 over exactly what train_on_indices consumes."""
+    # Phones never contain whitespace, so a space-joined form is unambiguous.
+    doc = {"forms": [" ".join(s.form) for s in lex.signs],
+           "pos": [s.pos for s in lex.signs],
+           "classes": list(lex.classes),
+           "phones": list(lex.inventory.phones),
+           "eos_index": lex.inventory.eos_index,
+           "train": train_idx.tolist(), "val": val_idx.tolist(),
+           "lm": cfg.to_dict(), "opt": dataclasses.asdict(opt),
+           "seed": seed}
+    digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode("utf-8"))
+    if v is not None:
+        digest.update(np.ascontiguousarray(v, dtype=np.float64).tobytes())
+    return digest.hexdigest()
 
 
-def _meanings_matrix(lex: Lexicon) -> np.ndarray:
-    return np.array([s.meaning for s in lex.signs])
+def fit_model(lex: Lexicon, folds, rotation: int, kind: str, lm: dict,
+              opt: OptSettings, seed: int, pca_train_only: bool = True,
+              path: str | None = None):
+    """Train one model kind on a rotation's folds, or reuse its archive.
 
-
-def fit_meanings(lex: Lexicon, d: int, train_idx=None,
-                 train_only: bool = True):
-    """PCA of the meaning space, fit on training rows only by default."""
-    meanings = _meanings_matrix(lex)
-    basis = meanings[train_idx] if (train_only and train_idx is not None) \
-        else meanings
-    pca = pca_fit(basis, d)
-    return pca, pca_transform(pca, meanings)
-
-
-def train_kind(lex: Lexicon, folds, rotation: int, kind: str,
-               lm_cfg: LMConfig, opt: OptSettings, seed: int,
-               pca_train_only: bool = True) -> KindResult:
-    """Train one model kind and score the test fold."""
-    train_idx, val_idx, test_idx = folds.roles(rotation)
-    pca = None
-    v_all = None
-    if lm_cfg.uses_meaning:
-        pca, v_all = fit_meanings(lex, lm_cfg.pca_d, train_idx,
-                                  pca_train_only)
-    result = train_on_indices(lex, train_idx, val_idx, lm_cfg, opt,
-                              seed_for(seed, "train", kind), v=v_all)
-    test_signs = [lex.signs[i] for i in test_idx]
-    test_v = v_all[test_idx] if v_all is not None else None
-    test_losses = evaluate(result.params, lm_cfg, test_signs,
-                           lex.inventory, v=test_v)
-    return KindResult(kind=kind, cfg=lm_cfg, params=result.params, pca=pca,
-                      val_bits=result.best_val, test_losses=test_losses)
+    The archive at path is reused only when its fingerprint matches the
+    inputs of this fit; otherwise the model is trained once and, when a
+    path is given, archived with the fingerprint. Returns
+    (cfg, params, pca, v_all, val_bits): v_all is the projected meaning of
+    every sign (None when the kind ignores meaning), so callers score
+    whichever signs they need.
+    """
+    cfg = make_lm_config(kind, lm)
+    train_idx, val_idx, _ = folds.roles(rotation)
+    pca = v_all = None
+    if cfg.uses_meaning:
+        meanings = np.array([s.meaning for s in lex.signs])
+        pca = pca_fit(meanings[train_idx] if pca_train_only else meanings,
+                      cfg.pca_d)
+        v_all = pca_transform(pca, meanings)
+    fingerprint = _fingerprint(lex, train_idx, val_idx, cfg, opt, seed,
+                               v_all)
+    reason = "no archive"
+    if path is not None and os.path.exists(path):
+        archive = load_model(path)
+        if archive.extra.get("fingerprint") == fingerprint:
+            logger.info("reused %s", path)
+            return cfg, archive.params, pca, v_all, archive.extra["val_bits"]
+        reason = "fingerprint differs"
+    logger.info("trained %s: %s", kind, reason)
+    result = train_on_indices(lex, train_idx, val_idx, cfg, opt, seed,
+                              v=v_all)
+    if path is not None:
+        save_model(path, cfg, lex.inventory, result.params, pca=pca,
+                   extra={"kind": kind, "language": lex.language,
+                          "fingerprint": fingerprint,
+                          "val_bits": result.best_val})
+    return cfg, result.params, pca, v_all, result.best_val
 
 
 def _search_space(kind: str, meaning_dim: int) -> SearchSpace:
@@ -236,23 +252,16 @@ def _search_space(kind: str, meaning_dim: int) -> SearchSpace:
 def search_lm(lex: Lexicon, folds, rotation: int, kind: str,
               config: RunConfig):
     """Hyperparameter search for one kind; returns (best lm dict, trials)."""
-    train_idx, val_idx, _ = folds.roles(rotation)
     meaning_dim = lex.signs[0].meaning.shape[0]
     space = _search_space(kind, meaning_dim)
     opt = OptSettings(**config.opt)
+    seed = seed_for(config.seed, "search", kind)
 
     def objective(native: dict) -> float:
-        base = dict(config.lm)
-        base.update(native)
-        lm_cfg = make_lm_config(kind, base)
-        v_all = None
-        if lm_cfg.uses_meaning:
-            _, v_all = fit_meanings(lex, lm_cfg.pca_d, train_idx,
-                                    config.pca_train_only)
-        result = train_on_indices(
-            lex, train_idx, val_idx, lm_cfg, opt,
-            seed_for(config.seed, "search", kind), v=v_all)
-        return result.best_val
+        lm = dict(config.lm)
+        lm.update(native)
+        return fit_model(lex, folds, rotation, kind, lm, opt, seed,
+                         config.pca_train_only)[4]
 
     result = run_search(objective, space, budget=config.hyperopt_budget,
                         seed=seed_for(config.seed, "hyperopt", kind))
@@ -264,44 +273,63 @@ def search_lm(lex: Lexicon, folds, rotation: int, kind: str,
 @dataclass
 class EstimateOutput:
     report: MIReport
-    kind_results: dict
+    kind_results: dict  # kind -> that model's test-fold LossTable
     out_dir: str
     files: dict
 
 
+def _write_search_log(path, trials_by_kind: dict) -> None:
+    """One JSON line per trial, tagged with its model kind."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for kind, trials in trials_by_kind.items():
+            for t in trials:
+                rec = json.loads(t.to_json())
+                rec["kind"] = kind
+                fh.write(json.dumps(rec, sort_keys=True) + "\n")
+
+
 def run_estimate(config: RunConfig, lex: Lexicon | None = None,
                  write: bool = True) -> EstimateOutput:
-    """The full single-language pipeline; returns the report and artifacts."""
+    """The full single-language pipeline; returns the report and artifacts.
+
+    With write, models are archived under out_dir/models and reused from
+    there when their fingerprint matches.
+    """
     if lex is None:
         lex = resolve_lexicon(config)
     folds = split_folds(lex, config.folds, seed_for(config.seed, "folds"))
+    test_idx = folds.roles(config.rotation)[2]
+    test_signs = [lex.signs[i] for i in test_idx]
     opt = OptSettings(**config.opt)
+    models_dir = os.path.join(config.out_dir, "models")
+    if write:
+        os.makedirs(models_dir, exist_ok=True)
 
+    files = {}
     search_trials = {}
-    kind_lm: dict[str, dict] = {}
+    tables = {}
     for kind in config.model_kinds:
+        lm = config.lm
         if config.hyperopt_budget > 0:
-            kind_lm[kind], search_trials[kind] = search_lm(
+            lm, search_trials[kind] = search_lm(
                 lex, folds, config.rotation, kind, config)
-        else:
-            kind_lm[kind] = dict(config.lm)
+        path = os.path.join(models_dir, f"{kind}.archive") if write else None
+        cfg, params, _, v_all, _ = fit_model(
+            lex, folds, config.rotation, kind, lm, opt,
+            seed_for(config.seed, "train", kind), config.pca_train_only, path)
+        tables[kind] = evaluate(
+            params, cfg, test_signs, lex.inventory,
+            v=v_all[test_idx] if v_all is not None else None)
+        if write:
+            files[f"model_{kind}"] = path
 
-    results = {}
-    for kind in config.model_kinds:
-        lm_cfg = make_lm_config(kind, kind_lm[kind])
-        results[kind] = train_kind(lex, folds, config.rotation, kind,
-                                   lm_cfg, opt, config.seed,
-                                   config.pca_train_only)
-
-    plain = mi_estimate(results["uncond"].test_losses,
-                        results["meaning"].test_losses)
+    plain = mi_estimate(tables["uncond"], tables["meaning"])
     perm = permutation_test(plain.deltas, n_perm=config.permutations,
                             seed=seed_for(config.seed, "perm", "plain"))
     classed = None
     perm_pos = None
     if config.with_pos_control:
-        classed = mi_estimate(results["class"].test_losses,
-                              results["meaning_and_class"].test_losses)
+        classed = mi_estimate(tables["class"], tables["meaning_and_class"])
         perm_pos = permutation_test(
             classed.deltas, n_perm=config.permutations,
             seed=seed_for(config.seed, "perm", "pos"))
@@ -309,11 +337,7 @@ def run_estimate(config: RunConfig, lex: Lexicon | None = None,
         config.language, plain, classed, p_value=perm.p_value,
         p_value_given_pos=perm_pos.p_value if perm_pos else None)
 
-    files = {}
     if write:
-        os.makedirs(config.out_dir, exist_ok=True)
-        models_dir = os.path.join(config.out_dir, "models")
-        os.makedirs(models_dir, exist_ok=True)
         csv_path = os.path.join(config.out_dir, "report.csv")
         write_report_csv(csv_path, [report])
         json_path = os.path.join(config.out_dir, "report.json")
@@ -322,24 +346,11 @@ def run_estimate(config: RunConfig, lex: Lexicon | None = None,
             seeds={"master": config.seed,
                    "folds": seed_for(config.seed, "folds"),
                    "permutation": seed_for(config.seed, "perm", "plain")}))
-        files = {"report_csv": csv_path, "report_json": json_path}
-        for kind, res in results.items():
-            path = os.path.join(models_dir, f"{kind}.archive")
-            save_model(path, res.cfg, lex.inventory, res.params,
-                       pca=res.pca,
-                       extra={"kind": kind, "language": config.language,
-                              "val_bits": res.val_bits})
-            files[f"model_{kind}"] = path
+        files.update(report_csv=csv_path, report_json=json_path)
         if search_trials:
-            log_path = os.path.join(config.out_dir, "search.jsonl")
-            with open(log_path, "w", encoding="utf-8") as fh:
-                for kind, trials in search_trials.items():
-                    for t in trials:
-                        rec = json.loads(t.to_json())
-                        rec["kind"] = kind
-                        fh.write(json.dumps(rec, sort_keys=True) + "\n")
-            files["search_log"] = log_path
-    return EstimateOutput(report=report, kind_results=results,
+            files["search_log"] = os.path.join(config.out_dir, "search.jsonl")
+            _write_search_log(files["search_log"], search_trials)
+    return EstimateOutput(report=report, kind_results=tables,
                           out_dir=config.out_dir, files=files)
 
 
@@ -467,68 +478,44 @@ def run_batch(configs, out_dir: str, threads: int = 1) -> BatchOutput:
                        failures=failures, aggregate=aggregate, files=files)
 
 
-def _model_pair(lex: Lexicon, config: RunConfig, folds, tag: str):
-    """Train (or reload) the uncond + meaning pair and score every sign."""
-    models_dir = os.path.join(config.out_dir, "models")
-    os.makedirs(models_dir, exist_ok=True)
-    losses = {}
-    for kind in ("uncond", "meaning"):
-        name = f"{kind}_{tag}.archive" if tag else f"{kind}.archive"
-        path = os.path.join(models_dir, name)
-        v_all = None
-        if os.path.exists(path):
-            archive = load_model(path)
-            cfg, params = archive.cfg, archive.params
-            if cfg.uses_meaning:
-                _, v_all = fit_meanings(
-                    lex, cfg.pca_d, folds.roles(config.rotation)[0],
-                    config.pca_train_only)
-        else:
-            res = train_kind(lex, folds, config.rotation, kind,
-                             make_lm_config(kind, dict(config.lm)),
-                             OptSettings(**config.opt),
-                             seed_for(config.seed, tag or "fwd"),
-                             config.pca_train_only)
-            save_model(path, res.cfg, lex.inventory, res.params,
-                       pca=res.pca,
-                       extra={"kind": kind, "language": config.language,
-                              "orientation": tag or "forward"})
-            cfg, params = res.cfg, res.params
-            if res.pca is not None:
-                v_all = pca_transform(res.pca, _meanings_matrix(lex))
-        losses[kind] = evaluate(params, cfg, lex.signs, lex.inventory,
-                                v=v_all)
-    return losses["uncond"], losses["meaning"]
+def run_phonesthemes(config: RunConfig, lex: Lexicon | None = None):
+    """Mine prefix and suffix phonesthemes with forward and reversed pairs.
 
-
-def run_phonesthemes(config: RunConfig, lex: Lexicon | None = None,
-                     write: bool = True):
-    """Mine prefix and suffix phonesthemes with freshly trained model pairs."""
+    Each uncond + meaning pair is archived under out_dir/models and reused
+    from there when its fingerprint matches; every sign is scored.
+    """
     if lex is None:
         lex = resolve_lexicon(config)
-    os.makedirs(config.out_dir, exist_ok=True)
+    models_dir = os.path.join(config.out_dir, "models")
+    os.makedirs(models_dir, exist_ok=True)
     folds = split_folds(lex, config.folds, seed_for(config.seed, "folds"))
-    uncond, cond = _model_pair(lex, config, folds, tag="")
+    opt = OptSettings(**config.opt)
     rev = reverse_forms(lex)
-    rev_uncond, rev_cond = _model_pair(rev, config, folds, tag="rev")
+    tables = {}
+    for tag, forms in (("", lex), ("rev", rev)):
+        for kind in ("uncond", "meaning"):
+            name = f"{kind}_{tag}.archive" if tag else f"{kind}.archive"
+            cfg, params, _, v_all, _ = fit_model(
+                forms, folds, config.rotation, kind, config.lm, opt,
+                seed_for(seed_for(config.seed, tag or "fwd"), "train", kind),
+                config.pca_train_only, os.path.join(models_dir, name))
+            tables[tag, kind] = evaluate(params, cfg, forms.signs,
+                                         forms.inventory, v=v_all)
     opts = config.phonesthemes
     candidates = mine(
-        lex, uncond, cond,
+        lex, tables["", "uncond"], tables["", "meaning"],
         k_range=tuple(opts.get("k_range", (1, 2, 3))),
         min_count=int(opts.get("min_count", 20)),
         alpha=float(opts.get("alpha", 0.05)),
         n_samples=int(opts.get("n_samples", 100_000)),
         seed=seed_for(config.seed, "phonesthemes"),
-        reversed_lex=rev, reversed_uncond=rev_uncond,
-        reversed_cond=rev_cond)
-    files = {}
-    if write:
-        table = os.path.join(config.out_dir, "phonesthemes.tsv")
-        detail = os.path.join(config.out_dir, "phonesthemes_detail.tsv")
-        write_phonesthemes_tsv(table, candidates)
-        write_phonestheme_detail_tsv(detail, config.language, candidates)
-        files = {"table": table, "detail": detail}
-    return candidates, files
+        reversed_lex=rev, reversed_uncond=tables["rev", "uncond"],
+        reversed_cond=tables["rev", "meaning"])
+    table = os.path.join(config.out_dir, "phonesthemes.tsv")
+    detail = os.path.join(config.out_dir, "phonesthemes_detail.tsv")
+    write_phonesthemes_tsv(table, candidates)
+    write_phonestheme_detail_tsv(detail, config.language, candidates)
+    return candidates, {"table": table, "detail": detail}
 
 
 SYNTH_SPECS = {

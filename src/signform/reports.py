@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 
 import numpy as np
 
@@ -82,9 +83,12 @@ def report_json_payload(report: MIReport, config: dict | None = None,
 
 
 def write_json(path, payload) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write through a temporary file, so a killed run leaves no torn file."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
+    os.replace(tmp, path)
 
 
 def read_json(path) -> dict:

@@ -45,13 +45,7 @@ from .phonolm import (
     log_softmax2,
     loss_and_grads,
 )
-from .pipeline import (
-    RunConfig,
-    make_lm_config,
-    run_batch,
-    run_estimate,
-    train_kind,
-)
+from .pipeline import RunConfig, fit_model, run_batch, run_estimate, seed_for
 from .reports import (
     write_appendix_tsv,
     write_phonesthemes_tsv,
@@ -197,10 +191,10 @@ def c02_variational_bound(hooks) -> tuple[bool, str]:
         lex, _ = generate(spec, 600, seed=200 + seed)
         fresh, _ = generate(spec, 3000, seed=900 + seed)
         folds = split_folds(lex, 4, seed)
-        res = train_kind(lex, folds, 0, "uncond",
-                         make_lm_config("uncond", FAST_LM),
-                         OptSettings(**FAST_OPT), seed)
-        losses = evaluate(res.params, res.cfg, fresh.signs, fresh.inventory)
+        cfg, params, *_ = fit_model(lex, folds, 0, "uncond", FAST_LM,
+                                    OptSettings(**FAST_OPT),
+                                    seed_for(seed, "train", "uncond"))
+        losses = evaluate(params, cfg, fresh.signs, fresh.inventory)
         margins.append(entropy_estimate(losses).bits_per_phone - hstar)
     worst = min(margins)
     return worst >= -0.01, (f"min test margin over H* across 10 seeds: "

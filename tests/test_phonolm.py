@@ -558,6 +558,19 @@ class TestArchive:
         with pytest.raises(ArchiveFormatError):
             load_model(path)
 
+    @pytest.mark.parametrize("keep", [0.0, 0.5])
+    def test_rejects_truncated(self, tmp_path, keep):
+        cfg = LMConfig(hidden_size=8, phone_embed_size=4)
+        params = init_params(cfg, 6, rng=np.random.default_rng(0))
+        inventory = PhoneInventory.from_phones(Phone(p) for p in ALPHABET)
+        path = tmp_path / "model.archive"
+        save_model(path, cfg, inventory, params)
+        assert [p.name for p in tmp_path.iterdir()] == ["model.archive"]
+        data = path.read_bytes()
+        path.write_bytes(data[:int(keep * len(data))])
+        with pytest.raises(ArchiveFormatError):
+            load_model(path)
+
     def test_rejects_wrong_version(self, tmp_path):
         import json
 

@@ -1,11 +1,13 @@
 """End-to-end pipeline tests on synthetic corpora kept deliberately small."""
 
 import json
+import logging
 import os
 
 import numpy as np
 import pytest
 
+from signform.errors import ArchiveFormatError
 from signform.lexicon import load_embeddings
 from signform.phonolm import load_model
 from signform.pipeline import (
@@ -85,9 +87,9 @@ class TestRunConfig:
     def test_load_config_applies_overrides(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"language": "xx", "seed": 1}))
-        cfg = load_config(path, seed=42, threads=None)
+        cfg = load_config(path, seed=42, out_dir=None)
         assert cfg.seed == 42
-        assert cfg.threads == 1
+        assert cfg.out_dir == "."
 
     def test_missing_paths_raise(self, tmp_path):
         cfg = RunConfig(language="xx")
@@ -176,6 +178,39 @@ class TestEstimate:
         run_estimate(cfg)
         assert open(cfg.out_dir + "/report.csv", "rb").read() == first_csv
         assert open(cfg.out_dir + "/report.json", "rb").read() == first_json
+
+    def test_archives_reused_until_config_changes(self, two_cluster_files,
+                                                  tmp_path, caplog):
+        tmp, files = two_cluster_files
+        cfg = fast_config(str(tmp_path), files)
+        run_estimate(cfg)
+        models = os.path.join(cfg.out_dir, "models")
+        stamps = {f: os.stat(os.path.join(models, f)).st_mtime_ns
+                  for f in os.listdir(models)}
+        first_json = open(cfg.out_dir + "/report.json", "rb").read()
+        caplog.set_level(logging.INFO, logger="signform.pipeline")
+        run_estimate(cfg)
+        for f, stamp in stamps.items():
+            assert os.stat(os.path.join(models, f)).st_mtime_ns == stamp
+        assert open(cfg.out_dir + "/report.json", "rb").read() == first_json
+        assert [r.getMessage().split()[0] for r in caplog.records] == \
+            ["reused", "reused"]
+        caplog.clear()
+        run_estimate(fast_config(str(tmp_path), files,
+                                 opt=dict(FAST_OPT, max_epochs=4)))
+        assert [r.getMessage() for r in caplog.records] == [
+            "trained uncond: fingerprint differs",
+            "trained meaning: fingerprint differs"]
+
+    def test_unreadable_archive_raises(self, two_cluster_files, tmp_path):
+        tmp, files = two_cluster_files
+        cfg = fast_config(str(tmp_path), files)
+        os.makedirs(os.path.join(cfg.out_dir, "models"))
+        with open(os.path.join(cfg.out_dir, "models", "uncond.archive"),
+                  "wb") as fh:
+            fh.write(b"PK\x03\x04 truncated")
+        with pytest.raises(ArchiveFormatError):
+            run_estimate(cfg)
 
     def test_seed_changes_report(self, two_cluster_files, tmp_path):
         tmp, files = two_cluster_files
@@ -298,3 +333,34 @@ class TestPhonesthemes:
         firsts = [(c.side, c.phones, c.p_value) for c in first]
         seconds = [(c.side, c.phones, c.p_value) for c in second]
         assert firsts == seconds
+
+    def _config(self, tmp_path, files, out):
+        return fast_config(str(tmp_path), files, language="planted",
+                           out_dir=str(tmp_path / out),
+                           opt=dict(FAST_OPT, max_epochs=15),
+                           phonesthemes={"k_range": [1, 2], "min_count": 15,
+                                         "n_samples": 2000})
+
+    def _rerun_matches_fresh(self, tmp_path, files, cfg):
+        _, fresh = run_phonesthemes(self._config(tmp_path, files, "fresh"))
+        candidates, outs = run_phonesthemes(cfg)
+        assert open(outs["detail"], "rb").read() == \
+            open(fresh["detail"], "rb").read()
+        by_key = {(c.side, c.affix_string()): c for c in candidates}
+        assert by_key[("prefix", "gl-")].bh_significant
+
+    def test_estimate_archives_not_reused(self, planted_files, tmp_path):
+        # estimate trains the same kinds on the same lexicon, other seeds
+        _, files = planted_files
+        cfg = self._config(tmp_path, files, "shared")
+        run_estimate(cfg)
+        self._rerun_matches_fresh(tmp_path, files, cfg)
+
+    def test_other_lexicon_archives_retrained(self, planted_files,
+                                              two_cluster_files, tmp_path):
+        _, files = planted_files
+        _, other_files = two_cluster_files
+        cfg = self._config(tmp_path, files, "shared")
+        run_estimate(fast_config(str(tmp_path), other_files,
+                                 out_dir=cfg.out_dir))
+        self._rerun_matches_fresh(tmp_path, files, cfg)
