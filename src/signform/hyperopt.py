@@ -7,6 +7,11 @@ Integer dimensions are relaxed to the unit interval and rounded only when a
 proposal is turned back into native units. A plain random-search mode uses
 the same trial bookkeeping, and every trial can be streamed to a JSON-lines
 log and replayed to resume an interrupted search.
+
+Only the GP step needs scipy (L-BFGS-B and the normal CDF), so `gp_fit`,
+`expected_improvement` and `propose_next` import it when they run: the
+first n_init proposals, which come from a Latin hypercube, and importing
+this module need numpy alone.
 """
 
 from __future__ import annotations
@@ -16,8 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.special import ndtr
 
 from .errors import (
     AllTrialsDivergedError,
@@ -259,6 +262,8 @@ def gp_fit(trials, *, length_scales=None, signal_var=None, noise_var=None,
     bounds = ([(math.log(1e-2), math.log(10.0))] * d
               + [(math.log(1e-8), math.log(max(sv0 * 1e3, 1e-6))),
                  (math.log(1e-10), math.log(max(sv0, 1e-8)))])
+    from scipy.optimize import minimize
+
     best = None
     for x0 in starts:
         res = minimize(_nlml_and_grad, x0, args=(x, resid), jac=True,
@@ -275,6 +280,8 @@ def gp_fit(trials, *, length_scales=None, signal_var=None, noise_var=None,
 def expected_improvement(posterior: GPPosterior, best_so_far: float,
                          x) -> np.ndarray:
     """EI for minimization: E[max(best_so_far - f, 0)] under the posterior."""
+    from scipy.special import ndtr
+
     mu, var = posterior.predict(x)
     sigma = np.sqrt(var)
     improve = best_so_far - mu
@@ -310,6 +317,8 @@ def propose_next(trials, space: SearchSpace, seed: int = 0, *,
     ok = [tr for tr in trials if tr.status == "ok"]
     if t < n_init or not ok:
         return space.from_unit(_lhs_point(space, seed, t, n_init))
+
+    from scipy.optimize import minimize
 
     posterior = gp_fit(trials, seed=seed)
     incumbent = min(tr.objective for tr in ok)

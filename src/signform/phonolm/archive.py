@@ -21,6 +21,9 @@ from .model import LMConfig, LMParameters
 
 FORMAT_TAG = "signform-model"
 FORMAT_VERSION = 1
+# Config keys of conditioning variants the model no longer has, with the
+# one value it kept: older archives store them, and load only with it.
+_RETIRED_CONFIG = {"condition_state": "both", "condition_layers": "first"}
 
 
 @dataclass(frozen=True)
@@ -72,7 +75,7 @@ def load_model(path) -> ModelArchive:
             if meta.get("version") != FORMAT_VERSION:
                 raise ArchiveFormatError(
                     f"{path}: unsupported version {meta.get('version')!r}")
-            cfg = LMConfig.from_dict(meta["config"])
+            cfg = _config_from_meta(path, meta["config"])
             inventory = PhoneInventory(
                 phones=tuple(Phone(p) for p in meta["phones"]),
                 eos_index=int(meta["eos_index"]))
@@ -93,6 +96,17 @@ def load_model(path) -> ModelArchive:
     except (OSError, EOFError, ValueError, KeyError,
             zipfile.BadZipFile) as exc:
         raise ArchiveFormatError(f"{path}: unreadable archive: {exc}") from exc
+
+
+def _config_from_meta(path, config: dict) -> LMConfig:
+    config = dict(config)
+    for key, kept in _RETIRED_CONFIG.items():
+        value = config.pop(key, kept)
+        if value != kept:
+            raise ArchiveFormatError(
+                f"{path}: {key}={value!r} is no longer supported "
+                f"(only {kept!r})")
+    return LMConfig.from_dict(config)
 
 
 def _assemble_params(cfg: LMConfig, tensors: dict,

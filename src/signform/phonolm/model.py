@@ -49,10 +49,6 @@ class LMConfig:
     dropout: float = 0.0
     pca_d: int = 8
     condition_on: str = "nothing"
-    # Which recurrent states receive the conditioning vector, and whether
-    # only the first layer or every layer is initialized with it.
-    condition_state: str = "both"
-    condition_layers: str = "first"
 
     def __post_init__(self):
         if self.layers < 1 or self.hidden_size < 1 or self.phone_embed_size < 1:
@@ -63,10 +59,6 @@ class LMConfig:
             raise ValueError("dropout must be in [0, 1)")
         if self.condition_on not in CONDITION_MODES:
             raise ValueError(f"condition_on must be one of {CONDITION_MODES}")
-        if self.condition_state not in ("both", "hidden", "cell"):
-            raise ValueError("condition_state must be both, hidden, or cell")
-        if self.condition_layers not in ("first", "all"):
-            raise ValueError("condition_layers must be first or all")
 
     @property
     def uses_meaning(self) -> bool:
@@ -85,7 +77,7 @@ class LMConfig:
     def to_dict(self) -> dict:
         return {k: getattr(self, k) for k in (
             "layers", "hidden_size", "phone_embed_size", "dropout", "pca_d",
-            "condition_on", "condition_state", "condition_layers")}
+            "condition_on")}
 
     @classmethod
     def from_dict(cls, d: dict) -> "LMConfig":
@@ -308,11 +300,7 @@ def _lstm_forward(params: LMParameters, cfg: LMConfig, inputs: np.ndarray,
         cidx = np.asarray(cidx, dtype=np.int64)
     n0 = int(pk.sizes[0]) if pk.sizes.size else 0
     h0 = _h0_batch(cfg, params, v, cidx, bsz)[pk.order[:n0]]
-    conditioned = ([0] if cfg.condition_layers == "first"
-                   else list(range(cfg.layers)))
     zeros = np.zeros((n0, h))
-    hidden_cond = cfg.condition_state in ("both", "hidden")
-    cell_cond = cfg.condition_state in ("both", "cell")
 
     tokens = inputs.ravel()[pk.cells]
     x = params.embed[tokens]
@@ -322,7 +310,7 @@ def _lstm_forward(params: LMParameters, cfg: LMConfig, inputs: np.ndarray,
             drop_rng, (bsz, t_len, x.shape[1]), p_drop))
         x = x * embed_drop
     cache = {"tokens": tokens, "v": v, "cidx": cidx, "layers": [],
-             "h0": h0, "conditioned": conditioned, "embed_drop": embed_drop}
+             "h0": h0, "embed_drop": embed_drop}
 
     # tanh(z * scale) * scale + (1 - scale) is sigmoid(z) = 0.5 * (1 +
     # tanh(z / 2)) on the i, f, o columns and tanh(z) on g: one tanh call
@@ -332,15 +320,16 @@ def _lstm_forward(params: LMParameters, cfg: LMConfig, inputs: np.ndarray,
     shift = 1.0 - scale
     n_cells = pk.cells.size
     for l in range(cfg.layers):
-        init_h = h0 if l in conditioned and hidden_cond else zeros
-        init_c = h0 if l in conditioned and cell_cond else zeros
+        # The conditioning vector is layer 0's initial hidden and cell
+        # state; the layers above start from zeros.
+        init = h0 if l == 0 else zeros
         wh_t = params.wh[l].T
         acts = x @ params.wx[l].T
         acts += params.b[l]
         cs = np.empty((n_cells, h))
         tcs = np.empty((n_cells, h))
         hs = np.empty((n_cells, h))
-        h_prev, c_prev = init_h, init_c
+        h_prev, c_prev = init, init
         for lo, hi in zip(pk.offsets[:-1], pk.offsets[1:]):
             m = hi - lo
             a = acts[lo:hi]
@@ -356,7 +345,7 @@ def _lstm_forward(params: LMParameters, cfg: LMConfig, inputs: np.ndarray,
             np.multiply(a[:, 3 * h:], tcs[lo:hi], out=hs[lo:hi])
             h_prev, c_prev = hs[lo:hi], c_t
         layer_cache = {"x": x, "acts": acts, "c": cs, "tc": tcs, "h": hs,
-                       "init_c": init_c, "drop": None}
+                       "init_c": init, "drop": None}
         out = hs
         if p_drop > 0 and l < cfg.layers - 1:
             drop = pk.gather(
@@ -379,7 +368,6 @@ def _lstm_backward(params: LMParameters, cfg: LMConfig, pk: _Packing,
     """
     h = cfg.hidden_size
     n0 = cache["h0"].shape[0]
-    dh0_cond = np.zeros((n0, h))
     dx = dtop
     for l in range(cfg.layers - 1, -1, -1):
         lc = cache["layers"][l]
@@ -412,12 +400,9 @@ def _lstm_backward(params: LMParameters, cfg: LMConfig, pk: _Packing,
         grads[f"wx{l}"] += acts.T @ lc["x"]
         grads[f"wh{l}"] += acts[n0:].T @ lc["h"][pk.prev]
         grads[f"b{l}"] += acts.sum(axis=0)
-        if l in cache["conditioned"]:
-            if cfg.condition_state in ("both", "hidden"):
-                grads[f"wh{l}"] += acts[:n0].T @ cache["h0"]
-                dh0_cond += dh_rec
-            if cfg.condition_state in ("both", "cell"):
-                dh0_cond += dc_rec
+        if l == 0:
+            grads["wh0"] += acts[:n0].T @ cache["h0"]
+            dh0_cond = dh_rec + dc_rec
         dx = acts @ params.wx[l]
 
     if cache["embed_drop"] is not None:

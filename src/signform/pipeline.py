@@ -481,8 +481,10 @@ def run_batch(configs, out_dir: str, threads: int = 1) -> BatchOutput:
 def run_phonesthemes(config: RunConfig, lex: Lexicon | None = None):
     """Mine prefix and suffix phonesthemes with forward and reversed pairs.
 
-    Each uncond + meaning pair is archived under out_dir/models and reused
-    from there when its fingerprint matches; every sign is scored.
+    Each uncond + meaning pair is archived under out_dir/models as
+    {kind}_fwd.archive or {kind}_rev.archive (names estimate never writes,
+    so the two commands can share an out_dir) and reused from there when
+    its fingerprint matches; every sign is scored.
     """
     if lex is None:
         lex = resolve_lexicon(config)
@@ -492,18 +494,18 @@ def run_phonesthemes(config: RunConfig, lex: Lexicon | None = None):
     opt = OptSettings(**config.opt)
     rev = reverse_forms(lex)
     tables = {}
-    for tag, forms in (("", lex), ("rev", rev)):
+    for tag, forms in (("fwd", lex), ("rev", rev)):
         for kind in ("uncond", "meaning"):
-            name = f"{kind}_{tag}.archive" if tag else f"{kind}.archive"
             cfg, params, _, v_all, _ = fit_model(
                 forms, folds, config.rotation, kind, config.lm, opt,
-                seed_for(seed_for(config.seed, tag or "fwd"), "train", kind),
-                config.pca_train_only, os.path.join(models_dir, name))
+                seed_for(seed_for(config.seed, tag), "train", kind),
+                config.pca_train_only,
+                os.path.join(models_dir, f"{kind}_{tag}.archive"))
             tables[tag, kind] = evaluate(params, cfg, forms.signs,
                                          forms.inventory, v=v_all)
     opts = config.phonesthemes
     candidates = mine(
-        lex, tables["", "uncond"], tables["", "meaning"],
+        lex, tables["fwd", "uncond"], tables["fwd", "meaning"],
         k_range=tuple(opts.get("k_range", (1, 2, 3))),
         min_count=int(opts.get("min_count", 20)),
         alpha=float(opts.get("alpha", 0.05)),

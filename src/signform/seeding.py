@@ -13,6 +13,9 @@ from __future__ import annotations
 import zlib
 
 import numpy as np
+# By name: numpy loads numpy.random on first attribute access, and every run
+# draws from it, so it loads with the package rather than inside a run.
+from numpy.random import Generator, SeedSequence, default_rng
 
 
 def _tag_to_int(tag) -> int:
@@ -23,11 +26,11 @@ def _tag_to_int(tag) -> int:
     raise TypeError(f"seed tags must be int or str, got {type(tag).__name__}")
 
 
-def derive_seed_sequence(master: int, *tags) -> np.random.SeedSequence:
-    return np.random.SeedSequence([int(master) & 0xFFFFFFFFFFFFFFFF]
-                                  + [_tag_to_int(t) for t in tags])
+def derive_seed_sequence(master: int, *tags) -> SeedSequence:
+    return SeedSequence([int(master) & 0xFFFFFFFFFFFFFFFF]
+                        + [_tag_to_int(t) for t in tags])
 
 
-def derive_rng(master: int, *tags) -> np.random.Generator:
+def derive_rng(master: int, *tags) -> Generator:
     """Child generator keyed by (master, tags); independent per tag tuple."""
-    return np.random.default_rng(derive_seed_sequence(master, *tags))
+    return default_rng(derive_seed_sequence(master, *tags))

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import DegenerateRanksError
 from .seeding import derive_rng
@@ -181,6 +180,8 @@ def spearman_rho(pairs, n_perm: int = 10_000, seed: int = 0) -> SpearmanResult:
     permutes the y ranks n_perm times and counts |rho| ties as extreme,
     add-one smoothed.
     """
+    from scipy.stats import rankdata
+
     pairs = list(pairs)
     if len(pairs) < 3:
         raise ValueError("need at least 3 pairs")

@@ -17,12 +17,13 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import subprocess
+import sys
 import tempfile
 import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
 
 from .hyperopt import (
     Dimension,
@@ -269,6 +270,8 @@ def c04_conditioning_direction(hooks) -> tuple[bool, str]:
 
 def c05_permutation_exactness(hooks) -> tuple[bool, str]:
     """Monte Carlo p matches 2^N enumeration; null p-values are uniform."""
+    from scipy.stats import kstest
+
     rng = np.random.default_rng(5)
     worst = 0.0
     for n in (5, 8, 12):
@@ -281,7 +284,7 @@ def c05_permutation_exactness(hooks) -> tuple[bool, str]:
     null_rng = np.random.default_rng(2)
     ps = [permutation_test(null_rng.standard_normal(20), n_perm=999,
                            seed=10_000 + r).p_value for r in range(200)]
-    ks_p = float(sps.kstest(ps, "uniform").pvalue)
+    ks_p = float(kstest(ps, "uniform").pvalue)
     part_b = ks_p > 0.05
     return part_a and part_b, (f"max |MC-exact| {worst:.4f} (tol 0.01); "
                                f"null uniformity KS p={ks_p:.3f} (>0.05)")
@@ -397,29 +400,70 @@ def _toy_report():
     return build_report("toy", mi_estimate(uncond, cond), p_value=0.01)
 
 
+# c10's last rerun: the same estimate in a fresh interpreter, which
+# regenerates the lexicon from the spec size and seed in argv.
+_ESTIMATE_IN_NEW_PROCESS = """
+import json, sys
+from signform.pipeline import RunConfig, run_estimate
+from signform.synthbench import generate, two_cluster_spec
+lex, _ = generate(two_cluster_spec(), int(sys.argv[2]), seed=int(sys.argv[3]))
+run_estimate(RunConfig.from_dict(json.loads(sys.argv[1])), lex=lex)
+"""
+
+
+def run_python(code: str, *args: str) -> str:
+    """Run code in a fresh interpreter that imports this signform; stdout."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"subprocess exited {proc.returncode}: "
+                           f"{proc.stderr.strip()[-2000:]}")
+    return proc.stdout
+
+
 def c10_determinism(hooks) -> tuple[bool, str]:
-    """Identical config twice gives byte-identical CSV and JSON reports."""
-    spec = two_cluster_spec()
-    lex, _ = generate(spec, 300, seed=11)
+    """Identical config gives byte-identical CSV and JSON reports.
+
+    The first run is repeated three times into the same directory: reusing
+    its archives, retrained after emptying it, and retrained in a fresh
+    interpreter after emptying it again.
+    """
+    n_words, lex_seed = 300, 11
+    lex, _ = generate(two_cluster_spec(), n_words, seed=lex_seed)
     tmp = tempfile.mkdtemp(prefix="signform_determinism_")
+    out = os.path.join(tmp, "out")
+
+    def reports():
+        files = []
+        for name in ("report.csv", "report.json"):
+            with open(os.path.join(out, name), "rb") as fh:
+                files.append(fh.read())
+        return files
+
     try:
-        cfg = RunConfig(language="tc", out_dir=tmp, folds=5, seed=9,
+        cfg = RunConfig(language="tc", out_dir=out, folds=5, seed=9,
                         permutations=500, lm=dict(FAST_LM),
                         opt=dict(FAST_OPT))
         run_estimate(cfg, lex=lex)
-        with open(os.path.join(tmp, "report.csv"), "rb") as fh:
-            csv_first = fh.read()
-        with open(os.path.join(tmp, "report.json"), "rb") as fh:
-            json_first = fh.read()
+        first = reports()
         run_estimate(cfg, lex=lex)
-        with open(os.path.join(tmp, "report.csv"), "rb") as fh:
-            csv_same = fh.read() == csv_first
-        with open(os.path.join(tmp, "report.json"), "rb") as fh:
-            json_same = fh.read() == json_first
+        same = {"reused": reports() == first}
+        shutil.rmtree(out)
+        run_estimate(cfg, lex=lex)
+        same["retrained"] = reports() == first
+        shutil.rmtree(out)
+        run_python(_ESTIMATE_IN_NEW_PROCESS, json.dumps(cfg.to_dict()),
+                   str(n_words), str(lex_seed))
+        same["new process"] = reports() == first
     finally:
         shutil.rmtree(tmp)
-    return csv_same and json_same, (
-        f"csv identical: {csv_same}; json identical: {json_same}")
+    return all(same.values()), "csv and json " + "; ".join(
+        f"{how}: {'identical' if ok else 'differ'}"
+        for how, ok in same.items())
 
 
 def c11_full_scale(hooks) -> tuple[bool, str]:

@@ -64,16 +64,10 @@ def _reference_forward(params, cfg, inputs, v=None, cidx=None,
         v = np.asarray(v, dtype=np.float64)
     if cidx is not None:
         cidx = np.asarray(cidx, dtype=np.int64)
-    h0 = _h0_batch(cfg, params, v, cidx, bsz)
-    conditioned = ([0] if cfg.condition_layers == "first"
-                   else list(range(cfg.layers)))
+    # The conditioning vector is layer 0's initial hidden and cell state.
     init_h = np.zeros((cfg.layers, bsz, h))
-    init_c = np.zeros((cfg.layers, bsz, h))
-    for l in conditioned:
-        if cfg.condition_state in ("both", "hidden"):
-            init_h[l] = h0
-        if cfg.condition_state in ("both", "cell"):
-            init_c[l] = h0
+    init_h[0] = _h0_batch(cfg, params, v, cidx, bsz)
+    init_c = init_h.copy()
 
     x = params.embed[inputs]
     embed_drop = None
@@ -81,8 +75,7 @@ def _reference_forward(params, cfg, inputs, v=None, cidx=None,
         embed_drop = _dropout_mask(drop_rng, x.shape, p_drop)
         x = x * embed_drop
     cache = {"inputs": inputs, "v": v, "cidx": cidx, "layers": [],
-             "init_h": init_h, "init_c": init_c, "conditioned": conditioned,
-             "embed_drop": embed_drop}
+             "init_h": init_h, "init_c": init_c, "embed_drop": embed_drop}
 
     for l in range(cfg.layers):
         wx, wh, b = params.wx[l], params.wh[l], params.b[l]
@@ -143,7 +136,6 @@ def reference_loss_and_grads(params, cfg, inputs, targets, mask, v=None,
     dx = dlogits @ params.w_out
 
     h = cfg.hidden_size
-    dh0_cond = np.zeros((bsz, h))
     for l in range(cfg.layers - 1, -1, -1):
         lc = cache["layers"][l]
         if lc["drop"] is not None:
@@ -175,11 +167,8 @@ def reference_loss_and_grads(params, cfg, inputs, targets, mask, v=None,
             grads[f"b{l}"] += da.sum(axis=0)
             d_in[:, t] = da @ wx
             dh_rec = da @ wh
-        if l in cache["conditioned"]:
-            if cfg.condition_state in ("both", "hidden"):
-                dh0_cond += dh_rec
-            if cfg.condition_state in ("both", "cell"):
-                dh0_cond += dc_rec
+        if l == 0:
+            dh0_cond = dh_rec + dc_rec
         dx = d_in
 
     if cache["embed_drop"] is not None:

@@ -3,13 +3,14 @@
 import json
 import logging
 import os
+import shutil
 
 import numpy as np
 import pytest
 
 from signform.errors import ArchiveFormatError
 from signform.lexicon import load_embeddings
-from signform.phonolm import load_model
+from signform.phonolm import LMConfig, load_model
 from signform.pipeline import (
     RunConfig,
     load_config,
@@ -20,9 +21,15 @@ from signform.pipeline import (
     run_synth,
 )
 from signform.synthbench import exact_entropy, exact_mi, two_cluster_spec
+from signform.validate import run_python
 
 FAST_LM = {"hidden_size": 16, "phone_embed_size": 8, "pca_d": 3}
 FAST_OPT = {"max_epochs": 10, "patience": 3, "batch_size": 64}
+RUN_ESTIMATE = """
+import json, sys
+from signform.pipeline import RunConfig, run_estimate
+run_estimate(RunConfig.from_dict(json.loads(sys.argv[1])))
+"""
 
 
 def fast_config(tmp, files, language="synth", **kw):
@@ -169,15 +176,51 @@ class TestEstimate:
         assert archive.pca is not None  # meaning model carries its PCA
 
     def test_identical_config_identical_bytes(self, two_cluster_files,
-                                              tmp_path):
+                                              tmp_path, caplog):
         tmp, files = two_cluster_files
         cfg = fast_config(str(tmp_path), files)
+
+        def reports():
+            return [open(os.path.join(cfg.out_dir, name), "rb").read()
+                    for name in ("report.csv", "report.json")]
+
         run_estimate(cfg)
-        first_csv = open(cfg.out_dir + "/report.csv", "rb").read()
-        first_json = open(cfg.out_dir + "/report.json", "rb").read()
+        first = reports()
+        run_estimate(cfg)  # reuses the archives
+        assert reports() == first
+        caplog.set_level(logging.INFO, logger="signform.pipeline")
+        shutil.rmtree(cfg.out_dir)
         run_estimate(cfg)
-        assert open(cfg.out_dir + "/report.csv", "rb").read() == first_csv
-        assert open(cfg.out_dir + "/report.json", "rb").read() == first_json
+        assert [r.getMessage() for r in caplog.records] == [
+            "trained uncond: no archive", "trained meaning: no archive"]
+        assert reports() == first
+        shutil.rmtree(cfg.out_dir)
+        run_python(RUN_ESTIMATE, json.dumps(cfg.to_dict()))
+        assert reports() == first
+
+    def test_archives_from_retired_config_keys_retrain_once(
+            self, two_cluster_files, tmp_path, caplog, monkeypatch):
+        tmp, files = two_cluster_files
+        cfg = fast_config(str(tmp_path), files)
+        # Archives as written before LMConfig lost condition_state and
+        # condition_layers: both keys, at their only kept values, in the
+        # stored config and in the fingerprinted config.
+        to_dict = LMConfig.to_dict
+        monkeypatch.setattr(LMConfig, "to_dict", lambda self: dict(
+            to_dict(self), condition_state="both", condition_layers="first"))
+        run_estimate(cfg)
+        monkeypatch.undo()
+        first = open(cfg.out_dir + "/report.json", "rb").read()
+        caplog.set_level(logging.INFO, logger="signform.pipeline")
+        run_estimate(cfg)
+        assert [r.getMessage() for r in caplog.records] == [
+            "trained uncond: fingerprint differs",
+            "trained meaning: fingerprint differs"]
+        caplog.clear()
+        run_estimate(cfg)
+        assert [r.getMessage().split()[0] for r in caplog.records] == \
+            ["reused", "reused"]
+        assert open(cfg.out_dir + "/report.json", "rb").read() == first
 
     def test_archives_reused_until_config_changes(self, two_cluster_files,
                                                   tmp_path, caplog):
@@ -349,12 +392,26 @@ class TestPhonesthemes:
         by_key = {(c.side, c.affix_string()): c for c in candidates}
         assert by_key[("prefix", "gl-")].bh_significant
 
-    def test_estimate_archives_not_reused(self, planted_files, tmp_path):
+    def test_estimate_and_phonesthemes_keep_own_archives(
+            self, planted_files, tmp_path, caplog):
         # estimate trains the same kinds on the same lexicon, other seeds
         _, files = planted_files
         cfg = self._config(tmp_path, files, "shared")
         run_estimate(cfg)
+        models = os.path.join(cfg.out_dir, "models")
+        stamps = {f: os.stat(os.path.join(models, f)).st_mtime_ns
+                  for f in os.listdir(models)}
         self._rerun_matches_fresh(tmp_path, files, cfg)
+        assert sorted(os.listdir(models)) == [
+            "meaning.archive", "meaning_fwd.archive", "meaning_rev.archive",
+            "uncond.archive", "uncond_fwd.archive", "uncond_rev.archive"]
+        caplog.set_level(logging.INFO, logger="signform.pipeline")
+        run_estimate(cfg)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"reused {os.path.join(models, f)}"
+            for f in ("uncond.archive", "meaning.archive")]
+        for f, stamp in stamps.items():
+            assert os.stat(os.path.join(models, f)).st_mtime_ns == stamp
 
     def test_other_lexicon_archives_retrained(self, planted_files,
                                               two_cluster_files, tmp_path):
