@@ -113,6 +113,13 @@ class TestGradients:
                        pca_d=3, condition_on="meaning_and_class")
         assert max_grad_rel_err(cfg) <= 1e-4
 
+    def test_meaning_conditioning_three_layers(self):
+        """Only layer 0 starts from the conditioning vector; its gradient
+        reaches the projection through the layers above it."""
+        cfg = LMConfig(layers=3, hidden_size=6, phone_embed_size=4,
+                       pca_d=3, condition_on="meaning")
+        assert max_grad_rel_err(cfg) <= 1e-4
+
 
 def assert_matches_reference(params, cfg, inputs, targets, mask, v, cidx,
                              seed=None):
@@ -140,16 +147,32 @@ KERNEL_CASES = [
     for dropout in (0.0, 0.3)
 ]
 
+# Phones per word in each test batch. The kernel sorts rows by length
+# (stable, longest first) and shrinks its active rows step by step, so
+# order, ties and a batch that never shrinks each take their own path.
+BATCH_SHAPES = {
+    "ragged": None,  # 0..6 phones, one word each, shuffled
+    "ascending": [0, 1, 2, 3, 4, 5, 6],
+    "equal": [4, 4, 4, 4, 4],
+    "ties": [3, 1, 3, 0, 5, 3, 1, 5],
+    "single": [5],
+    "end_only": [0, 0, 0],
+}
+
 
 class TestPackedKernel:
     """The packed, time-major kernel computes what the padded loop did."""
 
-    def ragged_batch(self, cfg, t_len=7, n_phones=6, seed=0):
-        """Words of every length 0..t_len-1 phones in shuffled order, so
-        the sequences (phones + end marker) have lengths 1..t_len."""
+    def ragged_batch(self, cfg, word_lengths=None, t_len=7, n_phones=6,
+                     seed=0):
+        """Words of the given phone counts; by default every length
+        0..t_len-1 in shuffled order, so the sequences (phones + end
+        marker) have lengths 1..t_len."""
         rng = np.random.default_rng(seed)
+        if word_lengths is None:
+            word_lengths = rng.permutation(t_len)
         encoded = [rng.integers(0, n_phones - 1, size=n)
-                   for n in rng.permutation(t_len)]
+                   for n in word_lengths]
         inputs, targets, mask = pack_batch(encoded, n_phones - 1)
         classes = ("N", "V", "A") if cfg.uses_class else None
         params = init_params(cfg, n_phones, classes=classes, rng=rng)
@@ -159,10 +182,12 @@ class TestPackedKernel:
         return params, inputs, targets, mask, v, cidx
 
     @pytest.mark.parametrize("layers,cond,dropout", KERNEL_CASES)
-    def test_matches_padded_reference(self, layers, cond, dropout):
+    @pytest.mark.parametrize("shape", BATCH_SHAPES)
+    def test_matches_padded_reference(self, shape, layers, cond, dropout):
         cfg = LMConfig(layers=layers, hidden_size=6, phone_embed_size=4,
                        pca_d=3, condition_on=cond, dropout=dropout)
-        params, inputs, targets, mask, v, cidx = self.ragged_batch(cfg)
+        params, inputs, targets, mask, v, cidx = self.ragged_batch(
+            cfg, BATCH_SHAPES[shape])
         assert_matches_reference(params, cfg, inputs, targets, mask, v, cidx,
                                  seed=5 if dropout else None)
 
