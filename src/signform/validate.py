@@ -400,15 +400,28 @@ def _toy_report():
     return build_report("toy", mi_estimate(uncond, cond), p_value=0.01)
 
 
-# c10's last rerun: the same estimate in a fresh interpreter, which
-# regenerates the lexicon from the spec size and seed in argv.
+# An estimate in a fresh interpreter; it regenerates a two-cluster lexicon
+# when argv gives its size and seed, else it reads the config's files.
 _ESTIMATE_IN_NEW_PROCESS = """
 import json, sys
 from signform.pipeline import RunConfig, run_estimate
 from signform.synthbench import generate, two_cluster_spec
-lex, _ = generate(two_cluster_spec(), int(sys.argv[2]), seed=int(sys.argv[3]))
+lex = None
+if len(sys.argv) > 2:
+    lex, _ = generate(two_cluster_spec(), int(sys.argv[2]),
+                      seed=int(sys.argv[3]))
 run_estimate(RunConfig.from_dict(json.loads(sys.argv[1])), lex=lex)
 """
+
+
+def estimate_in_new_process(cfg: RunConfig, *two_cluster: int) -> None:
+    """run_estimate(cfg) in a fresh interpreter.
+
+    two_cluster, when given as (n_words, seed), regenerates the lexicon
+    there from two_cluster_spec; otherwise cfg's lexicon files are read.
+    """
+    run_python(_ESTIMATE_IN_NEW_PROCESS, json.dumps(cfg.to_dict()),
+               *map(str, two_cluster))
 
 
 def run_python(code: str, *args: str) -> str:
@@ -456,8 +469,7 @@ def c10_determinism(hooks) -> tuple[bool, str]:
         run_estimate(cfg, lex=lex)
         same["retrained"] = reports() == first
         shutil.rmtree(out)
-        run_python(_ESTIMATE_IN_NEW_PROCESS, json.dumps(cfg.to_dict()),
-                   str(n_words), str(lex_seed))
+        estimate_in_new_process(cfg, n_words, lex_seed)
         same["new process"] = reports() == first
     finally:
         shutil.rmtree(tmp)

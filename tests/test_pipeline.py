@@ -21,15 +21,10 @@ from signform.pipeline import (
     run_synth,
 )
 from signform.synthbench import exact_entropy, exact_mi, two_cluster_spec
-from signform.validate import run_python
+from signform.validate import estimate_in_new_process
 
 FAST_LM = {"hidden_size": 16, "phone_embed_size": 8, "pca_d": 3}
 FAST_OPT = {"max_epochs": 10, "patience": 3, "batch_size": 64}
-RUN_ESTIMATE = """
-import json, sys
-from signform.pipeline import RunConfig, run_estimate
-run_estimate(RunConfig.from_dict(json.loads(sys.argv[1])))
-"""
 
 
 def fast_config(tmp, files, language="synth", **kw):
@@ -195,7 +190,7 @@ class TestEstimate:
             "trained uncond: no archive", "trained meaning: no archive"]
         assert reports() == first
         shutil.rmtree(cfg.out_dir)
-        run_python(RUN_ESTIMATE, json.dumps(cfg.to_dict()))
+        estimate_in_new_process(cfg)
         assert reports() == first
 
     def test_archives_from_retired_config_keys_retrain_once(
@@ -414,10 +409,21 @@ class TestPhonesthemes:
             assert os.stat(os.path.join(models, f)).st_mtime_ns == stamp
 
     def test_other_lexicon_archives_retrained(self, planted_files,
-                                              two_cluster_files, tmp_path):
+                                              two_cluster_files, tmp_path,
+                                              caplog):
+        # same archive names, other forms and inventory: none may be reused
         _, files = planted_files
         _, other_files = two_cluster_files
         cfg = self._config(tmp_path, files, "shared")
-        run_estimate(fast_config(str(tmp_path), other_files,
-                                 out_dir=cfg.out_dir))
+        run_phonesthemes(fast_config(
+            str(tmp_path), other_files, out_dir=cfg.out_dir,
+            phonesthemes={"k_range": [1], "min_count": 15,
+                          "n_samples": 500}))
+        caplog.set_level(logging.INFO, logger="signform.pipeline")
         self._rerun_matches_fresh(tmp_path, files, cfg)
+        assert [r.getMessage() for r in caplog.records
+                if "fingerprint differs" in r.getMessage()] == [
+            f"trained {kind}: fingerprint differs"
+            for kind in ("uncond", "meaning") * 2]
+        assert not any(r.getMessage().startswith("reused")
+                       for r in caplog.records)
