@@ -331,7 +331,7 @@ def load_embeddings(stream, wanted) -> tuple[dict[str, np.ndarray], list[str]]:
         if token not in wanted or token in found:
             continue
         try:
-            found[token] = np.array([float(f) for f in fields], dtype=np.float64)
+            found[token] = np.array(fields, dtype=np.float64)
         except ValueError as exc:
             raise EmbeddingFormatError(f"line {lineno}: {exc}") from exc
     missing = sorted(wanted - set(found))

@@ -15,13 +15,19 @@ only the recurrent GEMM over its active rows; the four gates go through one
 tanh; the backward pass builds each weight gradient from one GEMM over all
 cells.
 
+The parameter tensors are views into one flat float64 buffer, and so are the
+gradients loss_and_grads returns, so the optimizer can update them with a
+few whole-buffer calls. Signs are padded once into (inputs, targets,
+lengths) matrices (_pad); a batch is a row gather and a cut to its longest
+row (_take), the same for training and evaluation.
+
 Everything here is deterministic given the parameter values; all sampling
 (init, dropout) flows through generators passed in by the caller.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -86,7 +92,11 @@ class LMConfig:
 
 @dataclass(eq=False)
 class LMParameters:
-    """All trainable tensors. Gate order in the fused arrays is i, f, g, o."""
+    """All trainable tensors. Gate order in the fused arrays is i, f, g, o.
+
+    The tensors are consecutive views, in named_arrays order, into the one
+    float64 buffer flat, which construction copies them into.
+    """
 
     embed: np.ndarray
     wx: list[np.ndarray]
@@ -98,6 +108,27 @@ class LMParameters:
     b_v: np.ndarray | None = None
     class_embed: np.ndarray | None = None
     classes: tuple[str, ...] | None = None
+    flat: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.flat = np.concatenate(
+            [np.ravel(arr) for _, arr in self.named_arrays()],
+            dtype=np.float64)
+        views = self.views(self.flat)
+        for stack in ("wx", "wh", "b"):
+            setattr(self, stack, [views[f"{stack}{l}"]
+                                  for l in range(len(self.wx))])
+        for name in ("embed", "w_out", "b_out", "w_v", "b_v", "class_embed"):
+            if name in views:
+                setattr(self, name, views[name])
+
+    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Arrays shaped as named_arrays, one after another in flat."""
+        out, lo = {}, 0
+        for name, arr in self.named_arrays():
+            out[name] = flat[lo:lo + arr.size].reshape(arr.shape)
+            lo += arr.size
+        return out
 
     def named_arrays(self):
         yield "embed", self.embed
@@ -114,19 +145,7 @@ class LMParameters:
             yield "class_embed", self.class_embed
 
     def copy(self) -> "LMParameters":
-        return LMParameters(
-            embed=self.embed.copy(),
-            wx=[w.copy() for w in self.wx],
-            wh=[w.copy() for w in self.wh],
-            b=[w.copy() for w in self.b],
-            w_out=self.w_out.copy(),
-            b_out=self.b_out.copy(),
-            w_v=None if self.w_v is None else self.w_v.copy(),
-            b_v=None if self.b_v is None else self.b_v.copy(),
-            class_embed=(None if self.class_embed is None
-                         else self.class_embed.copy()),
-            classes=self.classes,
-        )
+        return replace(self)
 
     def class_index(self, label: str) -> int:
         if self.classes is None:
@@ -262,15 +281,16 @@ class _Packing:
 def _pack(lengths: np.ndarray, t_len: int) -> _Packing:
     lengths = np.asarray(lengths, dtype=np.int64)
     order = np.argsort(-lengths, kind="stable")
-    sizes = np.count_nonzero(
-        lengths[:, None] > np.arange(lengths.max(initial=0)), axis=0)
+    # live[t, j]: the j-th longest row is inside its word at step t. Each
+    # step's live rows are a prefix, so nonzero's (t, j) pairs, in step
+    # order, are the packed cells.
+    live = lengths[order] > np.arange(lengths.max(initial=0))[:, None]
+    sizes = np.count_nonzero(live, axis=1)
     offsets = np.concatenate([[0], np.cumsum(sizes)])
-    none = np.zeros(0, dtype=np.int64)
-    cells = np.concatenate(
-        [none] + [order[:n] * t_len + t for t, n in enumerate(sizes)])
-    prev = np.concatenate(
-        [none] + [np.arange(offsets[t - 1], offsets[t - 1] + n)
-                  for t, n in enumerate(sizes) if t > 0])
+    t, j = np.nonzero(live)
+    cells = order[j] * t_len + t
+    n0 = int(sizes[0]) if sizes.size else 0
+    prev = offsets[t[n0:] - 1] + j[n0:]
     return _Packing(order, sizes, offsets, cells, prev)
 
 
@@ -446,17 +466,23 @@ def loss_and_grads(params: LMParameters, cfg: LMConfig, inputs: np.ndarray,
                    targets: np.ndarray, mask: np.ndarray,
                    v: np.ndarray | None = None,
                    cidx: np.ndarray | None = None,
-                   drop_rng: np.random.Generator | None = None):
+                   drop_rng: np.random.Generator | None = None,
+                   out: np.ndarray | None = None):
     """Total code length in bits of targets, plus gradients of it.
 
     Each row is computed up to its last nonzero mask cell; cells after it
     are padding and never computed. Returns (total_bits, total_tokens,
-    grads) where grads maps parameter names (as in named_arrays) to arrays
-    of matching shape.
+    grads) where grads maps parameter names (as in named_arrays) to views
+    (params.views) into one flat gradient buffer: out, which is zeroed
+    first, when given (a training fit reuses one), else a new one.
     """
-    # The returned gradients are allocated before the forward cache, so the
-    # cache's blocks, freed on return, do not leave holes below them.
-    grads = {name: np.zeros_like(arr) for name, arr in params.named_arrays()}
+    # A new buffer is allocated before the forward cache, so the cache's
+    # blocks, freed on return, do not leave holes below it.
+    if out is None:
+        out = np.zeros(params.flat.size)
+    else:
+        out.fill(0.0)
+    grads = params.views(out)
     mask = np.asarray(mask, dtype=np.float64)
     pk = _pack(_mask_lengths(mask), inputs.shape[1])
     top, cache = _lstm_forward(params, cfg, inputs, pk, v, cidx, drop_rng)
@@ -538,33 +564,59 @@ def encode_signs(signs, inventory: PhoneInventory) -> list[np.ndarray]:
     return encoded
 
 
+def _pad(encoded: list[np.ndarray], eos: int):
+    """(inputs, targets, lengths) matrices of encoded forms.
+
+    Row j's inputs are EOS + phones (the end marker doubles as
+    start-of-word) and its targets phones + EOS: lengths[j] = phones + 1
+    cells of each; the cells after them hold EOS.
+    """
+    phones = np.array([len(e) for e in encoded], dtype=np.int64)
+    lengths = phones + 1
+    inputs = np.full((phones.size, int(lengths.max(initial=0))), eos,
+                     dtype=np.int64)
+    targets = inputs.copy()
+    row = np.repeat(np.arange(phones.size), phones)
+    col = np.arange(row.size) - np.repeat(np.cumsum(phones) - phones, phones)
+    flat = np.concatenate([np.zeros(0, dtype=np.int64), *encoded])
+    targets[row, col] = flat
+    inputs[row, col + 1] = flat
+    return inputs, targets, lengths
+
+
+def _take(padded, rows):
+    """The rows of _pad's matrices, cut to the longest of them."""
+    inputs, targets, lengths = padded
+    lengths = lengths[rows]
+    t_len = int(lengths.max(initial=0))
+    return inputs[rows, :t_len], targets[rows, :t_len], lengths
+
+
+def _mask(lengths: np.ndarray, t_len: int) -> np.ndarray:
+    """(batch, t_len) float mask, 1 on each row's first lengths[j] cells."""
+    return (np.arange(t_len) < lengths[:, None]).astype(np.float64)
+
+
 def pack_batch(encoded: list[np.ndarray], eos: int):
     """Pad encoded forms into (inputs, targets, mask) batch arrays.
 
     Inputs are EOS + phones (the end marker doubles as start-of-word);
     targets are phones + EOS; padding positions carry zero mask.
     """
-    bsz = len(encoded)
-    t_len = max(len(e) for e in encoded) + 1
-    inputs = np.full((bsz, t_len), eos, dtype=np.int64)
-    targets = np.full((bsz, t_len), eos, dtype=np.int64)
-    mask = np.zeros((bsz, t_len))
-    for j, e in enumerate(encoded):
-        n = len(e)
-        inputs[j, 1:n + 1] = e
-        targets[j, :n] = e
-        mask[j, :n + 1] = 1.0
-    return inputs, targets, mask
+    inputs, targets, lengths = _pad(encoded, eos)
+    return inputs, targets, _mask(lengths, inputs.shape[1])
 
 
 def evaluate(params: LMParameters, cfg: LMConfig, signs,
              inventory: PhoneInventory, v: np.ndarray | None = None,
-             batch_size: int = 256) -> LossTable:
+             batch_size: int = 256, padded=None) -> LossTable:
     """Per-word code lengths in evaluation mode (no dropout).
 
     v is an (n, pca_d) array aligned with signs when the model conditions
     on meaning; class indices are looked up from each sign's POS label.
-    The table's rows are the signs in the order given.
+    The table's rows are the signs in the order given. padded, when given,
+    is the signs' (inputs, targets, lengths) as _pad makes them, so a
+    training fit scores its validation signs without encoding them again.
     """
     signs = list(signs)
     if cfg.uses_meaning:
@@ -578,16 +630,16 @@ def evaluate(params: LMParameters, cfg: LMConfig, signs,
         cidx_all = np.array([params.class_index(s.pos) for s in signs],
                             dtype=np.int64)
 
-    encoded = encode_signs(signs, inventory)
-    lengths = np.array([len(e) + 1 for e in encoded], dtype=np.int64)
+    if padded is None:
+        padded = _pad(encode_signs(signs, inventory), inventory.eos_index)
+    lengths = padded[2]
     offsets = np.concatenate([[0], np.cumsum(lengths)])
     bits = np.empty(offsets[-1])
     by_length = np.argsort(-lengths, kind="stable")
     for lo in range(0, len(signs), batch_size):
         rows = by_length[lo:lo + batch_size]
-        inputs, targets, _ = pack_batch([encoded[j] for j in rows],
-                                        inventory.eos_index)
-        pk = _pack(lengths[rows], inputs.shape[1])
+        inputs, targets, row_lengths = _take(padded, rows)
+        pk = _pack(row_lengths, inputs.shape[1])
         top, _ = _lstm_forward(
             params, cfg, inputs, pk, None if v is None else v[rows],
             None if cidx_all is None else cidx_all[rows], None)

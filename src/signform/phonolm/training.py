@@ -5,6 +5,12 @@ validation micro-average in bits per phone drives early stopping and picks
 the returned parameters. Every random choice (init, shuffling, dropout)
 derives from the run seed, so two runs with the same inputs produce
 bitwise-identical parameters.
+
+A fit encodes and pads its lexicon once; each batch and each epoch's
+validation scoring gathers rows of those matrices. Parameters, gradients
+and Adam's moments are flat buffers, so a step's scaling, clipping and
+update are a few whole-buffer calls, with no per-step allocation the size
+of the parameters.
 """
 
 from __future__ import annotations
@@ -19,12 +25,17 @@ from ..seeding import derive_rng
 from .model import (
     LMConfig,
     LMParameters,
+    _mask,
+    _pad,
+    _take,
     encode_signs,
     evaluate,
     init_params,
     loss_and_grads,
-    pack_batch,
 )
+
+# Elements per Adam chunk: its two scratch buffers take 256 KiB each.
+_CHUNK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -41,6 +52,18 @@ class OptSettings:
     clip_norm: float | None = 5.0
     min_delta: float = 1e-6
 
+    def __post_init__(self):
+        if self.batch_size < 1 or self.max_epochs < 1:
+            raise ValueError("batch_size and max_epochs must be >= 1")
+        if self.patience < 0:
+            raise ValueError("patience must be >= 0")
+        if not (self.lr > 0 and self.eps > 0):
+            raise ValueError("lr and eps must be > 0")
+        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
+            raise ValueError("beta1 and beta2 must be in [0, 1)")
+        if self.clip_norm is not None and not self.clip_norm > 0:
+            raise ValueError("clip_norm must be None or > 0")
+
 
 @dataclass
 class TrainResult:
@@ -52,40 +75,58 @@ class TrainResult:
 
 
 class _Adam:
-    def __init__(self, opt: OptSettings):
-        self.opt = opt
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
-        self.t = 0
+    """Adam on one flat parameter buffer, in place, chunk by chunk.
 
-    def step(self, params: LMParameters, grads: dict[str, np.ndarray]):
+    Each chunk's temporaries go through two scratch buffers of _CHUNK
+    elements, so a step allocates nothing the size of the parameters. Per
+    element it computes, in this order, m = b1 m + (1 - b1) g,
+    v = b2 v + ((1 - b2) g) g and p -= lr (m / bc1) / (sqrt(v / bc2) + eps).
+    """
+
+    def __init__(self, opt: OptSettings, size: int):
+        self.opt = opt
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        self.t = 0
+        self._a = np.empty(min(size, _CHUNK))
+        self._b = np.empty_like(self._a)
+
+    def step(self, params: np.ndarray, grads: np.ndarray):
         o = self.opt
         self.t += 1
         bc1 = 1.0 - o.beta1 ** self.t
         bc2 = 1.0 - o.beta2 ** self.t
-        for name, arr in params.named_arrays():
-            g = grads[name]
-            if name not in self.m:
-                self.m[name] = np.zeros_like(arr)
-                self.v[name] = np.zeros_like(arr)
-            m = self.m[name]
-            vv = self.v[name]
+        for lo in range(0, params.size, _CHUNK):
+            hi = min(lo + _CHUNK, params.size)
+            g, m, vv = grads[lo:hi], self.m[lo:hi], self.v[lo:hi]
+            a, b = self._a[:hi - lo], self._b[:hi - lo]
             m *= o.beta1
-            m += (1 - o.beta1) * g
+            np.multiply(1 - o.beta1, g, out=a)
+            m += a
             vv *= o.beta2
-            vv += (1 - o.beta2) * g * g
-            arr -= o.lr * (m / bc1) / (np.sqrt(vv / bc2) + o.eps)
+            np.multiply(1 - o.beta2, g, out=a)
+            a *= g
+            vv += a
+            np.divide(m, bc1, out=a)
+            a *= o.lr
+            np.divide(vv, bc2, out=b)
+            np.sqrt(b, out=b)
+            b += o.eps
+            a /= b
+            params[lo:hi] -= a
 
 
-def _clip(grads: dict[str, np.ndarray], max_norm: float):
+def _clip(grads: dict[str, np.ndarray], flat: np.ndarray, max_norm: float):
+    """Scale flat, whose views grads are, to norm at most max_norm.
+
+    The squared norm sums one array at a time, in grads' order.
+    """
     total = 0.0
     for g in grads.values():
         total += float(np.sum(g * g))
     norm = np.sqrt(total)
     if norm > max_norm:
-        scale = max_norm / norm
-        for g in grads.values():
-            g *= scale
+        flat *= max_norm / norm
     return norm
 
 
@@ -111,7 +152,7 @@ def train_on_indices(lex: Lexicon, train_idx, val_idx, cfg: LMConfig,
         raise DimensionMismatchError("config does not condition on meaning")
 
     inventory = lex.inventory
-    encoded = encode_signs(lex.signs, inventory)
+    padded = _pad(encode_signs(lex.signs, inventory), inventory.eos_index)
     cidx_all = None
     params = init_params(cfg, len(inventory),
                          classes=lex.classes if cfg.uses_class else None,
@@ -122,8 +163,10 @@ def train_on_indices(lex: Lexicon, train_idx, val_idx, cfg: LMConfig,
 
     val_signs = [lex.signs[i] for i in val_idx]
     val_v = v[val_idx] if cfg.uses_meaning else None
+    val_padded = tuple(a[val_idx] for a in padded)
 
-    adam = _Adam(opt)
+    adam = _Adam(opt, params.flat.size)
+    grad_buf = np.empty(params.flat.size)
     result = TrainResult(params=params.copy())
     bad_epochs = 0
     for epoch in range(opt.max_epochs):
@@ -133,26 +176,25 @@ def train_on_indices(lex: Lexicon, train_idx, val_idx, cfg: LMConfig,
         epoch_tokens = 0.0
         for bno, lo in enumerate(range(0, order.size, opt.batch_size)):
             batch = order[lo:lo + opt.batch_size]
-            inputs, targets, mask = pack_batch([encoded[i] for i in batch],
-                                               inventory.eos_index)
+            inputs, targets, lengths = _take(padded, batch)
             bits, tokens, grads = loss_and_grads(
-                params, cfg, inputs, targets, mask,
+                params, cfg, inputs, targets, _mask(lengths, inputs.shape[1]),
                 v=v[batch] if cfg.uses_meaning else None,
                 cidx=cidx_all[batch] if cidx_all is not None else None,
-                drop_rng=rng if cfg.dropout > 0 else None)
+                drop_rng=rng if cfg.dropout > 0 else None, out=grad_buf)
             if not np.isfinite(bits):
                 raise TrainingDivergedError(
                     f"non-finite loss {bits} at epoch {epoch}, batch {bno}",
                     epoch=epoch, batch=bno, loss=bits)
             epoch_bits += bits
             epoch_tokens += tokens
-            for g in grads.values():
-                g /= tokens
+            grad_buf /= tokens
             if opt.clip_norm is not None:
-                _clip(grads, opt.clip_norm)
-            adam.step(params, grads)
+                _clip(grads, grad_buf, opt.clip_norm)
+            adam.step(params.flat, grad_buf)
 
-        val = evaluate(params, cfg, val_signs, inventory, v=val_v)
+        val = evaluate(params, cfg, val_signs, inventory, v=val_v,
+                       padded=val_padded)
         val_bpp = sum(val.total_bits.tolist()) / int(val.token_count.sum())
         if not np.isfinite(val_bpp):
             raise TrainingDivergedError(

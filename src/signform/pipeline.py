@@ -120,6 +120,11 @@ class RunConfig:
             raise ValueError("folds must be >= 2")
         if self.permutations < 1:
             raise ValueError("permutations must be >= 1")
+        unknown = set(self.opt) - {
+            f.name for f in dataclasses.fields(OptSettings)}
+        if unknown:
+            raise ValueError(f"unknown opt keys: {sorted(unknown)}")
+        OptSettings(**self.opt)
 
     @property
     def with_pos_control(self) -> bool:

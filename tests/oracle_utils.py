@@ -1,13 +1,24 @@
 """Shared helpers: loss tables built from the exact synthetic oracle, the
-per-word pointwise MI that the vectorised table is checked against, and
-the padded per-step LSTM that the packed kernel is checked against."""
+per-word pointwise MI that the vectorised table is checked against, the
+padded per-step LSTM that the packed kernel is checked against, and the
+per-array training loop that the flat-buffer one is checked against."""
 
 import numpy as np
 from scipy.special import expit
 
 from signform.errors import SignSetMismatchError
-from signform.phonolm import LossTable, log_softmax2
+from signform.phonolm import (
+    LossTable,
+    TrainResult,
+    encode_signs,
+    evaluate,
+    init_params,
+    log_softmax2,
+    loss_and_grads,
+    pack_batch,
+)
 from signform.phonolm.model import LN2, _dropout_mask, _h0_backward, _h0_batch
+from signform.seeding import derive_rng
 from signform.synthbench import oracle_word_bits
 
 
@@ -177,3 +188,114 @@ def reference_loss_and_grads(params, cfg, inputs, targets, mask, v=None,
 
     _h0_backward(cfg, params, grads, dh0_cond, cache["v"], cache["cidx"])
     return total_bits, total_tokens, grads
+
+
+# The training loop the flat-buffer one must match bit for bit: a padded
+# batch per step from pack_batch, gradients scaled and clipped array by
+# array, an Adam update per array, and validation scoring that encodes its
+# signs every epoch.
+
+def _reference_clip(grads, max_norm):
+    total = 0.0
+    for g in grads.values():
+        total += float(np.sum(g * g))
+    norm = np.sqrt(total)
+    if norm > max_norm:
+        scale = max_norm / norm
+        for g in grads.values():
+            g *= scale
+
+
+class _ReferenceAdam:
+    def __init__(self, opt):
+        self.opt = opt
+        self.m, self.v, self.t = {}, {}, 0
+
+    def step(self, params, grads):
+        o = self.opt
+        self.t += 1
+        bc1 = 1.0 - o.beta1 ** self.t
+        bc2 = 1.0 - o.beta2 ** self.t
+        for name, arr in params.named_arrays():
+            g = grads[name]
+            if name not in self.m:
+                self.m[name] = np.zeros_like(arr)
+                self.v[name] = np.zeros_like(arr)
+            m, vv = self.m[name], self.v[name]
+            m *= o.beta1
+            m += (1 - o.beta1) * g
+            vv *= o.beta2
+            vv += (1 - o.beta2) * g * g
+            arr -= o.lr * (m / bc1) / (np.sqrt(vv / bc2) + o.eps)
+
+
+def reference_train(lex, train_idx, val_idx, cfg, opt, seed, v=None):
+    """train_on_indices as the per-array loop, for valid inputs."""
+    train_idx = np.asarray(train_idx, dtype=np.int64)
+    val_idx = np.asarray(val_idx, dtype=np.int64)
+    inventory = lex.inventory
+    encoded = encode_signs(lex.signs, inventory)
+    params = init_params(cfg, len(inventory),
+                         classes=lex.classes if cfg.uses_class else None,
+                         rng=derive_rng(seed, "init"))
+    cidx_all = None
+    if cfg.uses_class:
+        cidx_all = np.array([params.class_index(s.pos) for s in lex.signs],
+                            dtype=np.int64)
+    val_signs = [lex.signs[i] for i in val_idx]
+    val_v = v[val_idx] if cfg.uses_meaning else None
+
+    adam = _ReferenceAdam(opt)
+    result = TrainResult(params=params.copy())
+    bad_epochs = 0
+    for epoch in range(opt.max_epochs):
+        rng = derive_rng(seed, "epoch", epoch)
+        order = train_idx[rng.permutation(train_idx.size)]
+        epoch_bits = epoch_tokens = 0.0
+        for lo in range(0, order.size, opt.batch_size):
+            batch = order[lo:lo + opt.batch_size]
+            inputs, targets, mask = pack_batch([encoded[i] for i in batch],
+                                               inventory.eos_index)
+            bits, tokens, grads = loss_and_grads(
+                params, cfg, inputs, targets, mask,
+                v=v[batch] if cfg.uses_meaning else None,
+                cidx=cidx_all[batch] if cidx_all is not None else None,
+                drop_rng=rng if cfg.dropout > 0 else None)
+            epoch_bits += bits
+            epoch_tokens += tokens
+            for g in grads.values():
+                g /= tokens
+            if opt.clip_norm is not None:
+                _reference_clip(grads, opt.clip_norm)
+            adam.step(params, grads)
+
+        val = evaluate(params, cfg, val_signs, inventory, v=val_v)
+        val_bpp = sum(val.total_bits.tolist()) / int(val.token_count.sum())
+        result.train_curve.append(epoch_bits / epoch_tokens)
+        result.val_curve.append(val_bpp)
+        if val_bpp < result.best_val - opt.min_delta:
+            result.best_val = val_bpp
+            result.best_epoch = epoch
+            result.params = params.copy()
+            bad_epochs = 0
+        else:
+            bad_epochs += 1
+            if bad_epochs > opt.patience:
+                break
+    return result
+
+
+def reference_pack(lengths, t_len):
+    """(order, sizes, offsets, cells, prev) from the per-step loop."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    order = np.argsort(-lengths, kind="stable")
+    sizes = np.count_nonzero(
+        lengths[:, None] > np.arange(lengths.max(initial=0)), axis=0)
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    none = np.zeros(0, dtype=np.int64)
+    cells = np.concatenate(
+        [none] + [order[:n] * t_len + t for t, n in enumerate(sizes)])
+    prev = np.concatenate(
+        [none] + [np.arange(offsets[t - 1], offsets[t - 1] + n)
+                  for t, n in enumerate(sizes) if t > 0])
+    return order, sizes, offsets, cells, prev

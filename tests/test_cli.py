@@ -186,6 +186,24 @@ class TestBatchCommand:
         assert not (out / "alpha").exists()
         assert read_json(out / "error.json") == record
 
+    @pytest.mark.parametrize("opt", [{"max_epoch": 5}, {"batch_size": 0}])
+    def test_bad_opt_rejected_before_training(self, corpus, tmp_path, capsys,
+                                              opt):
+        good = write_config(tmp_path / "unused.json", corpus,
+                            language="alpha")
+        bad = dict(good, language="beta", opt=dict(FAST_OPT, **opt))
+        out = tmp_path / "batchout"
+        batch_cfg = tmp_path / "batch.json"
+        batch_cfg.write_text(json.dumps(
+            {"out_dir": str(out), "languages": [good, bad]}))
+        rc = main(["--config", str(batch_cfg), "batch"])
+        assert rc == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        record = json.loads(lines[0])
+        assert record["error"] == "ValueError"
+        assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+
     def test_all_failed_is_an_error(self, tmp_path, capsys):
         bad = {"language": "x", "lexicon_path": str(tmp_path / "no.tsv"),
                "embeddings_path": str(tmp_path / "no.vec")}

@@ -5,6 +5,7 @@ import pytest
 
 from signform.errors import (
     DimensionMismatchError,
+    EmbeddingFormatError,
     EmptyFormError,
     EmptyLexiconError,
     LeadingMarkError,
@@ -210,6 +211,20 @@ class TestLoadEmbeddings:
     def test_dim_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             load_embeddings("cat 1 2\ndog 3\n", ["cat", "dog"])
+
+    def test_fields_parse_bit_identical_to_float(self):
+        fields = ["nan", "-inf", "1e400", "1_0", "1.5e-310", "-0.0",
+                  "0.1", "-2.5E-3", "+7", "1e-400", "Infinity", "-nan"]
+        text = "w " + " ".join(fields) + "\n"
+        vecs, _ = load_embeddings(text, ["w"])
+        expected = np.array([float(f) for f in fields], dtype=np.float64)
+        assert vecs["w"].dtype == np.float64
+        assert vecs["w"].tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("bad", ["0x1p3", "1,5", "one"])
+    def test_bad_field_names_its_line(self, bad):
+        with pytest.raises(EmbeddingFormatError, match="line 3"):
+            load_embeddings(f"2 2\ncat 1 2\ndog 3 {bad}\n", ["cat", "dog"])
 
     def test_attach_meanings_drops_missing(self):
         lex = parse_lexicon(LEX_TSV, "xx")

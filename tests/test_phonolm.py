@@ -1,6 +1,11 @@
 import numpy as np
 import pytest
-from oracle_utils import reference_loss_and_grads, row_bits
+from oracle_utils import (
+    reference_loss_and_grads,
+    reference_pack,
+    reference_train,
+    row_bits,
+)
 
 from signform.errors import (
     ArchiveFormatError,
@@ -30,7 +35,8 @@ from signform.phonolm import (
     train_on_indices,
 )
 from signform.phonolm.archive import FORMAT_VERSION
-from signform.phonolm.model import CONDITION_MODES, _h0_batch
+from signform.phonolm.model import CONDITION_MODES, _h0_batch, _pack
+from signform.phonolm.training import _CHUNK, _Adam
 from signform.seeding import derive_rng
 
 
@@ -199,6 +205,40 @@ class TestPackedKernel:
         mask[:, -2:] = 0.0
         mask[:, 1] *= 0.5
         assert_matches_reference(params, cfg, inputs, targets, mask, v, cidx)
+
+
+class TestPacking:
+    @pytest.mark.parametrize("lengths", [
+        [], [0], [0, 0, 0], [3], [2, 2, 2], [1, 4, 0, 4, 2, 1, 0, 5],
+        *[np.random.default_rng(seed).integers(0, 7, size=n)
+          for seed, n in enumerate((5, 9, 16, 33))]])
+    def test_pack_matches_step_loop(self, lengths):
+        lengths = np.asarray(lengths, dtype=np.int64)
+        t_len = int(lengths.max(initial=0)) + 2
+        pk = _pack(lengths, t_len)
+        got = (pk.order, pk.sizes, pk.offsets, pk.cells, pk.prev)
+        for name, arr, ref in zip(("order", "sizes", "offsets", "cells",
+                                   "prev"), got, reference_pack(lengths,
+                                                                t_len)):
+            assert arr.dtype == ref.dtype, name
+            assert arr.tolist() == ref.tolist(), name
+
+    def test_pack_batch_matches_row_loop(self):
+        rng = np.random.default_rng(14)
+        encoded = [rng.integers(0, 5, size=n) for n in (3, 0, 5, 5, 1, 2)]
+        inputs, targets, mask = pack_batch(encoded, 5)
+        t_len = max(len(e) for e in encoded) + 1
+        want_in = np.full((len(encoded), t_len), 5, dtype=np.int64)
+        want_tg = want_in.copy()
+        want_mask = np.zeros((len(encoded), t_len))
+        for j, e in enumerate(encoded):
+            want_in[j, 1:len(e) + 1] = e
+            want_tg[j, :len(e)] = e
+            want_mask[j, :len(e) + 1] = 1.0
+        for got, want in ((inputs, want_in), (targets, want_tg),
+                          (mask, want_mask)):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
 
 
 class TestPositionBits:
@@ -521,6 +561,145 @@ class TestTraining:
         with pytest.raises(DimensionMismatchError):
             train_on_indices(lex, np.arange(40), np.arange(40, 60), cfg,
                              OptSettings(max_epochs=1), seed=0)
+
+
+def oracle_lexicon():
+    lex = small_corpus_lexicon(n=60, seed=4)
+    pos = ["N", "V", "A"]
+    return Lexicon(language="toy", inventory=lex.inventory,
+                   signs=[Sign(lemma=s.lemma, form=s.form, meaning=s.meaning,
+                               pos=pos[j % 3])
+                          for j, s in enumerate(lex.signs)],
+                   classes=tuple(sorted(pos)))
+
+
+# (LMConfig, OptSettings) keywords. 45 training signs: batch_size 15 fills
+# every batch, 16 and 7 leave a ragged last one.
+ORACLE_CASES = {
+    "one_layer_nothing": ({"layers": 1}, {"batch_size": 15}),
+    "two_layers_meaning_and_class_dropout": (
+        {"layers": 2, "condition_on": "meaning_and_class", "dropout": 0.3},
+        {"batch_size": 16}),
+    "no_clip": ({"condition_on": "meaning"},
+                {"batch_size": 15, "clip_norm": None, "lr": 5e-2}),
+    "ragged_last_batch": ({"condition_on": "class"}, {"batch_size": 7}),
+    "clip_every_step": ({"layers": 2}, {"batch_size": 16,
+                                        "clip_norm": 0.05}),
+}
+
+
+class TestTrainingOracle:
+    """The flat-buffer loop gives what the per-array loop gave, bit for bit."""
+
+    @pytest.mark.parametrize("case", ORACLE_CASES)
+    def test_matches_per_array_loop(self, case):
+        lm, opt = ORACLE_CASES[case]
+        lex = oracle_lexicon()
+        cfg = LMConfig(hidden_size=8, phone_embed_size=4, pca_d=3, **lm)
+        opt = OptSettings(max_epochs=6, patience=2, **opt)
+        v = np.random.default_rng(15).normal(size=(len(lex.signs), 3))
+        args = (lex, np.arange(45), np.arange(45, 60), cfg, opt, 21)
+        kw = {"v": v if cfg.uses_meaning else None}
+        got = train_on_indices(*args, **kw)
+        ref = reference_train(*args, **kw)
+        assert got.train_curve == ref.train_curve
+        assert got.val_curve == ref.val_curve
+        assert (got.best_epoch, got.best_val) == (ref.best_epoch,
+                                                   ref.best_val)
+        for (name, x), (ref_name, y) in zip(got.params.named_arrays(),
+                                            ref.params.named_arrays()):
+            assert name == ref_name
+            assert x.tobytes() == y.tobytes(), name
+
+
+class TestFlatBuffers:
+    def test_named_arrays_are_views_of_flat(self):
+        cfg = LMConfig(layers=2, hidden_size=8, phone_embed_size=4, pca_d=3,
+                       condition_on="meaning_and_class")
+        params = init_params(cfg, 6, classes=("N", "V"),
+                             rng=np.random.default_rng(16))
+        sizes = [arr.size for _, arr in params.named_arrays()]
+        assert params.flat.size == sum(sizes)
+        params.flat[:] = np.arange(params.flat.size)
+        lo = 0
+        for (_, arr), n in zip(params.named_arrays(), sizes):
+            assert arr.ravel().tolist() == list(range(lo, lo + n))
+            lo += n
+        copy = params.copy()
+        copy.flat[:] = 0.0
+        assert params.flat[1] == 1.0 and copy.w_out.sum() == 0.0
+
+    def test_gradients_land_in_the_given_buffer(self):
+        cfg = LMConfig(hidden_size=8, phone_embed_size=4)
+        params = init_params(cfg, 6, rng=np.random.default_rng(17))
+        inputs, targets, mask = pack_batch(
+            [np.array([1, 2, 3]), np.array([4])], 5)
+        _, _, fresh = loss_and_grads(params, cfg, inputs, targets, mask)
+        buf = np.full(params.flat.size, 7.0)
+        _, _, grads = loss_and_grads(params, cfg, inputs, targets, mask,
+                                     out=buf)
+        assert grads.keys() == fresh.keys()
+        for name, g in grads.items():
+            assert np.shares_memory(g, buf)
+            assert g.tobytes() == fresh[name].tobytes(), name
+
+
+def reference_adam_steps(opt, p, g_steps):
+    """The Adam update as whole-array expressions."""
+    m, vv = np.zeros_like(p), np.zeros_like(p)
+    for t, g in enumerate(g_steps, start=1):
+        bc1, bc2 = 1.0 - opt.beta1 ** t, 1.0 - opt.beta2 ** t
+        m *= opt.beta1
+        m += (1 - opt.beta1) * g
+        vv *= opt.beta2
+        vv += (1 - opt.beta2) * g * g
+        p -= opt.lr * (m / bc1) / (np.sqrt(vv / bc2) + opt.eps)
+    return p
+
+
+class TestAdam:
+    def test_chunked_step_matches_whole_array_expressions(self):
+        rng = np.random.default_rng(18)
+        n = 2 * _CHUNK + 123
+        opt = OptSettings(lr=3e-3)
+        p = rng.normal(size=n)
+        g_steps = [rng.normal(size=n) for _ in range(3)]
+        adam = _Adam(opt, n)
+        got = p.copy()
+        for g in g_steps:
+            adam.step(got, g)
+        assert got.tobytes() == reference_adam_steps(
+            opt, p.copy(), g_steps).tobytes()
+
+    def test_step_allocates_nothing_parameter_sized(self):
+        import tracemalloc
+
+        n = 1_200_000
+        rng = np.random.default_rng(19)
+        p, g = rng.normal(size=n), rng.normal(size=n)
+        adam = _Adam(OptSettings(), n)
+        tracemalloc.start()
+        try:
+            adam.step(p, g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+class TestOptSettings:
+    @pytest.mark.parametrize("bad", [
+        {"batch_size": 0}, {"max_epochs": 0}, {"patience": -1},
+        {"lr": 0.0}, {"lr": -1e-3}, {"eps": 0.0}, {"beta1": 1.0},
+        {"beta1": -0.1}, {"beta2": 1.0}, {"clip_norm": 0.0},
+        {"clip_norm": -5.0}])
+    def test_rejects_out_of_range(self, bad):
+        with pytest.raises(ValueError):
+            OptSettings(**bad)
+
+    def test_accepts_edges(self):
+        OptSettings(batch_size=1, max_epochs=1, patience=0, beta1=0.0,
+                    beta2=0.0, clip_norm=None)
 
 
 class TestArchive:

@@ -78,6 +78,21 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(language="xx", permutations=0)
 
+    @pytest.mark.parametrize("opt,match", [
+        ({"max_epoch": 5}, "unknown opt keys"),
+        ({"batch_size": 0}, "batch_size"),
+        ({"max_epochs": 0}, "max_epochs"),
+        ({"patience": -1}, "patience"),
+        ({"lr": -1e-3}, "lr"),
+        ({"eps": 0.0}, "eps"),
+        ({"beta2": 1.0}, "beta"),
+        ({"clip_norm": 0.0}, "clip_norm")])
+    def test_bad_opt_rejected_at_load(self, opt, match):
+        with pytest.raises(ValueError, match=match):
+            RunConfig(language="xx", opt=opt)
+        with pytest.raises(ValueError, match=match):
+            RunConfig.from_dict({"language": "xx", "opt": opt})
+
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError):
             RunConfig.from_dict({"language": "xx", "bogus": 1})
