@@ -13,18 +13,14 @@ import json
 import os
 import sys
 
-from .lexicon import split_folds
 from .pipeline import (
     RunConfig,
-    _write_search_log,
     load_config,
-    resolve_lexicon,
     run_batch,
     run_estimate,
+    run_hyperopt,
     run_phonesthemes,
     run_synth,
-    search_lm,
-    seed_for,
 )
 from .reports import read_json, write_json, write_report_csv_rows
 from .validate import CRITERIA, battery_passed, run_battery
@@ -103,7 +99,9 @@ def cmd_batch(args) -> int:
         doc = read_json(args.config)
         overrides = _resolve_overrides(args)
         out_dir = overrides.pop("out_dir") or doc.get("out_dir") or "."
-        threads = overrides.pop("threads") or int(doc.get("threads", 1))
+        threads = overrides.pop("threads")
+        if threads is None:
+            threads = int(doc.get("threads", 1))
         configs = []
         for entry in doc["languages"]:
             entry = dict(entry)
@@ -150,30 +148,15 @@ def cmd_hyperopt(args) -> int:
     config = None
     try:
         config = _load_run_config(args)
-        if config.hyperopt_budget < 1:
-            raise ValueError("hyperopt needs hyperopt_budget >= 1 in the "
-                             "config")
-        lex = resolve_lexicon(config)
-        folds = split_folds(lex, config.folds, seed_for(config.seed,
-                                                        "folds"))
-        os.makedirs(config.out_dir, exist_ok=True)
-        trials_by_kind = {}
-        best_by_kind = {}
-        for kind in config.model_kinds:
-            best_by_kind[kind], trials_by_kind[kind] = search_lm(
-                lex, folds, config.rotation, kind, config)
-        log_path = os.path.join(config.out_dir, "search.jsonl")
-        _write_search_log(log_path, trials_by_kind)
-        best_path = os.path.join(config.out_dir, "best.json")
-        write_json(best_path, best_by_kind)
+        best_by_kind, files = run_hyperopt(config)
     except Exception as exc:
         return _fail(exc, "hyperopt",
                      config.out_dir if config else args.out)
     _clear_stale_error(config.out_dir)
     for kind, best in best_by_kind.items():
         print(f"{kind}: {json.dumps(best, sort_keys=True)}")
-    print(f"  search_log: {log_path}")
-    print(f"  best: {best_path}")
+    for name, path in sorted(files.items()):
+        print(f"  {name}: {path}")
     return 0
 
 

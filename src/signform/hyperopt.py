@@ -4,9 +4,8 @@ Minimizes validation bits/phone over a small box of hyperparameters with a
 Gaussian process surrogate (squared-exponential kernel, per-dimension
 length-scales, noise term) and the expected-improvement acquisition rule.
 Integer dimensions are relaxed to the unit interval and rounded only when a
-proposal is turned back into native units. A plain random-search mode uses
-the same trial bookkeeping, and every trial can be streamed to a JSON-lines
-log and replayed to resume an interrupted search.
+proposal is turned back into native units. Every trial can be streamed to a
+JSON-lines log and replayed to resume an interrupted search.
 
 Only the GP step needs scipy (L-BFGS-B and the normal CDF), so `gp_fit`,
 `expected_improvement` and `propose_next` import it when they run: the
@@ -29,7 +28,11 @@ from .errors import (
 )
 from .seeding import derive_rng
 
-DIMENSION_KINDS = ("integer", "continuous", "log-continuous")
+DIMENSION_KINDS = ("integer", "continuous")
+# Marginal-likelihood starts per GP fit, and random EI candidates per
+# proposal.
+GP_STARTS = 4
+N_CANDIDATES = 4096
 
 
 @dataclass(frozen=True)
@@ -48,23 +51,13 @@ class Dimension:
             raise ValueError(f"{self.name}: bounds must be finite")
         if not self.lower < self.upper:
             raise ValueError(f"{self.name}: lower must be < upper")
-        if self.kind == "log-continuous" and self.lower <= 0:
-            raise ValueError(f"{self.name}: log scale needs positive bounds")
 
     def to_unit(self, value: float) -> float:
-        if self.kind == "log-continuous":
-            return ((math.log(value) - math.log(self.lower))
-                    / (math.log(self.upper) - math.log(self.lower)))
         return (value - self.lower) / (self.upper - self.lower)
 
     def from_unit(self, u: float):
         u = min(max(float(u), 0.0), 1.0)
-        if self.kind == "log-continuous":
-            value = math.exp(math.log(self.lower)
-                             + u * (math.log(self.upper)
-                                    - math.log(self.lower)))
-        else:
-            value = self.lower + u * (self.upper - self.lower)
+        value = self.lower + u * (self.upper - self.lower)
         if self.kind == "integer":
             return int(min(max(round(value), math.ceil(self.lower)),
                            math.floor(self.upper)))
@@ -148,7 +141,7 @@ def _chol_with_jitter(k, scale):
 
 @dataclass
 class GPPosterior:
-    """Fitted GP; empty training set falls back to the prior."""
+    """GP posterior for a given kernel; no training points is the prior."""
 
     x: np.ndarray
     y: np.ndarray
@@ -214,47 +207,27 @@ def _nlml_and_grad(theta, x, y):
     return nlml, grad
 
 
-def gp_fit(trials, *, length_scales=None, signal_var=None, noise_var=None,
-           fit=True, seed: int = 0, n_starts: int = 4) -> GPPosterior:
+def gp_fit(trials, *, seed: int = 0) -> GPPosterior:
     """GP over unit-cube points of finite-objective trials.
 
-    With kernel values given and fit=False they are used verbatim; otherwise
-    length-scales and variances maximize the marginal likelihood from several
-    gradient-ascent starts. An empty trial list yields the prior.
+    The mean is the trial average; length-scales and variances maximize the
+    marginal likelihood over GP_STARTS gradient-ascent starts. Raises
+    ValueError when no trial has a finite objective.
     """
     usable = [t for t in trials if math.isfinite(t.objective)]
     if not usable:
-        d = 1 if not trials else len(np.asarray(trials[0].unit))
-        ell = (np.full(d, 0.5) if length_scales is None
-               else np.asarray(length_scales, dtype=np.float64))
-        return GPPosterior(x=np.zeros((0, d)), y=np.zeros(0),
-                           length_scales=ell,
-                           signal_var=1.0 if signal_var is None
-                           else float(signal_var),
-                           noise_var=1e-6 if noise_var is None
-                           else float(noise_var))
+        raise ValueError("gp_fit needs a trial with a finite objective")
     x = np.array([np.asarray(t.unit, dtype=np.float64) for t in usable])
     y = np.array([t.objective for t in usable])
     d = x.shape[1]
     y_mean = float(y.mean())
     resid = y - y_mean
     vy = float(resid.var())
-
-    if not fit:
-        # Fixed-kernel path keeps the plain zero-mean closed form
-        # mu = k*' K^-1 y; the fitted path centers on the trial average.
-        if length_scales is None or signal_var is None or noise_var is None:
-            raise ValueError("fit=False requires all kernel values")
-        return GPPosterior(x=x, y=y,
-                           length_scales=np.asarray(length_scales, float),
-                           signal_var=float(signal_var),
-                           noise_var=float(noise_var), y_mean=0.0)
-
     sv0 = max(vy, 1e-8)
     starts = [np.concatenate([np.full(d, math.log(0.5)),
                               [math.log(sv0), math.log(1e-4 * sv0 + 1e-10)]])]
     rng = derive_rng(seed, "hyperopt", "gpfit", len(usable))
-    for _ in range(max(0, n_starts - 1)):
+    for _ in range(GP_STARTS - 1):
         starts.append(np.concatenate([
             np.log(rng.uniform(0.1, 2.0, size=d)),
             [math.log(sv0 * rng.uniform(0.3, 3.0)),
@@ -305,12 +278,12 @@ def _lhs_point(space: SearchSpace, seed: int, index: int,
 
 
 def propose_next(trials, space: SearchSpace, seed: int = 0, *,
-                 n_init: int = 5, n_candidates: int = 4096) -> dict:
+                 n_init: int = 5) -> dict:
     """Next configuration to evaluate, in native units.
 
     The first n_init proposals fill the cube from a seeded Latin hypercube;
-    later ones maximize expected improvement over a fresh random candidate
-    grid with local gradient refinement from the best candidate. Integer
+    later ones maximize expected improvement over N_CANDIDATES fresh random
+    points with local gradient refinement from the best candidate. Integer
     dimensions round at the very end. Deterministic in (trials, seed).
     """
     t = len(trials)
@@ -323,7 +296,7 @@ def propose_next(trials, space: SearchSpace, seed: int = 0, *,
     posterior = gp_fit(trials, seed=seed)
     incumbent = min(tr.objective for tr in ok)
     rng = derive_rng(seed, "hyperopt", "grid", t)
-    grid = rng.random((n_candidates, space.d))
+    grid = rng.random((N_CANDIDATES, space.d))
     ei = expected_improvement(posterior, incumbent, grid)
     start = grid[int(np.argmax(ei))]
     res = minimize(
@@ -352,9 +325,9 @@ def read_log(path) -> list[Trial]:
 
 
 def run_search(evaluate, space: SearchSpace, budget: int = 50,
-               seed: int = 0, *, n_init: int = 5, mode: str = "bo",
-               log_path=None, resume: bool = False) -> SearchResult:
-    """Sequential search loop returning the lowest-objective trial.
+               seed: int = 0, *, n_init: int = 5, log_path=None,
+               resume: bool = False) -> SearchResult:
+    """Bayesian-optimization loop; returns the lowest-objective trial.
 
     evaluate(native) returns validation bits/phone; a raised training
     divergence or a non-finite return records the trial as diverged with a
@@ -364,8 +337,6 @@ def run_search(evaluate, space: SearchSpace, budget: int = 50,
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    if mode not in ("bo", "random"):
-        raise ValueError(f"unknown search mode {mode!r}")
     trials: list[Trial] = []
     if resume and log_path is not None:
         try:
@@ -375,11 +346,7 @@ def run_search(evaluate, space: SearchSpace, budget: int = 50,
     log = open(log_path, "a", encoding="utf-8") if log_path else None
     try:
         while len(trials) < budget:
-            if mode == "random":
-                rng = derive_rng(seed, "hyperopt", "random", len(trials))
-                native = space.from_unit(rng.random(space.d))
-            else:
-                native = propose_next(trials, space, seed, n_init=n_init)
+            native = propose_next(trials, space, seed, n_init=n_init)
             unit = space.to_unit(native)
             try:
                 value = float(evaluate(native))

@@ -35,9 +35,6 @@ from .phonolm import LossTable
 from .seeding import derive_rng
 from .stats import bh_correct
 
-SIDES = ("prefix", "suffix")
-
-
 @dataclass
 class AffixCandidate:
     """One word-initial or word-final phone sequence and its evidence."""
@@ -93,12 +90,11 @@ def pointwise_mi_table(lex: Lexicon, uncond: LossTable, cond: LossTable,
     return out
 
 
-def enumerate_candidates(lex: Lexicon, k_range, side: str,
+def enumerate_candidates(lex: Lexicon, k_range,
                          min_count: int = 20) -> list[AffixCandidate]:
-    """All distinct k-initial (or k-final) sequences held by >= min_count
-    signs, for each k in k_range. Words shorter than k never contribute."""
-    if side not in SIDES:
-        raise ValueError(f"side must be one of {SIDES}")
+    """All distinct k-initial sequences held by >= min_count signs, for each
+    k in k_range. Words shorter than k never contribute. Suffixes are the
+    prefixes of reverse_forms(lex)."""
     if min_count < 1:
         raise ValueError("min_count must be >= 1")
     out = []
@@ -109,13 +105,12 @@ def enumerate_candidates(lex: Lexicon, k_range, side: str,
         for i, sign in enumerate(lex.signs):
             if len(sign.form) < k:
                 continue
-            affix = sign.form[:k] if side == "prefix" else sign.form[-k:]
-            groups.setdefault(affix, []).append(i)
+            groups.setdefault(sign.form[:k], []).append(i)
         for affix in sorted(groups):
             idx = groups[affix]
             if len(idx) >= min_count:
                 out.append(AffixCandidate(
-                    phones=tuple(affix), side=side,
+                    phones=tuple(affix), side="prefix",
                     word_indices=np.array(idx, dtype=np.int64),
                     count=len(idx)))
     return out
@@ -261,7 +256,7 @@ def mine(lex: Lexicon, uncond, cond, *, k_range=(1, 2, 3), min_count: int = 20,
     ks = sorted(set(int(k) for k in k_range))
     tables = [{k: pointwise_mi_table(job_lex, job_u, job_c, k) for k in ks}
               for job_lex, job_u, job_c, _ in jobs]
-    stubs = [enumerate_candidates(job_lex, ks, "prefix", min_count)
+    stubs = [enumerate_candidates(job_lex, ks, min_count)
              for job_lex, _, _, _ in jobs]
     candidates: list[AffixCandidate] = []
     for k in ks:

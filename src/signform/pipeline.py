@@ -10,6 +10,7 @@ isolation, then corrects significance across languages and aggregates.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import hashlib
 import json
@@ -71,6 +72,8 @@ KIND_CONDITION = {
     "meaning_and_class": "meaning_and_class",
 }
 SCHEMA_VERSION = 1
+PHONESTHEME_DEFAULTS = {"k_range": [1, 2, 3], "min_count": 20,
+                        "alpha": 0.05, "n_samples": 100_000}
 
 logger = logging.getLogger(__name__)
 
@@ -94,10 +97,8 @@ class RunConfig:
     hyperopt_budget: int = 0
     lm: dict = field(default_factory=dict)
     opt: dict = field(default_factory=dict)
-    pca_train_only: bool = True
-    phonesthemes: dict = field(default_factory=lambda: {
-        "k_range": [1, 2, 3], "min_count": 20, "alpha": 0.05,
-        "n_samples": 100_000})
+    phonesthemes: dict = field(
+        default_factory=lambda: copy.deepcopy(PHONESTHEME_DEFAULTS))
     schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self):
@@ -125,6 +126,14 @@ class RunConfig:
         if unknown:
             raise ValueError(f"unknown opt keys: {sorted(unknown)}")
         OptSettings(**self.opt)
+        unknown = set(self.lm) - (
+            {f.name for f in dataclasses.fields(LMConfig)} - {"condition_on"})
+        if unknown:
+            raise ValueError(f"unknown lm keys: {sorted(unknown)} (the model "
+                             "kind sets condition_on)")
+        for kind in self.model_kinds:
+            make_lm_config(kind, self.lm)
+        _check_phonesthemes(self.phonesthemes)
 
     @property
     def with_pos_control(self) -> bool:
@@ -152,6 +161,22 @@ class RunConfig:
             raise ValueError("meaning models need an embeddings_path")
         if not os.path.exists(self.embeddings_path):
             raise FileNotFoundError(self.embeddings_path)
+
+
+def _check_phonesthemes(given: dict) -> None:
+    unknown = set(given) - set(PHONESTHEME_DEFAULTS)
+    if unknown:
+        raise ValueError(f"unknown phonesthemes keys: {sorted(unknown)}")
+    opts = {**PHONESTHEME_DEFAULTS, **given}
+    if not opts["k_range"] or any(k < 1 for k in opts["k_range"]):
+        raise ValueError("phonesthemes k_range must be non-empty, every "
+                         "k >= 1")
+    if opts["min_count"] < 1:
+        raise ValueError("phonesthemes min_count must be >= 1")
+    if not 0 < opts["alpha"] < 1:
+        raise ValueError("phonesthemes alpha must be in (0, 1)")
+    if opts["n_samples"] < 1:
+        raise ValueError("phonesthemes n_samples must be >= 1")
 
 
 def load_config(path, **overrides) -> RunConfig:
@@ -205,8 +230,7 @@ def _fingerprint(lex: Lexicon, train_idx, val_idx, cfg: LMConfig,
 
 
 def fit_model(lex: Lexicon, folds, rotation: int, kind: str, lm: dict,
-              opt: OptSettings, seed: int, pca_train_only: bool = True,
-              path: str | None = None):
+              opt: OptSettings, seed: int, path: str | None = None):
     """Train one model kind on a rotation's folds, or reuse its archive.
 
     The archive at path is reused only when its fingerprint matches the
@@ -214,15 +238,14 @@ def fit_model(lex: Lexicon, folds, rotation: int, kind: str, lm: dict,
     path is given, archived with the fingerprint. Returns
     (cfg, params, pca, v_all, val_bits): v_all is the projected meaning of
     every sign (None when the kind ignores meaning), so callers score
-    whichever signs they need.
+    whichever signs they need. The PCA is fit on the training rows only.
     """
     cfg = make_lm_config(kind, lm)
     train_idx, val_idx, _ = folds.roles(rotation)
     pca = v_all = None
     if cfg.uses_meaning:
         meanings = np.array([s.meaning for s in lex.signs])
-        pca = pca_fit(meanings[train_idx] if pca_train_only else meanings,
-                      cfg.pca_d)
+        pca = pca_fit(meanings[train_idx], cfg.pca_d)
         v_all = pca_transform(pca, meanings)
     fingerprint = _fingerprint(lex, train_idx, val_idx, cfg, opt, seed,
                                v_all)
@@ -265,8 +288,7 @@ def search_lm(lex: Lexicon, folds, rotation: int, kind: str,
     def objective(native: dict) -> float:
         lm = dict(config.lm)
         lm.update(native)
-        return fit_model(lex, folds, rotation, kind, lm, opt, seed,
-                         config.pca_train_only)[4]
+        return fit_model(lex, folds, rotation, kind, lm, opt, seed)[4]
 
     result = run_search(objective, space, budget=config.hyperopt_budget,
                         seed=seed_for(config.seed, "hyperopt", kind))
@@ -283,14 +305,26 @@ class EstimateOutput:
     files: dict
 
 
-def _write_search_log(path, trials_by_kind: dict) -> None:
-    """One JSON line per trial, tagged with its model kind."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for kind, trials in trials_by_kind.items():
-            for t in trials:
-                rec = json.loads(t.to_json())
-                rec["kind"] = kind
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
+def _search_kinds(lex: Lexicon, folds, config: RunConfig,
+                  log_path: str | None) -> dict:
+    """Search every configured kind; returns kind -> best lm dict.
+
+    With log_path, every trial is written there as one JSON line tagged
+    with its model kind.
+    """
+    best_by_kind = {}
+    trials_by_kind = {}
+    for kind in config.model_kinds:
+        best_by_kind[kind], trials_by_kind[kind] = search_lm(
+            lex, folds, config.rotation, kind, config)
+    if log_path is not None:
+        with open(log_path, "w", encoding="utf-8") as fh:
+            for kind, trials in trials_by_kind.items():
+                for t in trials:
+                    rec = json.loads(t.to_json())
+                    rec["kind"] = kind
+                    fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    return best_by_kind
 
 
 def run_estimate(config: RunConfig, lex: Lexicon | None = None,
@@ -311,17 +345,17 @@ def run_estimate(config: RunConfig, lex: Lexicon | None = None,
         os.makedirs(models_dir, exist_ok=True)
 
     files = {}
-    search_trials = {}
+    lms = dict.fromkeys(config.model_kinds, config.lm)
+    if config.hyperopt_budget > 0:
+        if write:
+            files["search_log"] = os.path.join(config.out_dir, "search.jsonl")
+        lms = _search_kinds(lex, folds, config, files.get("search_log"))
     tables = {}
     for kind in config.model_kinds:
-        lm = config.lm
-        if config.hyperopt_budget > 0:
-            lm, search_trials[kind] = search_lm(
-                lex, folds, config.rotation, kind, config)
         path = os.path.join(models_dir, f"{kind}.archive") if write else None
         cfg, params, _, v_all, _ = fit_model(
-            lex, folds, config.rotation, kind, lm, opt,
-            seed_for(config.seed, "train", kind), config.pca_train_only, path)
+            lex, folds, config.rotation, kind, lms[kind], opt,
+            seed_for(config.seed, "train", kind), path)
         tables[kind] = evaluate(
             params, cfg, test_signs, lex.inventory,
             v=v_all[test_idx] if v_all is not None else None)
@@ -352,11 +386,27 @@ def run_estimate(config: RunConfig, lex: Lexicon | None = None,
                    "folds": seed_for(config.seed, "folds"),
                    "permutation": seed_for(config.seed, "perm", "plain")}))
         files.update(report_csv=csv_path, report_json=json_path)
-        if search_trials:
-            files["search_log"] = os.path.join(config.out_dir, "search.jsonl")
-            _write_search_log(files["search_log"], search_trials)
     return EstimateOutput(report=report, kind_results=tables,
                           out_dir=config.out_dir, files=files)
+
+
+def run_hyperopt(config: RunConfig, lex: Lexicon | None = None):
+    """Search each kind's hyperparameters without the final fits.
+
+    Writes every trial to out_dir/search.jsonl and each kind's best lm dict
+    to out_dir/best.json; returns (best by kind, files).
+    """
+    if config.hyperopt_budget < 1:
+        raise ValueError("hyperopt needs hyperopt_budget >= 1 in the config")
+    if lex is None:
+        lex = resolve_lexicon(config)
+    folds = split_folds(lex, config.folds, seed_for(config.seed, "folds"))
+    os.makedirs(config.out_dir, exist_ok=True)
+    files = {"search_log": os.path.join(config.out_dir, "search.jsonl"),
+             "best": os.path.join(config.out_dir, "best.json")}
+    best_by_kind = _search_kinds(lex, folds, config, files["search_log"])
+    write_json(files["best"], best_by_kind)
+    return best_by_kind, files
 
 
 @dataclass
@@ -380,6 +430,8 @@ def run_batch(configs, out_dir: str, threads: int = 1) -> BatchOutput:
     captured into that directory's error.json and the batch carries on.
     Repeated language names are rejected with SchemaError before any run.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     if not configs:
         raise ValueError("batch needs at least one language config")
     names = [c.language for c in configs]
@@ -504,17 +556,14 @@ def run_phonesthemes(config: RunConfig, lex: Lexicon | None = None):
             cfg, params, _, v_all, _ = fit_model(
                 forms, folds, config.rotation, kind, config.lm, opt,
                 seed_for(seed_for(config.seed, tag), "train", kind),
-                config.pca_train_only,
                 os.path.join(models_dir, f"{kind}_{tag}.archive"))
             tables[tag, kind] = evaluate(params, cfg, forms.signs,
                                          forms.inventory, v=v_all)
-    opts = config.phonesthemes
+    opts = {**PHONESTHEME_DEFAULTS, **config.phonesthemes}
     candidates = mine(
         lex, tables["fwd", "uncond"], tables["fwd", "meaning"],
-        k_range=tuple(opts.get("k_range", (1, 2, 3))),
-        min_count=int(opts.get("min_count", 20)),
-        alpha=float(opts.get("alpha", 0.05)),
-        n_samples=int(opts.get("n_samples", 100_000)),
+        k_range=tuple(opts["k_range"]), min_count=int(opts["min_count"]),
+        alpha=float(opts["alpha"]), n_samples=int(opts["n_samples"]),
         seed=seed_for(config.seed, "phonesthemes"),
         reversed_lex=rev, reversed_uncond=tables["rev", "uncond"],
         reversed_cond=tables["rev", "meaning"])

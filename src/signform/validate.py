@@ -27,9 +27,9 @@ import numpy as np
 
 from .hyperopt import (
     Dimension,
+    GPPosterior,
     SearchSpace,
     expected_improvement,
-    gp_fit,
     run_search,
 )
 from .infotheory import build_report, entropy_estimate, mi_estimate
@@ -351,8 +351,9 @@ def c08_hyperopt_quadratic(hooks) -> tuple[bool, str]:
             hits += 1
     part_a = hits >= 9
 
-    prior = gp_fit([], length_scales=np.array([0.5]), signal_var=1.0,
-                   noise_var=0.0, fit=False)
+    prior = GPPosterior(x=np.zeros((0, 1)), y=np.zeros(0),
+                        length_scales=np.array([0.5]), signal_var=1.0,
+                        noise_var=0.0)
     ei = float(expected_improvement(prior, 0.0,
                                     np.array([[0.5]]))[0])
     phi0 = 1.0 / np.sqrt(2.0 * np.pi)

@@ -6,7 +6,7 @@ import os
 import pytest
 
 from signform.cli import main
-from signform.pipeline import run_synth
+from signform.pipeline import RunConfig, run_estimate, run_synth
 from signform.reports import read_json
 
 FAST_LM = {"hidden_size": 16, "phone_embed_size": 8, "pca_d": 3}
@@ -149,6 +149,21 @@ class TestReportCommand:
         assert record["stage"] == "report"
 
 
+def batch_rejected_before_training(tmp_path, capsys, languages, argv=(),
+                                   **doc):
+    """Run a batch that must fail before any language trains; its record."""
+    out = tmp_path / "batchout"
+    batch_cfg = tmp_path / "batch.json"
+    batch_cfg.write_text(json.dumps(
+        dict(doc, out_dir=str(out), languages=languages)))
+    rc = main(["--config", str(batch_cfg), *argv, "batch"])
+    assert rc == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+    return json.loads(lines[0])
+
+
 class TestBatchCommand:
     def test_failure_isolation(self, corpus, tmp_path, capsys):
         good = write_config(tmp_path / "unused.json", corpus,
@@ -192,17 +207,38 @@ class TestBatchCommand:
         good = write_config(tmp_path / "unused.json", corpus,
                             language="alpha")
         bad = dict(good, language="beta", opt=dict(FAST_OPT, **opt))
-        out = tmp_path / "batchout"
-        batch_cfg = tmp_path / "batch.json"
-        batch_cfg.write_text(json.dumps(
-            {"out_dir": str(out), "languages": [good, bad]}))
-        rc = main(["--config", str(batch_cfg), "batch"])
-        assert rc == 1
-        lines = capsys.readouterr().out.splitlines()
-        assert len(lines) == 1
-        record = json.loads(lines[0])
+        record = batch_rejected_before_training(tmp_path, capsys,
+                                                [good, bad])
         assert record["error"] == "ValueError"
-        assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+
+    @pytest.mark.parametrize("section,value", [
+        ("lm", {"hiden_size": 64}),
+        ("lm", {"dropout": 1.5}),
+        ("lm", {"condition_on": "meaning"}),
+        ("phonesthemes", {"n_samples": 0})])
+    def test_bad_section_rejected_before_training(self, corpus, tmp_path,
+                                                  capsys, section, value):
+        good = write_config(tmp_path / "unused.json", corpus,
+                            language="alpha")
+        bad = dict(good, language="beta", **{section: value})
+        record = batch_rejected_before_training(tmp_path, capsys,
+                                                [good, bad])
+        assert record["error"] == "ValueError"
+
+    @pytest.mark.parametrize("flag,env", [("0", None), ("-1", None),
+                                          (None, "0")])
+    def test_threads_below_one_rejected(self, corpus, tmp_path, capsys,
+                                        monkeypatch, flag, env):
+        # The document's threads must not stand in for a flag or env of 0.
+        lang = write_config(tmp_path / "unused.json", corpus,
+                            language="alpha")
+        if env is not None:
+            monkeypatch.setenv("SIGNFORM_THREADS", env)
+        record = batch_rejected_before_training(
+            tmp_path, capsys, [lang],
+            argv=["--threads", flag] if flag is not None else [], threads=2)
+        assert record["error"] == "ValueError"
+        assert "threads" in record["message"]
 
     def test_all_failed_is_an_error(self, tmp_path, capsys):
         bad = {"language": "x", "lexicon_path": str(tmp_path / "no.tsv"),
@@ -232,6 +268,20 @@ class TestHyperoptCommand:
         best = read_json(out / "best.json")
         assert set(best) == {"uncond", "meaning"}
         assert "pca_d" in best["meaning"]
+
+    def test_search_log_matches_estimate(self, corpus, tmp_path, capsys):
+        cfg = tmp_path / "hyp.json"
+        doc = write_config(cfg, corpus, hyperopt_budget=2,
+                           lm={"phone_embed_size": 8},
+                           opt={"max_epochs": 2, "patience": 1,
+                                "batch_size": 64})
+        out = tmp_path / "hypout"
+        rc = main(["--config", str(cfg), "--out", str(out), "hyperopt"])
+        assert rc == 0
+        est = run_estimate(RunConfig.from_dict(
+            dict(doc, out_dir=str(tmp_path / "estout"))))
+        with open(est.files["search_log"], "rb") as fh:
+            assert fh.read() == (out / "search.jsonl").read_bytes()
 
     def test_requires_budget(self, corpus, tmp_path, capsys):
         cfg = tmp_path / "hyp.json"

@@ -124,7 +124,7 @@ class TestPointwiseMITable:
 class TestEnumerateCandidates:
     def test_prefix_hand_counts(self):
         lex = make_lex(["ka", "kat", "ta", "t"])
-        cands = enumerate_candidates(lex, (1, 2), "prefix", min_count=1)
+        cands = enumerate_candidates(lex, (1, 2), min_count=1)
         by_key = {(c.k, "".join(c.phones)): c for c in cands}
         assert by_key[(1, "k")].count == 2
         assert by_key[(1, "t")].count == 2
@@ -134,24 +134,28 @@ class TestEnumerateCandidates:
         np.testing.assert_array_equal(by_key[(1, "k")].word_indices, [0, 1])
 
     def test_suffix_hand_counts(self):
-        lex = make_lex(["ka", "kat", "ta", "t"])
-        cands = enumerate_candidates(lex, (1, 2), "suffix", min_count=1)
-        by_key = {(c.k, "".join(c.phones)): c for c in cands}
+        # Suffixes are the prefixes of the reversed forms, as mine() reads
+        # them.
+        lex = reverse_forms(make_lex(["ka", "kat", "ta", "t"]))
+        cands = enumerate_candidates(lex, (1, 2), min_count=1)
+        by_key = {(c.k, "".join(reversed(c.phones))): c for c in cands}
         assert by_key[(1, "a")].count == 2
         assert by_key[(1, "t")].count == 2
         assert by_key[(2, "ka")].count == 1
         assert by_key[(2, "at")].count == 1
         assert by_key[(2, "ta")].count == 1
+        assert len(cands) == 5
+        np.testing.assert_array_equal(by_key[(1, "a")].word_indices, [0, 2])
 
     def test_min_count_filters(self):
         lex = make_lex(["ka", "kat", "ta", "t"])
-        cands = enumerate_candidates(lex, (1, 2), "prefix", min_count=2)
+        cands = enumerate_candidates(lex, (1, 2), min_count=2)
         keys = {(c.k, "".join(c.phones)) for c in cands}
         assert keys == {(1, "k"), (1, "t"), (2, "ka")}
 
     def test_short_words_never_contribute(self):
         lex = make_lex(["t", "ta"])
-        cands = enumerate_candidates(lex, (2,), "prefix", min_count=1)
+        cands = enumerate_candidates(lex, (2,), min_count=1)
         assert len(cands) == 1
         np.testing.assert_array_equal(cands[0].word_indices, [1])
 
@@ -161,7 +165,7 @@ class TestEnumerateCandidates:
                  for _ in range(60)]
         lex = make_lex(forms, lemmas=[str(i) for i in range(60)])
         for k in (1, 2, 3):
-            cands = enumerate_candidates(lex, (k,), "prefix", min_count=1)
+            cands = enumerate_candidates(lex, (k,), min_count=1)
             seen = np.concatenate([c.word_indices for c in cands]) \
                 if cands else np.array([], dtype=np.int64)
             eligible = [i for i, s in enumerate(lex.signs)
@@ -170,8 +174,8 @@ class TestEnumerateCandidates:
 
     def test_deterministic_order(self):
         lex = make_lex(["ka", "kat", "ta", "t"])
-        a = enumerate_candidates(lex, (2, 1), "prefix", min_count=1)
-        b = enumerate_candidates(lex, (1, 2), "prefix", min_count=1)
+        a = enumerate_candidates(lex, (2, 1), min_count=1)
+        b = enumerate_candidates(lex, (1, 2), min_count=1)
         assert [(c.k, c.phones) for c in a] == [(c.k, c.phones) for c in b]
         ks = [c.k for c in a]
         assert ks == sorted(ks)
@@ -179,11 +183,9 @@ class TestEnumerateCandidates:
     def test_bad_arguments(self):
         lex = make_lex(["ka"])
         with pytest.raises(ValueError):
-            enumerate_candidates(lex, (1,), "infix", min_count=1)
+            enumerate_candidates(lex, (1,), min_count=0)
         with pytest.raises(ValueError):
-            enumerate_candidates(lex, (1,), "prefix", min_count=0)
-        with pytest.raises(ValueError):
-            enumerate_candidates(lex, (0,), "prefix", min_count=1)
+            enumerate_candidates(lex, (0,), min_count=1)
 
 
 def subset_means(pop, n, n_samples, rng, also=()):

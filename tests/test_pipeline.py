@@ -9,17 +9,21 @@ import numpy as np
 import pytest
 
 from signform.errors import ArchiveFormatError
-from signform.lexicon import load_embeddings
-from signform.phonolm import LMConfig, load_model
+from signform.lexicon import load_embeddings, split_folds
+from signform.phonolm import LMConfig, OptSettings, load_model
 from signform.pipeline import (
+    PHONESTHEME_DEFAULTS,
     RunConfig,
+    fit_model,
     load_config,
     resolve_lexicon,
     run_batch,
     run_estimate,
     run_phonesthemes,
     run_synth,
+    seed_for,
 )
+from signform.semspace import pca_fit, pca_transform
 from signform.synthbench import exact_entropy, exact_mi, two_cluster_spec
 from signform.validate import estimate_in_new_process
 
@@ -93,9 +97,42 @@ class TestRunConfig:
         with pytest.raises(ValueError, match=match):
             RunConfig.from_dict({"language": "xx", "opt": opt})
 
+    @pytest.mark.parametrize("lm,match", [
+        ({"hiden_size": 64}, "unknown lm keys"),
+        ({"condition_on": "meaning"}, "condition_on"),
+        ({"dropout": 1.5}, "dropout"),
+        ({"hidden_size": 0}, ">= 1"),
+        ({"pca_d": 0}, "pca_d")])
+    def test_bad_lm_rejected_at_load(self, lm, match):
+        with pytest.raises(ValueError, match=match):
+            RunConfig(language="xx", lm=lm)
+        with pytest.raises(ValueError, match=match):
+            RunConfig.from_dict({"language": "xx", "lm": lm})
+
+    @pytest.mark.parametrize("phonesthemes,match", [
+        ({"n_sample": 5}, "unknown phonesthemes keys"),
+        ({"n_samples": 0}, "n_samples"),
+        ({"k_range": []}, "k_range"),
+        ({"k_range": [1, 0]}, "k_range"),
+        ({"min_count": 0}, "min_count"),
+        ({"alpha": 0.0}, "alpha"),
+        ({"alpha": 1.0}, "alpha")])
+    def test_bad_phonesthemes_rejected_at_load(self, phonesthemes, match):
+        with pytest.raises(ValueError, match=match):
+            RunConfig(language="xx", phonesthemes=phonesthemes)
+
+    def test_phonesthemes_stored_as_given(self):
+        cfg = RunConfig(language="xx", phonesthemes={"k_range": [2]})
+        assert cfg.to_dict()["phonesthemes"] == {"k_range": [2]}
+        assert RunConfig(language="xx").phonesthemes == PHONESTHEME_DEFAULTS
+        RunConfig(language="xx").phonesthemes["k_range"].append(4)
+        assert PHONESTHEME_DEFAULTS["k_range"] == [1, 2, 3]
+
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError):
             RunConfig.from_dict({"language": "xx", "bogus": 1})
+        with pytest.raises(ValueError):
+            RunConfig.from_dict({"language": "xx", "pca_train_only": True})
 
     def test_schema_version_checked(self):
         with pytest.raises(ValueError):
@@ -117,6 +154,27 @@ class TestRunConfig:
                         embeddings_path=str(tmp_path / "absent.vec"))
         with pytest.raises(FileNotFoundError):
             cfg.validate_paths()
+
+
+class TestFitModel:
+    def test_pca_fit_on_training_rows_only(self, two_cluster_files,
+                                           tmp_path):
+        _, files = two_cluster_files
+        lex = resolve_lexicon(fast_config(str(tmp_path), files))
+        folds = split_folds(lex, 5, seed_for(3, "folds"))
+        train_idx = folds.roles(1)[0]
+        _, _, pca, v_all, _ = fit_model(lex, folds, 1, "meaning", FAST_LM,
+                                        OptSettings(max_epochs=1), seed=0)
+        meanings = np.array([s.meaning for s in lex.signs])
+        want = pca_fit(meanings[train_idx], FAST_LM["pca_d"])
+        np.testing.assert_array_equal(pca.mean, want.mean)
+        np.testing.assert_array_equal(pca.components, want.components)
+        np.testing.assert_array_equal(pca.explained_variance,
+                                      want.explained_variance)
+        np.testing.assert_array_equal(v_all, pca_transform(want, meanings))
+        everyone = pca_fit(meanings, FAST_LM["pca_d"])
+        assert not np.array_equal(pca.mean, everyone.mean)
+        assert not np.array_equal(pca.components, everyone.components)
 
 
 class TestSynth:
