@@ -103,11 +103,15 @@ def cmd_batch(args) -> int:
         if threads is None:
             threads = int(doc.get("threads", 1))
         configs = []
-        for entry in doc["languages"]:
+        for i, entry in enumerate(doc["languages"]):
             entry = dict(entry)
             if overrides["seed"] is not None:
                 entry["seed"] = overrides["seed"]
-            configs.append(RunConfig.from_dict(entry))
+            try:
+                configs.append(RunConfig.from_dict(entry))
+            except (ValueError, TypeError) as exc:
+                name = entry.get("language") or f"languages[{i}]"
+                raise type(exc)(f"{name}: {exc}") from exc
         out = run_batch(configs, out_dir, threads=threads)
     except Exception as exc:
         return _fail(exc, "batch", out_dir)

@@ -27,6 +27,7 @@ Everything here is deterministic given the parameter values; all sampling
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -95,7 +96,9 @@ class LMParameters:
     """All trainable tensors. Gate order in the fused arrays is i, f, g, o.
 
     The tensors are consecutive views, in named_arrays order, into the one
-    float64 buffer flat, which construction copies them into.
+    float64 buffer flat. Tensors that already lie so in one buffer, as
+    init_params and with_flat lay them out, are adopted as they are; others
+    are copied into a new buffer.
     """
 
     embed: np.ndarray
@@ -111,24 +114,29 @@ class LMParameters:
     flat: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.flat = np.concatenate(
-            [np.ravel(arr) for _, arr in self.named_arrays()],
-            dtype=np.float64)
-        views = self.views(self.flat)
-        for stack in ("wx", "wh", "b"):
-            setattr(self, stack, [views[f"{stack}{l}"]
-                                  for l in range(len(self.wx))])
-        for name in ("embed", "w_out", "b_out", "w_v", "b_v", "class_embed"):
-            if name in views:
-                setattr(self, name, views[name])
+        flat = getattr(self.embed, "base", None)
+        if not self._lies_in(flat):
+            flat = np.concatenate(
+                [np.ravel(arr) for _, arr in self.named_arrays()],
+                dtype=np.float64)
+        self.flat = flat
+        for name, value in _fields(self.views(flat), len(self.wx)).items():
+            setattr(self, name, value)
+
+    def _lies_in(self, flat) -> bool:
+        """Whether flat is one float64 buffer whose views are the tensors."""
+        arrays = [arr for _, arr in self.named_arrays()]
+        return (isinstance(flat, np.ndarray) and flat.ndim == 1
+                and flat.dtype == np.float64
+                and flat.size == sum(arr.size for arr in arrays)
+                and all(arr.__array_interface__ == view.__array_interface__
+                        for arr, view in zip(arrays,
+                                             self.views(flat).values())))
 
     def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
         """Arrays shaped as named_arrays, one after another in flat."""
-        out, lo = {}, 0
-        for name, arr in self.named_arrays():
-            out[name] = flat[lo:lo + arr.size].reshape(arr.shape)
-            lo += arr.size
-        return out
+        return _views(flat, ((name, arr.shape)
+                             for name, arr in self.named_arrays()))
 
     def named_arrays(self):
         yield "embed", self.embed
@@ -144,8 +152,12 @@ class LMParameters:
         if self.class_embed is not None:
             yield "class_embed", self.class_embed
 
+    def with_flat(self, flat: np.ndarray) -> "LMParameters":
+        """Parameters of this layout and class table whose buffer is flat."""
+        return replace(self, **_fields(self.views(flat), len(self.wx)))
+
     def copy(self) -> "LMParameters":
-        return replace(self)
+        return self.with_flat(self.flat.copy())
 
     def class_index(self, label: str) -> int:
         if self.classes is None:
@@ -156,46 +168,73 @@ class LMParameters:
             raise UnknownClassError(f"unknown class label {label!r}") from None
 
 
+def _views(flat: np.ndarray, shapes) -> dict[str, np.ndarray]:
+    """Arrays of the (name, shape) pairs given, one after another in flat."""
+    out, lo = {}, 0
+    for name, shape in shapes:
+        size = math.prod(shape)
+        out[name] = flat[lo:lo + size].reshape(shape)
+        lo += size
+    return out
+
+
+def _fields(views: dict[str, np.ndarray], layers: int) -> dict:
+    """LMParameters' tensor fields from views named as in named_arrays."""
+    fields = {stack: [views[f"{stack}{l}"] for l in range(layers)]
+              for stack in ("wx", "wh", "b")}
+    for name in ("embed", "w_out", "b_out", "w_v", "b_v", "class_embed"):
+        fields[name] = views.get(name)
+    return fields
+
+
 def init_params(cfg: LMConfig, n_phones: int,
                 classes: tuple[str, ...] | None = None,
                 rng: np.random.Generator | None = None) -> LMParameters:
-    """Initialize parameters uniform in +-1/sqrt(fan-in), forget bias +1."""
+    """Initialize parameters uniform in +-1/sqrt(fan-in), forget bias +1.
+
+    The tensors are laid out in one zeroed buffer first and each is drawn
+    in place, in the order wx0, wh0, ..., w_v, class_embed, embed, w_out.
+    """
     if rng is None:
         rng = np.random.default_rng(0)
     h, e = cfg.hidden_size, cfg.phone_embed_size
-
-    def uniform(shape, fan_in):
-        bound = 1.0 / np.sqrt(fan_in)
-        return rng.uniform(-bound, bound, size=shape)
-
-    wx, wh, b = [], [], []
+    shapes = {"embed": (n_phones, e)}
     for l in range(cfg.layers):
-        in_dim = e if l == 0 else h
-        wx.append(uniform((4 * h, in_dim), in_dim))
-        wh.append(uniform((4 * h, h), h))
-        bias = np.zeros(4 * h)
-        bias[h:2 * h] = 1.0
-        b.append(bias)
-
-    w_v = b_v = class_embed = None
+        shapes[f"wx{l}"] = (4 * h, e if l == 0 else h)
+        shapes[f"wh{l}"] = (4 * h, h)
+        shapes[f"b{l}"] = (4 * h,)
+    shapes["w_out"], shapes["b_out"] = (n_phones, h), (n_phones,)
     if cfg.uses_meaning:
         out = cfg.half_size() if cfg.uses_class else h
-        w_v = uniform((out, cfg.pca_d), cfg.pca_d)
-        b_v = np.zeros(out)
+        shapes["w_v"], shapes["b_v"] = (out, cfg.pca_d), (out,)
     if cfg.uses_class:
         if classes is None or not classes:
             raise UnknownClassError("class conditioning needs class labels")
         out = cfg.half_size() if cfg.uses_meaning else h
-        class_embed = uniform((len(classes), out), out)
+        shapes["class_embed"] = (len(classes), out)
+    views = _views(np.zeros(sum(math.prod(s) for s in shapes.values())),
+                   shapes.items())
 
+    def uniform(name):
+        # rng.uniform(-bound, bound, shape), computed as it computes it:
+        # low + (high - low) * u. Every drawn tensor's fan-in is its
+        # second axis.
+        view = views[name]
+        bound = 1.0 / np.sqrt(view.shape[1])
+        rng.random(out=view)
+        view *= bound - (-bound)
+        view += -bound
+
+    for l in range(cfg.layers):
+        uniform(f"wx{l}")
+        uniform(f"wh{l}")
+        views[f"b{l}"][h:2 * h] = 1.0
+    for name in ("w_v", "class_embed", "embed", "w_out"):
+        if name in views:
+            uniform(name)
     return LMParameters(
-        embed=uniform((n_phones, e), e),
-        wx=wx, wh=wh, b=b,
-        w_out=uniform((n_phones, h), h),
-        b_out=np.zeros(n_phones),
-        w_v=w_v, b_v=b_v, class_embed=class_embed,
-        classes=tuple(classes) if classes is not None else None,
-    )
+        **_fields(views, cfg.layers),
+        classes=tuple(classes) if classes is not None else None)
 
 
 def _h0_batch(cfg: LMConfig, params: LMParameters,
@@ -380,7 +419,8 @@ def _lstm_forward(params: LMParameters, cfg: LMConfig, inputs: np.ndarray,
 def _lstm_backward(params: LMParameters, cfg: LMConfig, pk: _Packing,
                    cache: dict, dtop: np.ndarray, grads: dict,
                    bsz: int) -> None:
-    """Accumulate LSTM, embedding and conditioning gradients into grads.
+    """Write the LSTM weight gradients into grads; add the embedding and
+    conditioning ones to theirs, which the caller has zeroed.
 
     dtop, the gradient of the packed top-layer outputs, is overwritten, and
     so is each layer's cache of gate activations: step by step, the
@@ -417,9 +457,9 @@ def _lstm_backward(params: LMParameters, cfg: LMConfig, pk: _Packing,
             g_t[...] = dc * i_t * (1.0 - g_t ** 2)
             i_t[...] = di
             dh_rec = a @ wh
-        grads[f"wx{l}"] += acts.T @ lc["x"]
-        grads[f"wh{l}"] += acts[n0:].T @ lc["h"][pk.prev]
-        grads[f"b{l}"] += acts.sum(axis=0)
+        np.matmul(acts.T, lc["x"], out=grads[f"wx{l}"])
+        np.matmul(acts[n0:].T, lc["h"][pk.prev], out=grads[f"wh{l}"])
+        np.sum(acts, axis=0, out=grads[f"b{l}"])
         if l == 0:
             grads["wh0"] += acts[:n0].T @ cache["h0"]
             dh0_cond = dh_rec + dc_rec
@@ -473,16 +513,19 @@ def loss_and_grads(params: LMParameters, cfg: LMConfig, inputs: np.ndarray,
     Each row is computed up to its last nonzero mask cell; cells after it
     are padding and never computed. Returns (total_bits, total_tokens,
     grads) where grads maps parameter names (as in named_arrays) to views
-    (params.views) into one flat gradient buffer: out, which is zeroed
-    first, when given (a training fit reuses one), else a new one.
+    (params.views) into one flat gradient buffer: out when given (a
+    training fit reuses one), else a new one. Every element of out is
+    overwritten, so what it held before does not matter.
     """
     # A new buffer is allocated before the forward cache, so the cache's
     # blocks, freed on return, do not leave holes below it.
     if out is None:
-        out = np.zeros(params.flat.size)
-    else:
-        out.fill(0.0)
+        out = np.empty(params.flat.size)
     grads = params.views(out)
+    # The weight gradients are written whole; these are accumulated.
+    for name in ("embed", "class_embed", "w_v", "b_v"):
+        if name in grads:
+            grads[name].fill(0.0)
     mask = np.asarray(mask, dtype=np.float64)
     pk = _pack(_mask_lengths(mask), inputs.shape[1])
     top, cache = _lstm_forward(params, cfg, inputs, pk, v, cidx, drop_rng)
@@ -496,8 +539,8 @@ def loss_and_grads(params: LMParameters, cfg: LMConfig, inputs: np.ndarray,
     dlogits[rows] -= 1.0
     dlogits *= (weight / LN2)[:, None]
 
-    grads["w_out"] += dlogits.T @ top
-    grads["b_out"] += dlogits.sum(axis=0)
+    np.matmul(dlogits.T, top, out=grads["w_out"])
+    np.sum(dlogits, axis=0, out=grads["b_out"])
     _lstm_backward(params, cfg, pk, cache, dlogits @ params.w_out, grads,
                    inputs.shape[0])
     return total_bits, total_tokens, grads

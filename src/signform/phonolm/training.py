@@ -10,7 +10,9 @@ A fit encodes and pads its lexicon once; each batch and each epoch's
 validation scoring gathers rows of those matrices. Parameters, gradients
 and Adam's moments are flat buffers, so a step's scaling, clipping and
 update are a few whole-buffer calls, with no per-step allocation the size
-of the parameters.
+of the parameters. The best epoch's parameters are copied lazily: only when
+a later epoch is about to step them, into one snapshot buffer, so a fit
+whose last epoch is its best copies nothing.
 """
 
 from __future__ import annotations
@@ -63,6 +65,9 @@ class OptSettings:
             raise ValueError("beta1 and beta2 must be in [0, 1)")
         if self.clip_norm is not None and not self.clip_norm > 0:
             raise ValueError("clip_norm must be None or > 0")
+        # Epoch 0 must count as an improvement on no epoch at all.
+        if not np.isfinite(self.min_delta):
+            raise ValueError("min_delta must be finite")
 
 
 @dataclass
@@ -167,9 +172,17 @@ def train_on_indices(lex: Lexicon, train_idx, val_idx, cfg: LMConfig,
 
     adam = _Adam(opt, params.flat.size)
     grad_buf = np.empty(params.flat.size)
-    result = TrainResult(params=params.copy())
+    result = TrainResult(params=params)
+    # live_is_best: params holds the best epoch so far, not yet snapshotted.
+    live_is_best, snapshot = False, None
     bad_epochs = 0
     for epoch in range(opt.max_epochs):
+        if live_is_best:
+            if snapshot is None:
+                snapshot = params.flat.copy()
+            else:
+                np.copyto(snapshot, params.flat)
+            live_is_best = False
         rng = derive_rng(seed, "epoch", epoch)
         order = train_idx[rng.permutation(train_idx.size)]
         epoch_bits = 0.0
@@ -205,11 +218,13 @@ def train_on_indices(lex: Lexicon, train_idx, val_idx, cfg: LMConfig,
         if val_bpp < result.best_val - opt.min_delta:
             result.best_val = val_bpp
             result.best_epoch = epoch
-            result.params = params.copy()
+            live_is_best = True
             bad_epochs = 0
         else:
             bad_epochs += 1
             if bad_epochs > opt.patience:
                 break
+    if not live_is_best:
+        result.params = params.with_flat(snapshot)
     return result
 

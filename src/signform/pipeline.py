@@ -125,12 +125,15 @@ class RunConfig:
             f.name for f in dataclasses.fields(OptSettings)}
         if unknown:
             raise ValueError(f"unknown opt keys: {sorted(unknown)}")
+        _check_ints("opt", self.opt, ("batch_size", "max_epochs", "patience"))
         OptSettings(**self.opt)
         unknown = set(self.lm) - (
             {f.name for f in dataclasses.fields(LMConfig)} - {"condition_on"})
         if unknown:
             raise ValueError(f"unknown lm keys: {sorted(unknown)} (the model "
                              "kind sets condition_on)")
+        _check_ints("lm", self.lm,
+                    ("layers", "hidden_size", "phone_embed_size", "pca_d"))
         for kind in self.model_kinds:
             make_lm_config(kind, self.lm)
         _check_phonesthemes(self.phonesthemes)
@@ -163,11 +166,27 @@ class RunConfig:
             raise FileNotFoundError(self.embeddings_path)
 
 
+def _is_int(value) -> bool:
+    # JSON true and false load as bools, which are ints to isinstance.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_ints(section: str, values: dict, names) -> None:
+    for name in names:
+        if name in values and not _is_int(values[name]):
+            raise ValueError(f"{section} {name} must be an integer, got "
+                             f"{values[name]!r}")
+
+
 def _check_phonesthemes(given: dict) -> None:
     unknown = set(given) - set(PHONESTHEME_DEFAULTS)
     if unknown:
         raise ValueError(f"unknown phonesthemes keys: {sorted(unknown)}")
     opts = {**PHONESTHEME_DEFAULTS, **given}
+    _check_ints("phonesthemes", opts, ("min_count", "n_samples"))
+    if not all(_is_int(k) for k in opts["k_range"]):
+        raise ValueError("phonesthemes k_range must hold integers, got "
+                         f"{opts['k_range']!r}")
     if not opts["k_range"] or any(k < 1 for k in opts["k_range"]):
         raise ValueError("phonesthemes k_range must be non-empty, every "
                          "k >= 1")
@@ -247,8 +266,9 @@ def fit_model(lex: Lexicon, folds, rotation: int, kind: str, lm: dict,
         meanings = np.array([s.meaning for s in lex.signs])
         pca = pca_fit(meanings[train_idx], cfg.pca_d)
         v_all = pca_transform(pca, meanings)
-    fingerprint = _fingerprint(lex, train_idx, val_idx, cfg, opt, seed,
-                               v_all)
+    # Only an archived fit needs a fingerprint; search trials have no path.
+    fingerprint = None if path is None else _fingerprint(
+        lex, train_idx, val_idx, cfg, opt, seed, v_all)
     reason = "no archive"
     if path is not None and os.path.exists(path):
         archive = load_model(path)

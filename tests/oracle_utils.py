@@ -1,6 +1,7 @@
 """Shared helpers: loss tables built from the exact synthetic oracle, the
 per-word pointwise MI that the vectorised table is checked against, the
-padded per-step LSTM that the packed kernel is checked against, and the
+padded per-step LSTM that the packed kernel is checked against, the
+per-tensor initialiser that the in-place one is checked against, and the
 per-array training loop that the flat-buffer one is checked against."""
 
 import numpy as np
@@ -8,11 +9,11 @@ from scipy.special import expit
 
 from signform.errors import SignSetMismatchError
 from signform.phonolm import (
+    LMParameters,
     LossTable,
     TrainResult,
     encode_signs,
     evaluate,
-    init_params,
     log_softmax2,
     loss_and_grads,
     pack_batch,
@@ -125,6 +126,45 @@ def _reference_forward(params, cfg, inputs, v=None, cidx=None,
     return logits, cache
 
 
+def reference_init(cfg, n_phones, classes=None, rng=None):
+    """init_params as one rng.uniform array per tensor, concatenated, for
+    valid inputs."""
+    if rng is None:
+        rng = np.random.default_rng(0)
+    h, e = cfg.hidden_size, cfg.phone_embed_size
+
+    def uniform(shape, fan_in):
+        bound = 1.0 / np.sqrt(fan_in)
+        return rng.uniform(-bound, bound, size=shape)
+
+    wx, wh, b = [], [], []
+    for l in range(cfg.layers):
+        in_dim = e if l == 0 else h
+        wx.append(uniform((4 * h, in_dim), in_dim))
+        wh.append(uniform((4 * h, h), h))
+        bias = np.zeros(4 * h)
+        bias[h:2 * h] = 1.0
+        b.append(bias)
+
+    w_v = b_v = class_embed = None
+    if cfg.uses_meaning:
+        out = cfg.half_size() if cfg.uses_class else h
+        w_v = uniform((out, cfg.pca_d), cfg.pca_d)
+        b_v = np.zeros(out)
+    if cfg.uses_class:
+        out = cfg.half_size() if cfg.uses_meaning else h
+        class_embed = uniform((len(classes), out), out)
+
+    return LMParameters(
+        embed=uniform((n_phones, e), e),
+        wx=wx, wh=wh, b=b,
+        w_out=uniform((n_phones, h), h),
+        b_out=np.zeros(n_phones),
+        w_v=w_v, b_v=b_v, class_embed=class_embed,
+        classes=tuple(classes) if classes is not None else None,
+    )
+
+
 def reference_loss_and_grads(params, cfg, inputs, targets, mask, v=None,
                              cidx=None, drop_rng=None):
     """(total_bits, total_tokens, grads) from the padded per-step loop."""
@@ -235,9 +275,9 @@ def reference_train(lex, train_idx, val_idx, cfg, opt, seed, v=None):
     val_idx = np.asarray(val_idx, dtype=np.int64)
     inventory = lex.inventory
     encoded = encode_signs(lex.signs, inventory)
-    params = init_params(cfg, len(inventory),
-                         classes=lex.classes if cfg.uses_class else None,
-                         rng=derive_rng(seed, "init"))
+    params = reference_init(cfg, len(inventory),
+                            classes=lex.classes if cfg.uses_class else None,
+                            rng=derive_rng(seed, "init"))
     cidx_all = None
     if cfg.uses_class:
         cidx_all = np.array([params.class_index(s.pos) for s in lex.signs],

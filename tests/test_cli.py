@@ -210,6 +210,7 @@ class TestBatchCommand:
         record = batch_rejected_before_training(tmp_path, capsys,
                                                 [good, bad])
         assert record["error"] == "ValueError"
+        assert record["message"].startswith("beta: ")
 
     @pytest.mark.parametrize("section,value", [
         ("lm", {"hiden_size": 64}),
@@ -224,6 +225,17 @@ class TestBatchCommand:
         record = batch_rejected_before_training(tmp_path, capsys,
                                                 [good, bad])
         assert record["error"] == "ValueError"
+        assert record["message"].startswith("beta: ")
+
+    def test_unnamed_language_rejected_by_index(self, corpus, tmp_path,
+                                                capsys):
+        good = write_config(tmp_path / "unused.json", corpus,
+                            language="alpha")
+        unnamed = {k: v for k, v in good.items() if k != "language"}
+        record = batch_rejected_before_training(tmp_path, capsys,
+                                                [good, unnamed])
+        assert record["error"] == "TypeError"
+        assert record["message"].startswith("languages[1]: ")
 
     @pytest.mark.parametrize("flag,env", [("0", None), ("-1", None),
                                           (None, "0")])

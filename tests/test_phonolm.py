@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from oracle_utils import (
+    reference_init,
     reference_loss_and_grads,
     reference_pack,
     reference_train,
@@ -196,6 +199,30 @@ class TestPackedKernel:
             cfg, BATCH_SHAPES[shape])
         assert_matches_reference(params, cfg, inputs, targets, mask, v, cidx,
                                  seed=5 if dropout else None)
+
+    @pytest.mark.parametrize("layers,cond,dropout", KERNEL_CASES)
+    @pytest.mark.parametrize("shape", BATCH_SHAPES)
+    def test_out_is_overwritten(self, shape, layers, cond, dropout):
+        """A gradient buffer full of NaN gives the bytes a new one gives,
+        and no gradient is -0.0, the one value where writing a gradient
+        differs from adding it to a zeroed buffer."""
+        cfg = LMConfig(layers=layers, hidden_size=6, phone_embed_size=4,
+                       pca_d=3, condition_on=cond, dropout=dropout)
+        params, inputs, targets, mask, v, cidx = self.ragged_batch(
+            cfg, BATCH_SHAPES[shape])
+
+        def grads(out):
+            drop_rng = np.random.default_rng(5) if dropout else None
+            return loss_and_grads(params, cfg, inputs, targets, mask, v=v,
+                                  cidx=cidx, drop_rng=drop_rng, out=out)[2]
+
+        fresh = grads(None)
+        buf = np.full(params.flat.size, np.nan)
+        got = grads(buf)
+        assert not np.isnan(buf).any()
+        assert not np.any((buf == 0.0) & np.signbit(buf))
+        for name, g in got.items():
+            assert g.tobytes() == fresh[name].tobytes(), name
 
     def test_mask_sets_each_rows_length(self):
         cfg = LMConfig(layers=2, hidden_size=6, phone_embed_size=4, pca_d=3,
@@ -588,6 +615,13 @@ ORACLE_CASES = {
 }
 
 
+# Cases whose best epoch comes before the last epoch run (both at epoch 2
+# or later), so the fit snapshots the best parameters, refills the
+# snapshot and returns it. In the others the last epoch is the best, and
+# the fit returns its live parameters without copying them.
+SNAPSHOT_CASES = {"two_layers_meaning_and_class_dropout", "no_clip"}
+
+
 class TestTrainingOracle:
     """The flat-buffer loop gives what the per-array loop gave, bit for bit."""
 
@@ -606,6 +640,11 @@ class TestTrainingOracle:
         assert got.val_curve == ref.val_curve
         assert (got.best_epoch, got.best_val) == (ref.best_epoch,
                                                    ref.best_val)
+        last = len(got.val_curve) - 1
+        if case in SNAPSHOT_CASES:
+            assert 2 <= got.best_epoch < last
+        else:
+            assert got.best_epoch == last
         for (name, x), (ref_name, y) in zip(got.params.named_arrays(),
                                             ref.params.named_arrays()):
             assert name == ref_name
@@ -629,6 +668,38 @@ class TestFlatBuffers:
         copy.flat[:] = 0.0
         assert params.flat[1] == 1.0 and copy.w_out.sum() == 0.0
 
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("cond", CONDITION_MODES)
+    def test_init_matches_per_tensor_draws(self, layers, cond):
+        cfg = LMConfig(layers=layers, hidden_size=6, phone_embed_size=4,
+                       pca_d=3, condition_on=cond)
+        classes = ("N", "V", "A") if cfg.uses_class else None
+        rng, ref_rng = np.random.default_rng(20), np.random.default_rng(20)
+        params = init_params(cfg, 7, classes=classes, rng=rng)
+        ref = reference_init(cfg, 7, classes=classes, rng=ref_rng)
+        assert params.flat.tobytes() == ref.flat.tobytes()
+        assert [(n, a.shape) for n, a in params.named_arrays()] == [
+            (n, a.shape) for n, a in ref.named_arrays()]
+        assert params.classes == ref.classes
+        assert rng.random() == ref_rng.random()
+
+    def test_adopts_only_a_buffer_laid_out_in_order(self):
+        cfg = LMConfig(layers=2, hidden_size=8, phone_embed_size=4, pca_d=3,
+                       condition_on="meaning_and_class")
+        params = init_params(cfg, 6, classes=("N", "V"),
+                             rng=np.random.default_rng(21))
+        buf = params.flat.copy()
+        adopted = params.with_flat(buf)
+        assert adopted.flat is buf
+        assert all(np.shares_memory(arr, buf)
+                   for _, arr in adopted.named_arrays())
+        # One tensor held elsewhere: every tensor is copied to a new buffer.
+        moved = dataclasses.replace(adopted, w_out=adopted.w_out.copy())
+        assert not np.shares_memory(moved.flat, buf)
+        assert moved.flat.tobytes() == buf.tobytes()
+        swapped = dataclasses.replace(adopted, wx=adopted.wx[::-1])
+        assert not np.shares_memory(swapped.flat, buf)
+
     def test_gradients_land_in_the_given_buffer(self):
         cfg = LMConfig(hidden_size=8, phone_embed_size=4)
         params = init_params(cfg, 6, rng=np.random.default_rng(17))
@@ -642,6 +713,27 @@ class TestFlatBuffers:
         for name, g in grads.items():
             assert np.shares_memory(g, buf)
             assert g.tobytes() == fresh[name].tobytes(), name
+
+    def test_fit_holds_one_copy_of_the_parameters(self):
+        """A fit holds four parameter-sized buffers (parameters, gradient and
+        Adam's two moments) plus one batch's activations and backward
+        temporaries, about 1.3 buffers here. A fit that also kept an initial
+        and a best-epoch copy peaked at 6.4 buffers."""
+        import tracemalloc
+
+        lex = small_corpus_lexicon(n=64, seed=0)
+        cfg = LMConfig(layers=2, hidden_size=256, phone_embed_size=16)
+        opt = OptSettings(max_epochs=1, batch_size=64)
+        nbytes = init_params(cfg, len(lex.inventory)).flat.nbytes
+        tracemalloc.start()
+        try:
+            res = train_on_indices(lex, np.arange(48), np.arange(48, 64),
+                                   cfg, opt, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.params.flat.nbytes == nbytes
+        assert peak < 5.5 * nbytes
 
 
 def reference_adam_steps(opt, p, g_steps):
@@ -692,7 +784,8 @@ class TestOptSettings:
         {"batch_size": 0}, {"max_epochs": 0}, {"patience": -1},
         {"lr": 0.0}, {"lr": -1e-3}, {"eps": 0.0}, {"beta1": 1.0},
         {"beta1": -0.1}, {"beta2": 1.0}, {"clip_norm": 0.0},
-        {"clip_norm": -5.0}])
+        {"clip_norm": -5.0}, {"min_delta": float("inf")},
+        {"min_delta": float("nan")}])
     def test_rejects_out_of_range(self, bad):
         with pytest.raises(ValueError):
             OptSettings(**bad)

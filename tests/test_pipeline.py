@@ -121,6 +121,25 @@ class TestRunConfig:
         with pytest.raises(ValueError, match=match):
             RunConfig(language="xx", phonesthemes=phonesthemes)
 
+    @pytest.mark.parametrize("section,values,match", [
+        ("lm", {"hidden_size": 64.5}, "lm hidden_size"),
+        ("lm", {"layers": 2.0}, "lm layers"),
+        ("lm", {"phone_embed_size": "16"}, "lm phone_embed_size"),
+        ("lm", {"pca_d": True}, "lm pca_d"),
+        ("opt", {"batch_size": 8.5}, "opt batch_size"),
+        ("opt", {"max_epochs": 10.0}, "opt max_epochs"),
+        ("opt", {"patience": False}, "opt patience"),
+        ("phonesthemes", {"k_range": [1.5]}, "k_range"),
+        ("phonesthemes", {"k_range": [1, True]}, "k_range"),
+        ("phonesthemes", {"min_count": 2.5}, "phonesthemes min_count"),
+        ("phonesthemes", {"n_samples": 1e5}, "phonesthemes n_samples")])
+    def test_non_integer_counts_rejected_at_load(self, section, values,
+                                                 match):
+        with pytest.raises(ValueError, match=match):
+            RunConfig(language="xx", **{section: values})
+        with pytest.raises(ValueError, match=match):
+            RunConfig.from_dict({"language": "xx", section: values})
+
     def test_phonesthemes_stored_as_given(self):
         cfg = RunConfig(language="xx", phonesthemes={"k_range": [2]})
         assert cfg.to_dict()["phonesthemes"] == {"k_range": [2]}
@@ -175,6 +194,25 @@ class TestFitModel:
         everyone = pca_fit(meanings, FAST_LM["pca_d"])
         assert not np.array_equal(pca.mean, everyone.mean)
         assert not np.array_equal(pca.components, everyone.components)
+
+    def test_fingerprint_only_when_archived(self, two_cluster_files,
+                                            tmp_path, monkeypatch):
+        import signform.pipeline as pipeline
+
+        _, files = two_cluster_files
+        lex = resolve_lexicon(fast_config(str(tmp_path), files))
+        folds = split_folds(lex, 5, seed_for(3, "folds"))
+        calls = []
+        real = pipeline._fingerprint
+        monkeypatch.setattr(pipeline, "_fingerprint",
+                            lambda *a: calls.append(a) or real(*a))
+        opt = OptSettings(max_epochs=1)
+        fit_model(lex, folds, 0, "meaning", FAST_LM, opt, seed=0)
+        assert calls == []
+        path = str(tmp_path / "meaning.archive")
+        fit_model(lex, folds, 0, "meaning", FAST_LM, opt, seed=0, path=path)
+        assert len(calls) == 1
+        assert load_model(path).extra["fingerprint"] == real(*calls[0])
 
 
 class TestSynth:
