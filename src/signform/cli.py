@@ -15,6 +15,7 @@ import sys
 
 from .pipeline import (
     RunConfig,
+    _check_ints,
     load_config,
     run_batch,
     run_estimate,
@@ -101,7 +102,8 @@ def cmd_batch(args) -> int:
         out_dir = overrides.pop("out_dir") or doc.get("out_dir") or "."
         threads = overrides.pop("threads")
         if threads is None:
-            threads = int(doc.get("threads", 1))
+            _check_ints("batch", doc, ("threads",))
+            threads = doc.get("threads", 1)
         configs = []
         for i, entry in enumerate(doc["languages"]):
             entry = dict(entry)

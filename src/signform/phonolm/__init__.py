@@ -12,12 +12,13 @@ from .model import (
     log_softmax2,
     loss_and_grads,
     pack_batch,
+    param_shapes,
 )
 from .training import OptSettings, TrainResult, train_on_indices
 
 __all__ = [
     "LMConfig", "LMParameters", "LossTable", "encode_signs", "evaluate",
     "forward", "init_params", "log_softmax2", "loss_and_grads", "pack_batch",
-    "ModelArchive", "load_model", "save_model",
+    "param_shapes", "ModelArchive", "load_model", "save_model",
     "OptSettings", "TrainResult", "train_on_indices",
 ]

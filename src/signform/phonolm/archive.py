@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ArchiveFormatError
+from ..errors import ArchiveFormatError, UnknownClassError
 from ..lexicon import Phone, PhoneInventory
 from ..semspace import PCAModel
-from .model import LMConfig, LMParameters
+from .model import LMConfig, LMParameters, param_shapes
 
 FORMAT_TAG = "signform-model"
 FORMAT_VERSION = 1
@@ -79,13 +79,7 @@ def load_model(path) -> ModelArchive:
             inventory = PhoneInventory(
                 phones=tuple(Phone(p) for p in meta["phones"]),
                 eos_index=int(meta["eos_index"]))
-            tensors = {}
-            for name in meta["param_names"]:
-                key = f"param.{name}"
-                if key not in data:
-                    raise ArchiveFormatError(f"{path}: missing tensor {name}")
-                tensors[name] = data[key]
-            params = _assemble_params(cfg, tensors, meta["classes"])
+            params = _load_params(path, data, meta, cfg, len(inventory))
             pca = None
             if meta.get("has_pca"):
                 pca = PCAModel(mean=data["pca.mean"],
@@ -93,7 +87,7 @@ def load_model(path) -> ModelArchive:
                                explained_variance=data["pca.explained_variance"])
             return ModelArchive(cfg=cfg, inventory=inventory, params=params,
                                 pca=pca, extra=meta.get("extra") or {})
-    except (OSError, EOFError, ValueError, KeyError,
+    except (OSError, EOFError, ValueError, KeyError, UnknownClassError,
             zipfile.BadZipFile) as exc:
         raise ArchiveFormatError(f"{path}: unreadable archive: {exc}") from exc
 
@@ -109,20 +103,26 @@ def _config_from_meta(path, config: dict) -> LMConfig:
     return LMConfig.from_dict(config)
 
 
-def _assemble_params(cfg: LMConfig, tensors: dict,
-                     classes) -> LMParameters:
-    try:
-        return LMParameters(
-            embed=tensors["embed"],
-            wx=[tensors[f"wx{l}"] for l in range(cfg.layers)],
-            wh=[tensors[f"wh{l}"] for l in range(cfg.layers)],
-            b=[tensors[f"b{l}"] for l in range(cfg.layers)],
-            w_out=tensors["w_out"],
-            b_out=tensors["b_out"],
-            w_v=tensors.get("w_v"),
-            b_v=tensors.get("b_v"),
-            class_embed=tensors.get("class_embed"),
-            classes=tuple(classes) if classes else None,
-        )
-    except KeyError as exc:
-        raise ArchiveFormatError(f"incomplete parameter set: {exc}") from exc
+def _load_params(path, data, meta: dict, cfg: LMConfig,
+                 n_phones: int) -> LMParameters:
+    """The stored tensors, each checked against the config's layout and
+    copied into its view of a new buffer."""
+    classes = tuple(meta["classes"]) if meta["classes"] else None
+    params = LMParameters.zeros(
+        param_shapes(cfg, n_phones, len(classes or ())), classes)
+    names = list(params.shapes)
+    if meta["param_names"] != names:
+        raise ArchiveFormatError(
+            f"{path}: tensors {meta['param_names']} differ from the "
+            f"config's layout {names}")
+    for name, view in params.named_arrays():
+        key = f"param.{name}"
+        if key not in data:
+            raise ArchiveFormatError(f"{path}: missing tensor {name}")
+        tensor = data[key]
+        if tensor.shape != view.shape:
+            raise ArchiveFormatError(
+                f"{path}: tensor {name} has shape {tensor.shape}, the "
+                f"config's layout {view.shape}")
+        view[...] = tensor
+    return params

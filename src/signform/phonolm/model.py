@@ -15,11 +15,12 @@ only the recurrent GEMM over its active rows; the four gates go through one
 tanh; the backward pass builds each weight gradient from one GEMM over all
 cells.
 
-The parameter tensors are views into one flat float64 buffer, and so are the
-gradients loss_and_grads returns, so the optimizer can update them with a
-few whole-buffer calls. Signs are padded once into (inputs, targets,
-lengths) matrices (_pad); a batch is a row gather and a cut to its longest
-row (_take), the same for training and evaluation.
+The parameter tensors are views into one flat float64 buffer, laid out by
+param_shapes alone, and so are the gradients loss_and_grads returns, so the
+optimizer can update them with a few whole-buffer calls. Signs are padded
+once into (inputs, targets, lengths) matrices (_pad); a batch is a row
+gather and a cut to its longest row (_take), the same for training and
+evaluation.
 
 Everything here is deterministic given the parameter values; all sampling
 (init, dropout) flows through generators passed in by the caller.
@@ -91,70 +92,88 @@ class LMConfig:
         return cls(**d)
 
 
+def param_shapes(cfg: LMConfig, n_phones: int,
+                 n_classes: int) -> dict[str, tuple[int, ...]]:
+    """Every parameter tensor's shape by name, in the flat buffer's order.
+
+    The one statement of the layout: init_params allocates it, archives
+    are checked against it, and LMParameters cuts its buffer by it.
+    n_classes matters only to class conditioning, which needs at least one.
+    """
+    h, e = cfg.hidden_size, cfg.phone_embed_size
+    shapes = {"embed": (n_phones, e)}
+    for l in range(cfg.layers):
+        shapes[f"wx{l}"] = (4 * h, e if l == 0 else h)
+        shapes[f"wh{l}"] = (4 * h, h)
+        shapes[f"b{l}"] = (4 * h,)
+    shapes["w_out"], shapes["b_out"] = (n_phones, h), (n_phones,)
+    if cfg.uses_meaning:
+        out = cfg.half_size() if cfg.uses_class else h
+        shapes["w_v"], shapes["b_v"] = (out, cfg.pca_d), (out,)
+    if cfg.uses_class:
+        if n_classes < 1:
+            raise UnknownClassError("class conditioning needs class labels")
+        out = cfg.half_size() if cfg.uses_meaning else h
+        shapes["class_embed"] = (n_classes, out)
+    return shapes
+
+
 @dataclass(eq=False)
 class LMParameters:
     """All trainable tensors. Gate order in the fused arrays is i, f, g, o.
 
-    The tensors are consecutive views, in named_arrays order, into the one
-    float64 buffer flat. Tensors that already lie so in one buffer, as
-    init_params and with_flat lay them out, are adopted as they are; others
-    are copied into a new buffer.
+    flat is one float64 buffer laid out by shapes, as param_shapes gives
+    it; every tensor attribute is a view into it, so a write to flat is a
+    write to the tensors.
     """
 
-    embed: np.ndarray
-    wx: list[np.ndarray]
-    wh: list[np.ndarray]
-    b: list[np.ndarray]
-    w_out: np.ndarray
-    b_out: np.ndarray
-    w_v: np.ndarray | None = None
-    b_v: np.ndarray | None = None
-    class_embed: np.ndarray | None = None
+    flat: np.ndarray
+    shapes: dict[str, tuple[int, ...]]
     classes: tuple[str, ...] | None = None
-    flat: np.ndarray = field(init=False, repr=False)
+    embed: np.ndarray = field(init=False, repr=False)
+    wx: list[np.ndarray] = field(init=False, repr=False)
+    wh: list[np.ndarray] = field(init=False, repr=False)
+    b: list[np.ndarray] = field(init=False, repr=False)
+    w_out: np.ndarray = field(init=False, repr=False)
+    b_out: np.ndarray = field(init=False, repr=False)
+    w_v: np.ndarray | None = field(init=False, repr=False)
+    b_v: np.ndarray | None = field(init=False, repr=False)
+    class_embed: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
-        flat = getattr(self.embed, "base", None)
-        if not self._lies_in(flat):
-            flat = np.concatenate(
-                [np.ravel(arr) for _, arr in self.named_arrays()],
-                dtype=np.float64)
-        self.flat = flat
-        for name, value in _fields(self.views(flat), len(self.wx)).items():
-            setattr(self, name, value)
+        views = self.views(self.flat)
+        layers = range(sum(name.startswith("wx") for name in views))
+        self.wx, self.wh, self.b = ([views[f"{stack}{l}"] for l in layers]
+                                    for stack in ("wx", "wh", "b"))
+        for name in ("embed", "w_out", "b_out", "w_v", "b_v", "class_embed"):
+            setattr(self, name, views.get(name))
 
-    def _lies_in(self, flat) -> bool:
-        """Whether flat is one float64 buffer whose views are the tensors."""
-        arrays = [arr for _, arr in self.named_arrays()]
-        return (isinstance(flat, np.ndarray) and flat.ndim == 1
-                and flat.dtype == np.float64
-                and flat.size == sum(arr.size for arr in arrays)
-                and all(arr.__array_interface__ == view.__array_interface__
-                        for arr, view in zip(arrays,
-                                             self.views(flat).values())))
+    @classmethod
+    def zeros(cls, shapes: dict[str, tuple[int, ...]],
+              classes: tuple[str, ...] | None) -> "LMParameters":
+        """Parameters of this layout with every tensor zero."""
+        return cls(np.zeros(sum(math.prod(s) for s in shapes.values())),
+                   shapes, classes)
 
     def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
-        """Arrays shaped as named_arrays, one after another in flat."""
-        return _views(flat, ((name, arr.shape)
-                             for name, arr in self.named_arrays()))
+        """Arrays of shapes, one after another in flat."""
+        sizes = [math.prod(shape) for shape in self.shapes.values()]
+        if flat.shape != (sum(sizes),):
+            raise ValueError(f"buffer of shape {flat.shape} for a layout of "
+                             f"{sum(sizes)} values")
+        out, lo = {}, 0
+        for (name, shape), size in zip(self.shapes.items(), sizes):
+            out[name] = flat[lo:lo + size].reshape(shape)
+            lo += size
+        return out
 
     def named_arrays(self):
-        yield "embed", self.embed
-        for l, (wx, wh, b) in enumerate(zip(self.wx, self.wh, self.b)):
-            yield f"wx{l}", wx
-            yield f"wh{l}", wh
-            yield f"b{l}", b
-        yield "w_out", self.w_out
-        yield "b_out", self.b_out
-        if self.w_v is not None:
-            yield "w_v", self.w_v
-            yield "b_v", self.b_v
-        if self.class_embed is not None:
-            yield "class_embed", self.class_embed
+        """(name, tensor) pairs in buffer order."""
+        return self.views(self.flat).items()
 
     def with_flat(self, flat: np.ndarray) -> "LMParameters":
         """Parameters of this layout and class table whose buffer is flat."""
-        return replace(self, **_fields(self.views(flat), len(self.wx)))
+        return replace(self, flat=flat)
 
     def copy(self) -> "LMParameters":
         return self.with_flat(self.flat.copy())
@@ -168,52 +187,21 @@ class LMParameters:
             raise UnknownClassError(f"unknown class label {label!r}") from None
 
 
-def _views(flat: np.ndarray, shapes) -> dict[str, np.ndarray]:
-    """Arrays of the (name, shape) pairs given, one after another in flat."""
-    out, lo = {}, 0
-    for name, shape in shapes:
-        size = math.prod(shape)
-        out[name] = flat[lo:lo + size].reshape(shape)
-        lo += size
-    return out
-
-
-def _fields(views: dict[str, np.ndarray], layers: int) -> dict:
-    """LMParameters' tensor fields from views named as in named_arrays."""
-    fields = {stack: [views[f"{stack}{l}"] for l in range(layers)]
-              for stack in ("wx", "wh", "b")}
-    for name in ("embed", "w_out", "b_out", "w_v", "b_v", "class_embed"):
-        fields[name] = views.get(name)
-    return fields
-
-
 def init_params(cfg: LMConfig, n_phones: int,
                 classes: tuple[str, ...] | None = None,
                 rng: np.random.Generator | None = None) -> LMParameters:
     """Initialize parameters uniform in +-1/sqrt(fan-in), forget bias +1.
 
-    The tensors are laid out in one zeroed buffer first and each is drawn
-    in place, in the order wx0, wh0, ..., w_v, class_embed, embed, w_out.
+    The buffer is laid out by param_shapes, zeroed, and each tensor is
+    drawn in place, in the order wx0, wh0, ..., w_v, class_embed, embed,
+    w_out.
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    h, e = cfg.hidden_size, cfg.phone_embed_size
-    shapes = {"embed": (n_phones, e)}
-    for l in range(cfg.layers):
-        shapes[f"wx{l}"] = (4 * h, e if l == 0 else h)
-        shapes[f"wh{l}"] = (4 * h, h)
-        shapes[f"b{l}"] = (4 * h,)
-    shapes["w_out"], shapes["b_out"] = (n_phones, h), (n_phones,)
-    if cfg.uses_meaning:
-        out = cfg.half_size() if cfg.uses_class else h
-        shapes["w_v"], shapes["b_v"] = (out, cfg.pca_d), (out,)
-    if cfg.uses_class:
-        if classes is None or not classes:
-            raise UnknownClassError("class conditioning needs class labels")
-        out = cfg.half_size() if cfg.uses_meaning else h
-        shapes["class_embed"] = (len(classes), out)
-    views = _views(np.zeros(sum(math.prod(s) for s in shapes.values())),
-                   shapes.items())
+    params = LMParameters.zeros(
+        param_shapes(cfg, n_phones, len(classes or ())),
+        tuple(classes) if classes is not None else None)
+    views = dict(params.named_arrays())
 
     def uniform(name):
         # rng.uniform(-bound, bound, shape), computed as it computes it:
@@ -225,6 +213,7 @@ def init_params(cfg: LMConfig, n_phones: int,
         view *= bound - (-bound)
         view += -bound
 
+    h = cfg.hidden_size
     for l in range(cfg.layers):
         uniform(f"wx{l}")
         uniform(f"wh{l}")
@@ -232,9 +221,7 @@ def init_params(cfg: LMConfig, n_phones: int,
     for name in ("w_v", "class_embed", "embed", "w_out"):
         if name in views:
             uniform(name)
-    return LMParameters(
-        **_fields(views, cfg.layers),
-        classes=tuple(classes) if classes is not None else None)
+    return params
 
 
 def _h0_batch(cfg: LMConfig, params: LMParameters,
@@ -576,11 +563,14 @@ class LossTable:
             raise ValueError(f"{len(keys)} keys for {counts.size} rows")
         if len(set(keys)) != len(keys):
             raise SignSetMismatchError("duplicate sign in loss table")
-        # Each total is the sum of its own row's slice: np.add.reduceat
-        # over the flat bits rounds some totals differently.
-        totals = np.array([bits[lo:hi].sum() for lo, hi in
-                           zip(offsets[:-1].tolist(), offsets[1:].tolist())],
-                          dtype=np.float64)
+        # Each total must round as its own row's slice sum does. Summing
+        # the rows of one length as a (rows, n) matrix over axis 1 does;
+        # np.add.reduceat over the flat bits rounds some totals differently.
+        # (np.unique would import numpy.ma, a megabyte, on first use.)
+        totals = np.empty(counts.size)
+        for n in np.flatnonzero(np.bincount(counts)).tolist():
+            rows = np.flatnonzero(counts == n)
+            totals[rows] = bits[offsets[rows, None] + np.arange(n)].sum(axis=1)
         for name, value in (("keys", keys), ("bits", bits),
                             ("offsets", offsets), ("token_count", counts),
                             ("total_bits", totals)):

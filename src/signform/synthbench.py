@@ -273,10 +273,6 @@ class ExactEntropy:
     def conditional_bits_per_phone(self) -> float:
         return self.conditional_total_bits / self.expected_tokens
 
-    @property
-    def per_cluster_bits_per_phone(self) -> np.ndarray:
-        return self.cluster_bits / self.cluster_expected_tokens
-
     _prior: np.ndarray = field(repr=False, default=None)
 
 

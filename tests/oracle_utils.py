@@ -127,8 +127,10 @@ def _reference_forward(params, cfg, inputs, v=None, cidx=None,
 
 
 def reference_init(cfg, n_phones, classes=None, rng=None):
-    """init_params as one rng.uniform array per tensor, concatenated, for
-    valid inputs."""
+    """init_params as one rng.uniform array per tensor, drawn in the order
+    wx0, wh0, ..., w_v, class_embed, embed, w_out and concatenated in the
+    order embed, wx0, wh0, b0, ..., w_out, b_out, w_v, b_v, class_embed,
+    for valid inputs."""
     if rng is None:
         rng = np.random.default_rng(0)
     h, e = cfg.hidden_size, cfg.phone_embed_size
@@ -137,30 +139,31 @@ def reference_init(cfg, n_phones, classes=None, rng=None):
         bound = 1.0 / np.sqrt(fan_in)
         return rng.uniform(-bound, bound, size=shape)
 
-    wx, wh, b = [], [], []
+    layers = {}
     for l in range(cfg.layers):
         in_dim = e if l == 0 else h
-        wx.append(uniform((4 * h, in_dim), in_dim))
-        wh.append(uniform((4 * h, h), h))
+        layers[f"wx{l}"] = uniform((4 * h, in_dim), in_dim)
+        layers[f"wh{l}"] = uniform((4 * h, h), h)
         bias = np.zeros(4 * h)
         bias[h:2 * h] = 1.0
-        b.append(bias)
+        layers[f"b{l}"] = bias
 
-    w_v = b_v = class_embed = None
+    cond = {}
     if cfg.uses_meaning:
         out = cfg.half_size() if cfg.uses_class else h
-        w_v = uniform((out, cfg.pca_d), cfg.pca_d)
-        b_v = np.zeros(out)
+        cond["w_v"] = uniform((out, cfg.pca_d), cfg.pca_d)
+        cond["b_v"] = np.zeros(out)
     if cfg.uses_class:
         out = cfg.half_size() if cfg.uses_meaning else h
-        class_embed = uniform((len(classes), out), out)
+        cond["class_embed"] = uniform((len(classes), out), out)
 
+    embed = uniform((n_phones, e), e)
+    tensors = {"embed": embed, **layers,
+               "w_out": uniform((n_phones, h), h),
+               "b_out": np.zeros(n_phones), **cond}
     return LMParameters(
-        embed=uniform((n_phones, e), e),
-        wx=wx, wh=wh, b=b,
-        w_out=uniform((n_phones, h), h),
-        b_out=np.zeros(n_phones),
-        w_v=w_v, b_v=b_v, class_embed=class_embed,
+        np.concatenate([arr.ravel() for arr in tensors.values()]),
+        {name: arr.shape for name, arr in tensors.items()},
         classes=tuple(classes) if classes is not None else None,
     )
 

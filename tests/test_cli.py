@@ -252,6 +252,17 @@ class TestBatchCommand:
         assert record["error"] == "ValueError"
         assert "threads" in record["message"]
 
+    @pytest.mark.parametrize("threads", [2.5, True, "2"])
+    def test_document_threads_must_be_an_integer(self, corpus, tmp_path,
+                                                 capsys, threads):
+        lang = write_config(tmp_path / "unused.json", corpus,
+                            language="alpha")
+        record = batch_rejected_before_training(tmp_path, capsys, [lang],
+                                                threads=threads)
+        assert record["error"] == "ValueError"
+        assert record["message"] == (
+            f"batch threads must be an integer, got {threads!r}")
+
     def test_all_failed_is_an_error(self, tmp_path, capsys):
         bad = {"language": "x", "lexicon_path": str(tmp_path / "no.tsv"),
                "embeddings_path": str(tmp_path / "no.vec")}

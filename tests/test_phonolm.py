@@ -1,4 +1,4 @@
-import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -34,6 +34,7 @@ from signform.phonolm import (
     log_softmax2,
     loss_and_grads,
     pack_batch,
+    param_shapes,
     save_model,
     train_on_indices,
 )
@@ -472,6 +473,17 @@ class TestLossTable:
         t = LossTable.from_rows(range(len(rows)), rows)
         assert t.total_bits.tolist() == [float(r.sum()) for r in rows]
 
+    def test_totals_match_each_rows_slice_sum_on_ragged_rows(self):
+        rng = np.random.default_rng(23)
+        counts = rng.permutation(np.repeat(np.arange(1, 301), 3))
+        offsets = np.concatenate([[0], np.cumsum(counts)])
+        bits = rng.uniform(0.0, 9.0, size=offsets[-1])
+        t = LossTable(keys=tuple(range(counts.size)), bits=bits,
+                      offsets=offsets)
+        assert t.total_bits.tolist() == [
+            float(bits[lo:hi].sum())
+            for lo, hi in zip(offsets[:-1], offsets[1:])]
+
     @pytest.mark.parametrize("offsets", [[1, 2, 4], [0, 3, 1, 4],
                                          [0, 2, 2, 4], [0, 1, 3],
                                          [0, 2, 5], []])
@@ -683,22 +695,31 @@ class TestFlatBuffers:
         assert params.classes == ref.classes
         assert rng.random() == ref_rng.random()
 
-    def test_adopts_only_a_buffer_laid_out_in_order(self):
-        cfg = LMConfig(layers=2, hidden_size=8, phone_embed_size=4, pca_d=3,
-                       condition_on="meaning_and_class")
-        params = init_params(cfg, 6, classes=("N", "V"),
-                             rng=np.random.default_rng(21))
-        buf = params.flat.copy()
-        adopted = params.with_flat(buf)
-        assert adopted.flat is buf
-        assert all(np.shares_memory(arr, buf)
-                   for _, arr in adopted.named_arrays())
-        # One tensor held elsewhere: every tensor is copied to a new buffer.
-        moved = dataclasses.replace(adopted, w_out=adopted.w_out.copy())
-        assert not np.shares_memory(moved.flat, buf)
-        assert moved.flat.tobytes() == buf.tobytes()
-        swapped = dataclasses.replace(adopted, wx=adopted.wx[::-1])
-        assert not np.shares_memory(swapped.flat, buf)
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("cond", CONDITION_MODES)
+    def test_every_layout_is_param_shapes(self, tmp_path, layers, cond):
+        cfg = LMConfig(layers=layers, hidden_size=6, phone_embed_size=4,
+                       pca_d=3, condition_on=cond)
+        classes = ("N", "V", "A") if cfg.uses_class else None
+        shapes = param_shapes(cfg, 6, len(classes or ()))
+        params = init_params(cfg, 6, classes=classes,
+                             rng=np.random.default_rng(22))
+        assert [(n, a.shape) for n, a in params.named_arrays()] == list(
+            shapes.items())
+        inventory = PhoneInventory.from_phones(Phone(p) for p in ALPHABET)
+        path = tmp_path / "model.archive"
+        save_model(path, cfg, inventory, params)
+        with np.load(path) as data:
+            meta = json.loads(bytes(data["meta"]).decode())
+        assert meta["param_names"] == list(shapes)
+        inputs, targets, mask = pack_batch(
+            [np.array([1, 2, 3]), np.array([4])], 5)
+        v = np.ones((2, 3)) if cfg.uses_meaning else None
+        cidx = np.array([0, 2]) if cfg.uses_class else None
+        _, _, grads = loss_and_grads(params, cfg, inputs, targets, mask,
+                                     v=v, cidx=cidx)
+        assert [(n, g.shape) for n, g in grads.items()] == list(
+            shapes.items())
 
     def test_gradients_land_in_the_given_buffer(self):
         cfg = LMConfig(hidden_size=8, phone_embed_size=4)
@@ -852,8 +873,11 @@ class TestArchive:
 
     def saved_with_meta(self, tmp_path, edit):
         """A plain model's archive, its header changed in place by edit."""
-        import json
+        return self.saved_with(tmp_path, lambda meta, data: edit(meta))
 
+    def saved_with(self, tmp_path, edit):
+        """A plain model's archive, its header and arrays changed in place
+        by edit(meta, data)."""
         cfg = LMConfig(hidden_size=8, phone_embed_size=4)
         params = init_params(cfg, 6, rng=np.random.default_rng(0))
         inventory = PhoneInventory.from_phones(Phone(p) for p in ALPHABET)
@@ -861,7 +885,7 @@ class TestArchive:
         save_model(path, cfg, inventory, params)
         data = dict(np.load(path, allow_pickle=False))
         meta = json.loads(bytes(data["meta"]).decode())
-        edit(meta)
+        edit(meta, data)
         data["meta"] = np.frombuffer(json.dumps(meta).encode(),
                                      dtype=np.uint8)
         with open(path, "wb") as fh:
@@ -888,4 +912,39 @@ class TestArchive:
         path, _ = self.saved_with_meta(
             tmp_path, lambda meta: meta["config"].update({key: value}))
         with pytest.raises(ArchiveFormatError, match=key):
+            load_model(path)
+
+    def test_rejects_a_tensor_of_the_wrong_shape(self, tmp_path):
+        def cut(meta, data):
+            data["param.w_out"] = data["param.w_out"][:, :5]
+            data["param.b_out"] = data["param.b_out"][:3]
+
+        path, _ = self.saved_with(tmp_path, cut)
+        with pytest.raises(ArchiveFormatError,
+                           match=r"tensor w_out has shape \(6, 5\)"):
+            load_model(path)
+
+    def test_rejects_param_names_off_the_layout(self, tmp_path):
+        def swap(meta):
+            names = meta["param_names"]
+            names[1], names[2] = names[2], names[1]
+
+        path, _ = self.saved_with_meta(tmp_path, swap)
+        with pytest.raises(ArchiveFormatError,
+                           match=r"\['embed', 'wh0', 'wx0'"):
+            load_model(path)
+
+    def test_rejects_a_tensor_the_config_does_not_have(self, tmp_path):
+        def add(meta, data):
+            meta["param_names"].append("w_v")
+            data["param.w_v"] = np.zeros((8, 3))
+
+        path, _ = self.saved_with(tmp_path, add)
+        with pytest.raises(ArchiveFormatError, match="'b_out', 'w_v'\\]"):
+            load_model(path)
+
+    def test_rejects_a_class_model_without_classes(self, tmp_path):
+        path, _ = self.saved_with_meta(
+            tmp_path, lambda meta: meta["config"].update(condition_on="class"))
+        with pytest.raises(ArchiveFormatError, match="class labels"):
             load_model(path)

@@ -361,6 +361,21 @@ class TestEstimate:
         with pytest.raises(ArchiveFormatError):
             run_estimate(cfg)
 
+    def test_tampered_archive_with_matching_fingerprint_raises(
+            self, two_cluster_files, tmp_path):
+        tmp, files = two_cluster_files
+        cfg = fast_config(str(tmp_path), files)
+        out = run_estimate(cfg)
+        path = out.files["model_uncond"]
+        with np.load(path, allow_pickle=False) as stored:
+            data = dict(stored)
+        data["param.w_out"] = data["param.w_out"][:, :5]
+        data["param.b_out"] = data["param.b_out"][:3]
+        with open(path, "wb") as fh:
+            np.savez(fh, **data)
+        with pytest.raises(ArchiveFormatError, match="tensor w_out"):
+            run_estimate(cfg)
+
     def test_seed_changes_report(self, two_cluster_files, tmp_path):
         tmp, files = two_cluster_files
         a = run_estimate(fast_config(str(tmp_path / "a"), files, seed=3))
