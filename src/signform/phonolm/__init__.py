@@ -14,11 +14,11 @@ from .model import (
     pack_batch,
     param_shapes,
 )
-from .training import OptSettings, TrainResult, train_on_indices
+from .training import DTYPE, OptSettings, TrainResult, train_on_indices
 
 __all__ = [
     "LMConfig", "LMParameters", "LossTable", "encode_signs", "evaluate",
     "forward", "init_params", "log_softmax2", "loss_and_grads", "pack_batch",
     "param_shapes", "ModelArchive", "load_model", "save_model",
-    "OptSettings", "TrainResult", "train_on_indices",
+    "DTYPE", "OptSettings", "TrainResult", "train_on_indices",
 ]

@@ -2,7 +2,9 @@
 
 The container is a zip of numpy arrays plus a JSON header stored as bytes;
 the header carries a format tag and version so stale or foreign files fail
-loudly instead of deserializing garbage.
+loudly instead of deserializing garbage. The parameter tensors keep the
+dtype they were trained in, float32 or float64, so a loaded model scores
+exactly as the fit that saved it.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ FORMAT_VERSION = 1
 # Config keys of conditioning variants the model no longer has, with the
 # one value it kept: older archives store them, and load only with it.
 _RETIRED_CONFIG = {"condition_state": "both", "condition_layers": "first"}
+_PARAM_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 
 @dataclass(frozen=True)
@@ -100,29 +103,42 @@ def _config_from_meta(path, config: dict) -> LMConfig:
             raise ArchiveFormatError(
                 f"{path}: {key}={value!r} is no longer supported "
                 f"(only {kept!r})")
-    return LMConfig.from_dict(config)
+    try:
+        return LMConfig.from_dict(config)
+    except (TypeError, ValueError) as exc:
+        raise ArchiveFormatError(f"{path}: bad config {config}: {exc}") from exc
 
 
 def _load_params(path, data, meta: dict, cfg: LMConfig,
                  n_phones: int) -> LMParameters:
     """The stored tensors, each checked against the config's layout and
-    copied into its view of a new buffer."""
+    copied into its view of a new buffer of their common dtype."""
     classes = tuple(meta["classes"]) if meta["classes"] else None
-    params = LMParameters.zeros(
-        param_shapes(cfg, n_phones, len(classes or ())), classes)
-    names = list(params.shapes)
-    if meta["param_names"] != names:
+    shapes = param_shapes(cfg, n_phones, len(classes or ()))
+    if meta["param_names"] != list(shapes):
         raise ArchiveFormatError(
             f"{path}: tensors {meta['param_names']} differ from the "
-            f"config's layout {names}")
-    for name, view in params.named_arrays():
+            f"config's layout {list(shapes)}")
+    tensors = {}
+    for name, shape in shapes.items():
         key = f"param.{name}"
         if key not in data:
             raise ArchiveFormatError(f"{path}: missing tensor {name}")
-        tensor = data[key]
-        if tensor.shape != view.shape:
+        tensor = tensors[name] = data[key]
+        if tensor.shape != shape:
             raise ArchiveFormatError(
                 f"{path}: tensor {name} has shape {tensor.shape}, the "
-                f"config's layout {view.shape}")
-        view[...] = tensor
+                f"config's layout {shape}")
+        if tensor.dtype not in _PARAM_DTYPES:
+            raise ArchiveFormatError(
+                f"{path}: tensor {name} has dtype {tensor.dtype}, not "
+                f"float32 or float64")
+        first = next(iter(tensors))
+        if tensor.dtype != tensors[first].dtype:
+            raise ArchiveFormatError(
+                f"{path}: tensor {name} has dtype {tensor.dtype}, tensor "
+                f"{first} {tensors[first].dtype}")
+    params = LMParameters.zeros(shapes, classes, tensors[first].dtype)
+    for name, view in params.named_arrays():
+        view[...] = tensors[name]
     return params

@@ -1,10 +1,10 @@
 """Phone-level LSTM language model with optional meaning/class conditioning.
 
-Pure numpy, float64 throughout. Words are scored phone by phone: the input
-at step t is the embedding of the previous phone (the end marker doubles as
-the start-of-word input), the output is a softmax over the inventory, and
-the end marker is predicted as the final token. Conditioning enters as the
-initial recurrent state of the first layer.
+Pure numpy. Words are scored phone by phone: the input at step t is the
+embedding of the previous phone (the end marker doubles as the start-of-word
+input), the output is a softmax over the inventory, and the end marker is
+predicted as the final token. Conditioning enters as the initial recurrent
+state of the first layer.
 
 The LSTM runs on a packed, time-major layout, as PyTorch's PackedSequence:
 a batch's rows are sorted by length (stable, longest first) and every
@@ -15,12 +15,16 @@ only the recurrent GEMM over its active rows; the four gates go through one
 tanh; the backward pass builds each weight gradient from one GEMM over all
 cells.
 
-The parameter tensors are views into one flat float64 buffer, laid out by
+The parameter tensors are views into one flat buffer, laid out by
 param_shapes alone, and so are the gradients loss_and_grads returns, so the
 optimizer can update them with a few whole-buffer calls. Signs are padded
 once into (inputs, targets, lengths) matrices (_pad); a batch is a row
 gather and a cut to its longest row (_take), the same for training and
 evaluation.
+
+Every array the kernel makes takes the parameter buffer's dtype: a training
+fit runs it in float32, and init_params' float64 buffer runs the same code
+in float64. Code lengths are summed and returned in float64 either way.
 
 Everything here is deterministic given the parameter values; all sampling
 (init, dropout) flows through generators passed in by the caller.
@@ -122,9 +126,9 @@ def param_shapes(cfg: LMConfig, n_phones: int,
 class LMParameters:
     """All trainable tensors. Gate order in the fused arrays is i, f, g, o.
 
-    flat is one float64 buffer laid out by shapes, as param_shapes gives
-    it; every tensor attribute is a view into it, so a write to flat is a
-    write to the tensors.
+    flat is one float32 or float64 buffer laid out by shapes, as
+    param_shapes gives it; every tensor attribute is a view into it, so a
+    write to flat is a write to the tensors.
     """
 
     flat: np.ndarray
@@ -150,10 +154,10 @@ class LMParameters:
 
     @classmethod
     def zeros(cls, shapes: dict[str, tuple[int, ...]],
-              classes: tuple[str, ...] | None) -> "LMParameters":
+              classes: tuple[str, ...] | None, dtype) -> "LMParameters":
         """Parameters of this layout with every tensor zero."""
-        return cls(np.zeros(sum(math.prod(s) for s in shapes.values())),
-                   shapes, classes)
+        return cls(np.zeros(sum(math.prod(s) for s in shapes.values()),
+                            dtype=dtype), shapes, classes)
 
     def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
         """Arrays of shapes, one after another in flat."""
@@ -192,15 +196,15 @@ def init_params(cfg: LMConfig, n_phones: int,
                 rng: np.random.Generator | None = None) -> LMParameters:
     """Initialize parameters uniform in +-1/sqrt(fan-in), forget bias +1.
 
-    The buffer is laid out by param_shapes, zeroed, and each tensor is
-    drawn in place, in the order wx0, wh0, ..., w_v, class_embed, embed,
+    The float64 buffer is laid out by param_shapes, zeroed, and each tensor
+    is drawn in place, in the order wx0, wh0, ..., w_v, class_embed, embed,
     w_out.
     """
     if rng is None:
         rng = np.random.default_rng(0)
     params = LMParameters.zeros(
         param_shapes(cfg, n_phones, len(classes or ())),
-        tuple(classes) if classes is not None else None)
+        tuple(classes) if classes is not None else None, np.float64)
     views = dict(params.named_arrays())
 
     def uniform(name):
@@ -232,11 +236,11 @@ def _h0_batch(cfg: LMConfig, params: LMParameters,
     if cfg.condition_on == "nothing":
         if v is not None or cidx is not None:
             raise DimensionMismatchError("unconditional model got inputs")
-        return np.zeros((batch, h))
+        return np.zeros((batch, h), dtype=params.flat.dtype)
     if cfg.uses_meaning:
         if v is None:
             raise DimensionMismatchError("meaning conditioning needs vectors")
-        v = np.asarray(v, dtype=np.float64)
+        v = np.asarray(v, dtype=params.flat.dtype)
         if v.shape != (batch, cfg.pca_d):
             raise DimensionMismatchError(
                 f"meaning batch shape {v.shape} != ({batch}, {cfg.pca_d})")
@@ -278,8 +282,8 @@ def _h0_backward(cfg: LMConfig, params: LMParameters, grads: dict,
     grads["b_v"] += dh0[:, half:].sum(axis=0)
 
 
-def _dropout_mask(rng, shape, p):
-    return (rng.random(shape) >= p) / (1.0 - p)
+def _dropout_mask(rng, shape, p, dtype):
+    return np.divide(rng.random(shape) >= p, 1.0 - p, dtype=dtype)
 
 
 @dataclass(frozen=True)
@@ -339,21 +343,22 @@ def _lstm_forward(params: LMParameters, cfg: LMConfig, inputs: np.ndarray,
     bsz, t_len = inputs.shape
     h = cfg.hidden_size
     p_drop = cfg.dropout if drop_rng is not None else 0.0
+    dtype = params.flat.dtype
 
     if v is not None:
-        v = np.asarray(v, dtype=np.float64)
+        v = np.asarray(v, dtype=dtype)
     if cidx is not None:
         cidx = np.asarray(cidx, dtype=np.int64)
     n0 = int(pk.sizes[0]) if pk.sizes.size else 0
     h0 = _h0_batch(cfg, params, v, cidx, bsz)[pk.order[:n0]]
-    zeros = np.zeros((n0, h))
+    zeros = np.zeros((n0, h), dtype=dtype)
 
     tokens = inputs.ravel()[pk.cells]
     x = params.embed[tokens]
     embed_drop = None
     if p_drop > 0:
         embed_drop = pk.gather(_dropout_mask(
-            drop_rng, (bsz, t_len, x.shape[1]), p_drop))
+            drop_rng, (bsz, t_len, x.shape[1]), p_drop, dtype))
         x = x * embed_drop
     cache = {"tokens": tokens, "v": v, "cidx": cidx, "layers": [],
              "h0": h0, "embed_drop": embed_drop}
@@ -361,7 +366,7 @@ def _lstm_forward(params: LMParameters, cfg: LMConfig, inputs: np.ndarray,
     # tanh(z * scale) * scale + (1 - scale) is sigmoid(z) = 0.5 * (1 +
     # tanh(z / 2)) on the i, f, o columns and tanh(z) on g: one tanh call
     # for all four gates.
-    scale = np.full(4 * h, 0.5)
+    scale = np.full(4 * h, 0.5, dtype=dtype)
     scale[2 * h:3 * h] = 1.0
     shift = 1.0 - scale
     n_cells = pk.cells.size
@@ -372,9 +377,9 @@ def _lstm_forward(params: LMParameters, cfg: LMConfig, inputs: np.ndarray,
         wh_t = params.wh[l].T
         acts = x @ params.wx[l].T
         acts += params.b[l]
-        cs = np.empty((n_cells, h))
-        tcs = np.empty((n_cells, h))
-        hs = np.empty((n_cells, h))
+        cs = np.empty((n_cells, h), dtype=dtype)
+        tcs = np.empty((n_cells, h), dtype=dtype)
+        hs = np.empty((n_cells, h), dtype=dtype)
         h_prev, c_prev = init, init
         for lo, hi in zip(pk.offsets[:-1], pk.offsets[1:]):
             m = hi - lo
@@ -395,7 +400,7 @@ def _lstm_forward(params: LMParameters, cfg: LMConfig, inputs: np.ndarray,
         out = hs
         if p_drop > 0 and l < cfg.layers - 1:
             drop = pk.gather(
-                _dropout_mask(drop_rng, (bsz, t_len, h), p_drop))
+                _dropout_mask(drop_rng, (bsz, t_len, h), p_drop, dtype))
             layer_cache["drop"] = drop
             out = out * drop
         cache["layers"].append(layer_cache)
@@ -414,6 +419,7 @@ def _lstm_backward(params: LMParameters, cfg: LMConfig, pk: _Packing,
     backward pass writes the gates' pre-activation gradients over them.
     """
     h = cfg.hidden_size
+    dtype = params.flat.dtype
     n0 = cache["h0"].shape[0]
     dx = dtop
     for l in range(cfg.layers - 1, -1, -1):
@@ -422,7 +428,7 @@ def _lstm_backward(params: LMParameters, cfg: LMConfig, pk: _Packing,
             dx = dx * lc["drop"]
         acts, cs, tcs = lc["acts"], lc["c"], lc["tc"]
         wh = params.wh[l]
-        dh_rec = dc_rec = np.zeros((0, h))
+        dh_rec = dc_rec = np.zeros((0, h), dtype=dtype)
         for t in range(pk.sizes.size - 1, -1, -1):
             lo, hi = pk.offsets[t], pk.offsets[t + 1]
             a = acts[lo:hi]
@@ -448,7 +454,9 @@ def _lstm_backward(params: LMParameters, cfg: LMConfig, pk: _Packing,
         np.matmul(acts[n0:].T, lc["h"][pk.prev], out=grads[f"wh{l}"])
         np.sum(acts, axis=0, out=grads[f"b{l}"])
         if l == 0:
-            grads["wh0"] += acts[:n0].T @ cache["h0"]
+            # An unconditioned model's h0 is zero, and so is this term.
+            if cfg.condition_on != "nothing":
+                grads["wh0"] += acts[:n0].T @ cache["h0"]
             dh0_cond = dh_rec + dc_rec
         dx = acts @ params.wx[l]
 
@@ -456,7 +464,7 @@ def _lstm_backward(params: LMParameters, cfg: LMConfig, pk: _Packing,
         dx = dx * cache["embed_drop"]
     np.add.at(grads["embed"], cache["tokens"], dx)
 
-    dh0 = np.zeros((bsz, h))
+    dh0 = np.zeros((bsz, h), dtype=dtype)
     dh0[pk.order[:n0]] = dh0_cond
     _h0_backward(cfg, params, grads, dh0, cache["v"], cache["cidx"])
 
@@ -507,7 +515,7 @@ def loss_and_grads(params: LMParameters, cfg: LMConfig, inputs: np.ndarray,
     # A new buffer is allocated before the forward cache, so the cache's
     # blocks, freed on return, do not leave holes below it.
     if out is None:
-        out = np.empty(params.flat.size)
+        out = np.empty_like(params.flat)
     grads = params.views(out)
     # The weight gradients are written whole; these are accumulated.
     for name in ("embed", "class_embed", "w_v", "b_v"):
@@ -524,7 +532,7 @@ def loss_and_grads(params: LMParameters, cfg: LMConfig, inputs: np.ndarray,
 
     dlogits = np.exp(logp2 * LN2)
     dlogits[rows] -= 1.0
-    dlogits *= (weight / LN2)[:, None]
+    dlogits *= (weight / LN2).astype(dlogits.dtype)[:, None]
 
     np.matmul(dlogits.T, top, out=grads["w_out"])
     np.sum(dlogits, axis=0, out=grads["b_out"])
@@ -655,7 +663,7 @@ def evaluate(params: LMParameters, cfg: LMConfig, signs,
     if cfg.uses_meaning:
         if v is None or len(v) != len(signs):
             raise DimensionMismatchError("need one meaning vector per sign")
-        v = np.asarray(v, dtype=np.float64)
+        v = np.asarray(v, dtype=params.flat.dtype)
     elif v is not None:
         raise DimensionMismatchError("model does not condition on meaning")
     cidx_all = None

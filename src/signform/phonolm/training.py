@@ -7,8 +7,10 @@ derives from the run seed, so two runs with the same inputs produce
 bitwise-identical parameters.
 
 A fit encodes and pads its lexicon once; each batch and each epoch's
-validation scoring gathers rows of those matrices. Parameters, gradients
-and Adam's moments are flat buffers, so a step's scaling, clipping and
+validation scoring gathers rows of those matrices. The initial parameters
+are drawn in float64, as init_params draws them, and cast once to DTYPE,
+which the fit then trains and scores in. Parameters, gradients and Adam's
+moments are flat buffers of that dtype, so a step's scaling, clipping and
 update are a few whole-buffer calls, with no per-step allocation the size
 of the parameters. The best epoch's parameters are copied lazily: only when
 a later epoch is about to step them, into one snapshot buffer, so a fit
@@ -36,7 +38,13 @@ from .model import (
     loss_and_grads,
 )
 
-# Elements per Adam chunk: its two scratch buffers take 256 KiB each.
+# The dtype a fit trains and scores in. Micikevicius et al. 2018, "Mixed
+# precision training", train LSTM language models in float16 arithmetic over
+# float32 master weights and lose no accuracy.
+DTYPE = np.float32
+
+# Elements per Adam chunk: its two scratch buffers take 128 KiB each in
+# float32.
 _CHUNK = 1 << 15
 
 
@@ -82,18 +90,19 @@ class TrainResult:
 class _Adam:
     """Adam on one flat parameter buffer, in place, chunk by chunk.
 
-    Each chunk's temporaries go through two scratch buffers of _CHUNK
-    elements, so a step allocates nothing the size of the parameters. Per
+    The moments and the scratch take the parameters' dtype. Each chunk's
+    temporaries go through two scratch buffers of _CHUNK elements, so a
+    step allocates nothing the size of the parameters. Per
     element it computes, in this order, m = b1 m + (1 - b1) g,
     v = b2 v + ((1 - b2) g) g and p -= lr (m / bc1) / (sqrt(v / bc2) + eps).
     """
 
-    def __init__(self, opt: OptSettings, size: int):
+    def __init__(self, opt: OptSettings, size: int, dtype):
         self.opt = opt
-        self.m = np.zeros(size)
-        self.v = np.zeros(size)
+        self.m = np.zeros(size, dtype=dtype)
+        self.v = np.zeros(size, dtype=dtype)
         self.t = 0
-        self._a = np.empty(min(size, _CHUNK))
+        self._a = np.empty(min(size, _CHUNK), dtype=dtype)
         self._b = np.empty_like(self._a)
 
     def step(self, params: np.ndarray, grads: np.ndarray):
@@ -124,14 +133,15 @@ class _Adam:
 def _clip(grads: dict[str, np.ndarray], flat: np.ndarray, max_norm: float):
     """Scale flat, whose views grads are, to norm at most max_norm.
 
-    The squared norm sums one array at a time, in grads' order.
+    The squared norm sums one array at a time, in grads' order, and the
+    scale factor is rounded to flat's dtype before it multiplies.
     """
     total = 0.0
     for g in grads.values():
         total += float(np.sum(g * g))
     norm = np.sqrt(total)
     if norm > max_norm:
-        flat *= max_norm / norm
+        flat *= flat.dtype.type(max_norm / norm)
     return norm
 
 
@@ -152,7 +162,7 @@ def train_on_indices(lex: Lexicon, train_idx, val_idx, cfg: LMConfig,
     if cfg.uses_meaning:
         if v is None or len(v) != len(lex.signs):
             raise DimensionMismatchError("need one meaning vector per sign")
-        v = np.asarray(v, dtype=np.float64)
+        v = np.asarray(v, dtype=DTYPE)
     elif v is not None:
         raise DimensionMismatchError("config does not condition on meaning")
 
@@ -162,6 +172,7 @@ def train_on_indices(lex: Lexicon, train_idx, val_idx, cfg: LMConfig,
     params = init_params(cfg, len(inventory),
                          classes=lex.classes if cfg.uses_class else None,
                          rng=derive_rng(seed, "init"))
+    params = params.with_flat(params.flat.astype(DTYPE))
     if cfg.uses_class:
         cidx_all = np.array([params.class_index(s.pos) for s in lex.signs],
                             dtype=np.int64)
@@ -170,8 +181,8 @@ def train_on_indices(lex: Lexicon, train_idx, val_idx, cfg: LMConfig,
     val_v = v[val_idx] if cfg.uses_meaning else None
     val_padded = tuple(a[val_idx] for a in padded)
 
-    adam = _Adam(opt, params.flat.size)
-    grad_buf = np.empty(params.flat.size)
+    adam = _Adam(opt, params.flat.size, DTYPE)
+    grad_buf = np.empty_like(params.flat)
     result = TrainResult(params=params)
     # live_is_best: params holds the best epoch so far, not yet snapshotted.
     live_is_best, snapshot = False, None

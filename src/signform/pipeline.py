@@ -34,6 +34,7 @@ from .lexicon import (
 )
 from .phonesthemes import mine, reverse_forms
 from .phonolm import (
+    DTYPE,
     LMConfig,
     OptSettings,
     evaluate,
@@ -241,7 +242,7 @@ def _fingerprint(lex: Lexicon, train_idx, val_idx, cfg: LMConfig,
            "eos_index": lex.inventory.eos_index,
            "train": train_idx.tolist(), "val": val_idx.tolist(),
            "lm": cfg.to_dict(), "opt": dataclasses.asdict(opt),
-           "seed": seed}
+           "seed": seed, "dtype": np.dtype(DTYPE).name}
     digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode("utf-8"))
     if v is not None:
         digest.update(np.ascontiguousarray(v, dtype=np.float64).tobytes())

@@ -2,7 +2,9 @@
 per-word pointwise MI that the vectorised table is checked against, the
 padded per-step LSTM that the packed kernel is checked against, the
 per-tensor initialiser that the in-place one is checked against, and the
-per-array training loop that the flat-buffer one is checked against."""
+per-array training loop that the flat-buffer one is checked against. The
+LSTM and the training loop compute in the parameters' dtype, as the
+package's do."""
 
 import numpy as np
 from scipy.special import expit
@@ -63,7 +65,8 @@ def pointwise_affix_mi(uncond_bits, cond_bits, k):
 
 # The plain LSTM the packed kernel must match: batch-major (B, T, h) arrays,
 # one step at a time over every cell, padding included, with scipy's expit
-# for the gates and three weight-gradient GEMMs per step.
+# for the gates and three weight-gradient GEMMs per step, in the parameters'
+# dtype.
 
 def _reference_forward(params, cfg, inputs, v=None, cidx=None,
                       drop_rng=None):
@@ -71,33 +74,29 @@ def _reference_forward(params, cfg, inputs, v=None, cidx=None,
     bsz, t_len = inputs.shape
     h = cfg.hidden_size
     p_drop = cfg.dropout if drop_rng is not None else 0.0
+    dtype = params.flat.dtype
 
     if v is not None:
-        v = np.asarray(v, dtype=np.float64)
+        v = np.asarray(v, dtype=dtype)
     if cidx is not None:
         cidx = np.asarray(cidx, dtype=np.int64)
     # The conditioning vector is layer 0's initial hidden and cell state.
-    init_h = np.zeros((cfg.layers, bsz, h))
+    init_h = np.zeros((cfg.layers, bsz, h), dtype=dtype)
     init_h[0] = _h0_batch(cfg, params, v, cidx, bsz)
     init_c = init_h.copy()
 
     x = params.embed[inputs]
     embed_drop = None
     if p_drop > 0:
-        embed_drop = _dropout_mask(drop_rng, x.shape, p_drop)
+        embed_drop = _dropout_mask(drop_rng, x.shape, p_drop, dtype)
         x = x * embed_drop
     cache = {"inputs": inputs, "v": v, "cidx": cidx, "layers": [],
              "init_h": init_h, "init_c": init_c, "embed_drop": embed_drop}
 
     for l in range(cfg.layers):
         wx, wh, b = params.wx[l], params.wh[l], params.b[l]
-        i_g = np.empty((bsz, t_len, h))
-        f_g = np.empty((bsz, t_len, h))
-        g_g = np.empty((bsz, t_len, h))
-        o_g = np.empty((bsz, t_len, h))
-        cs = np.empty((bsz, t_len, h))
-        tcs = np.empty((bsz, t_len, h))
-        hs = np.empty((bsz, t_len, h))
+        i_g, f_g, g_g, o_g, cs, tcs, hs = (
+            np.empty((bsz, t_len, h), dtype=dtype) for _ in range(7))
         h_t = init_h[l]
         c_t = init_c[l]
         for t in range(t_len):
@@ -115,7 +114,7 @@ def _reference_forward(params, cfg, inputs, v=None, cidx=None,
                        "c": cs, "tc": tcs, "h": hs, "drop": None}
         out = hs
         if p_drop > 0 and l < cfg.layers - 1:
-            m = _dropout_mask(drop_rng, out.shape, p_drop)
+            m = _dropout_mask(drop_rng, out.shape, p_drop, dtype)
             layer_cache["drop"] = m
             out = out * m
         cache["layers"].append(layer_cache)
@@ -126,11 +125,11 @@ def _reference_forward(params, cfg, inputs, v=None, cidx=None,
     return logits, cache
 
 
-def reference_init(cfg, n_phones, classes=None, rng=None):
+def reference_init(cfg, n_phones, classes=None, rng=None, dtype=np.float64):
     """init_params as one rng.uniform array per tensor, drawn in the order
     wx0, wh0, ..., w_v, class_embed, embed, w_out and concatenated in the
     order embed, wx0, wh0, b0, ..., w_out, b_out, w_v, b_v, class_embed,
-    for valid inputs."""
+    for valid inputs; then cast to dtype."""
     if rng is None:
         rng = np.random.default_rng(0)
     h, e = cfg.hidden_size, cfg.phone_embed_size
@@ -162,7 +161,8 @@ def reference_init(cfg, n_phones, classes=None, rng=None):
                "w_out": uniform((n_phones, h), h),
                "b_out": np.zeros(n_phones), **cond}
     return LMParameters(
-        np.concatenate([arr.ravel() for arr in tensors.values()]),
+        np.concatenate([arr.ravel() for arr in tensors.values()]).astype(
+            dtype),
         {name: arr.shape for name, arr in tensors.items()},
         classes=tuple(classes) if classes is not None else None,
     )
@@ -181,7 +181,7 @@ def reference_loss_and_grads(params, cfg, inputs, targets, mask, v=None,
 
     dlogits = np.exp(logp2 * LN2)
     dlogits[rows] -= 1.0
-    dlogits *= mask[:, :, None] / LN2
+    dlogits *= (mask / LN2).astype(dlogits.dtype)[:, :, None]
 
     grads = {name: np.zeros_like(arr) for name, arr in params.named_arrays()}
     top = cache["top"]
@@ -196,8 +196,8 @@ def reference_loss_and_grads(params, cfg, inputs, targets, mask, v=None,
             dx = dx * lc["drop"]
         wx, wh = params.wx[l], params.wh[l]
         d_in = np.zeros_like(lc["x"])
-        dh_rec = np.zeros((bsz, h))
-        dc_rec = np.zeros((bsz, h))
+        dh_rec = np.zeros((bsz, h), dtype=params.flat.dtype)
+        dc_rec = np.zeros_like(dh_rec)
         for t in range(t_len - 1, -1, -1):
             i_t, f_t = lc["i"][:, t], lc["f"][:, t]
             g_t, o_t = lc["g"][:, t], lc["o"][:, t]
@@ -246,7 +246,7 @@ def _reference_clip(grads, max_norm):
     if norm > max_norm:
         scale = max_norm / norm
         for g in grads.values():
-            g *= scale
+            g *= g.dtype.type(scale)
 
 
 class _ReferenceAdam:
@@ -272,15 +272,16 @@ class _ReferenceAdam:
             arr -= o.lr * (m / bc1) / (np.sqrt(vv / bc2) + o.eps)
 
 
-def reference_train(lex, train_idx, val_idx, cfg, opt, seed, v=None):
-    """train_on_indices as the per-array loop, for valid inputs."""
+def reference_train(lex, train_idx, val_idx, cfg, opt, seed, dtype,
+                    v=None):
+    """train_on_indices as the per-array loop in dtype, for valid inputs."""
     train_idx = np.asarray(train_idx, dtype=np.int64)
     val_idx = np.asarray(val_idx, dtype=np.int64)
     inventory = lex.inventory
     encoded = encode_signs(lex.signs, inventory)
     params = reference_init(cfg, len(inventory),
                             classes=lex.classes if cfg.uses_class else None,
-                            rng=derive_rng(seed, "init"))
+                            rng=derive_rng(seed, "init"), dtype=dtype)
     cidx_all = None
     if cfg.uses_class:
         cidx_all = np.array([params.class_index(s.pos) for s in lex.signs],

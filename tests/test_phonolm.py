@@ -22,6 +22,7 @@ from signform.errors import (
 from signform.infotheory import entropy_estimate
 from signform.lexicon import Lexicon, Phone, PhoneInventory, Sign, split_folds
 from signform.phonolm import (
+    DTYPE,
     LMConfig,
     LMParameters,
     LossTable,
@@ -132,22 +133,26 @@ class TestGradients:
 
 
 def assert_matches_reference(params, cfg, inputs, targets, mask, v, cidx,
-                             seed=None):
-    """Packed kernel against the padded per-step reference, same dropout."""
+                             seed=None, tol=1e-10, ref_params=None):
+    """Packed kernel against the padded per-step reference, same dropout.
+
+    The reference runs on ref_params, by default params themselves; bits and
+    every gradient must agree to tol relative to the reference's largest."""
     def drop_rng():
         return None if seed is None else np.random.default_rng(seed)
 
     bits, tokens, grads = loss_and_grads(params, cfg, inputs, targets, mask,
                                          v=v, cidx=cidx, drop_rng=drop_rng())
     ref_bits, ref_tokens, ref_grads = reference_loss_and_grads(
-        params, cfg, inputs, targets, mask, v=v, cidx=cidx,
-        drop_rng=drop_rng())
+        params if ref_params is None else ref_params, cfg, inputs, targets,
+        mask, v=v, cidx=cidx, drop_rng=drop_rng())
     assert tokens == ref_tokens
-    assert abs(bits - ref_bits) <= 1e-10 * abs(ref_bits)
+    assert abs(bits - ref_bits) <= tol * abs(ref_bits)
     assert grads.keys() == ref_grads.keys()
     for name, ref in ref_grads.items():
+        assert grads[name].dtype == params.flat.dtype, name
         err = np.max(np.abs(grads[name] - ref))
-        assert err <= 1e-10 * np.max(np.abs(ref)), name
+        assert err <= tol * np.max(np.abs(ref)), name
 
 
 KERNEL_CASES = [
@@ -200,6 +205,23 @@ class TestPackedKernel:
             cfg, BATCH_SHAPES[shape])
         assert_matches_reference(params, cfg, inputs, targets, mask, v, cidx,
                                  seed=5 if dropout else None)
+
+    @pytest.mark.parametrize("layers,cond,dropout", KERNEL_CASES)
+    def test_float32_matches_padded_reference_and_float64(self, layers, cond,
+                                                          dropout):
+        """In float32 the kernel computes what the padded loop computes in
+        float32, and what both compute in float64 from the same values, to
+        a float32 tolerance."""
+        cfg = LMConfig(layers=layers, hidden_size=6, phone_embed_size=4,
+                       pca_d=3, condition_on=cond, dropout=dropout)
+        params, inputs, targets, mask, v, cidx = self.ragged_batch(cfg)
+        single = params.with_flat(params.flat.astype(np.float32))
+        same_values = single.with_flat(single.flat.astype(np.float64))
+        seed = 5 if dropout else None
+        for ref_params in (single, same_values):
+            assert_matches_reference(single, cfg, inputs, targets, mask, v,
+                                     cidx, seed=seed, tol=1e-5,
+                                     ref_params=ref_params)
 
     @pytest.mark.parametrize("layers,cond,dropout", KERNEL_CASES)
     @pytest.mark.parametrize("shape", BATCH_SHAPES)
@@ -635,7 +657,8 @@ SNAPSHOT_CASES = {"two_layers_meaning_and_class_dropout", "no_clip"}
 
 
 class TestTrainingOracle:
-    """The flat-buffer loop gives what the per-array loop gave, bit for bit."""
+    """The flat-buffer loop gives what the per-array loop gives in the
+    training dtype, bit for bit."""
 
     @pytest.mark.parametrize("case", ORACLE_CASES)
     def test_matches_per_array_loop(self, case):
@@ -647,7 +670,8 @@ class TestTrainingOracle:
         args = (lex, np.arange(45), np.arange(45, 60), cfg, opt, 21)
         kw = {"v": v if cfg.uses_meaning else None}
         got = train_on_indices(*args, **kw)
-        ref = reference_train(*args, **kw)
+        ref = reference_train(*args, dtype=DTYPE, **kw)
+        assert got.params.flat.dtype == DTYPE
         assert got.train_curve == ref.train_curve
         assert got.val_curve == ref.val_curve
         assert (got.best_epoch, got.best_val) == (ref.best_epoch,
@@ -736,16 +760,18 @@ class TestFlatBuffers:
             assert g.tobytes() == fresh[name].tobytes(), name
 
     def test_fit_holds_one_copy_of_the_parameters(self):
-        """A fit holds four parameter-sized buffers (parameters, gradient and
-        Adam's two moments) plus one batch's activations and backward
-        temporaries, about 1.3 buffers here. A fit that also kept an initial
-        and a best-epoch copy peaked at 6.4 buffers."""
+        """A fit holds four parameter-sized buffers of the training dtype
+        (parameters, gradient and Adam's two moments) plus one batch's
+        activations and backward temporaries. The float64 draw it casts
+        from is freed first. A fit that also kept an initial and a
+        best-epoch copy peaked at 6.4 buffers."""
         import tracemalloc
 
         lex = small_corpus_lexicon(n=64, seed=0)
         cfg = LMConfig(layers=2, hidden_size=256, phone_embed_size=16)
         opt = OptSettings(max_epochs=1, batch_size=64)
-        nbytes = init_params(cfg, len(lex.inventory)).flat.nbytes
+        nbytes = init_params(cfg, len(lex.inventory)).flat.size * np.dtype(
+            DTYPE).itemsize
         tracemalloc.start()
         try:
             res = train_on_indices(lex, np.arange(48), np.arange(48, 64),
@@ -753,6 +779,7 @@ class TestFlatBuffers:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert res.params.flat.dtype == DTYPE
         assert res.params.flat.nbytes == nbytes
         assert peak < 5.5 * nbytes
 
@@ -775,9 +802,9 @@ class TestAdam:
         rng = np.random.default_rng(18)
         n = 2 * _CHUNK + 123
         opt = OptSettings(lr=3e-3)
-        p = rng.normal(size=n)
-        g_steps = [rng.normal(size=n) for _ in range(3)]
-        adam = _Adam(opt, n)
+        p = rng.normal(size=n).astype(DTYPE)
+        g_steps = [rng.normal(size=n).astype(DTYPE) for _ in range(3)]
+        adam = _Adam(opt, n, DTYPE)
         got = p.copy()
         for g in g_steps:
             adam.step(got, g)
@@ -789,8 +816,8 @@ class TestAdam:
 
         n = 1_200_000
         rng = np.random.default_rng(19)
-        p, g = rng.normal(size=n), rng.normal(size=n)
-        adam = _Adam(OptSettings(), n)
+        p, g = (rng.normal(size=n).astype(DTYPE) for _ in range(2))
+        adam = _Adam(OptSettings(), n, DTYPE)
         tracemalloc.start()
         try:
             adam.step(p, g)
@@ -817,9 +844,11 @@ class TestOptSettings:
 
 
 class TestArchive:
-    def roundtrip(self, tmp_path, cfg, classes=None, with_pca=False):
+    def roundtrip(self, tmp_path, cfg, classes=None, with_pca=False,
+                  dtype=np.float64):
         params = init_params(cfg, 6, classes=classes,
                              rng=np.random.default_rng(3))
+        params = params.with_flat(params.flat.astype(dtype))
         inventory = PhoneInventory.from_phones(Phone(p) for p in ALPHABET)
         pca = None
         if with_pca:
@@ -832,6 +861,8 @@ class TestArchive:
         assert arc.cfg == cfg
         assert arc.inventory.phones == inventory.phones
         assert arc.extra == {"note": "test"}
+        assert arc.params.flat.dtype == dtype
+        assert arc.params.flat.tobytes() == params.flat.tobytes()
         for (n1, x), (n2, y) in zip(params.named_arrays(),
                                     arc.params.named_arrays()):
             assert n1 == n2
@@ -841,8 +872,28 @@ class TestArchive:
         return arc
 
     def test_roundtrip_plain(self, tmp_path):
+        """float64 tensors, as archives were written before fits trained in
+        float32, load as float64."""
         self.roundtrip(tmp_path, LMConfig(hidden_size=8, phone_embed_size=4,
                                           layers=2))
+
+    def test_roundtrip_float32(self, tmp_path):
+        self.roundtrip(tmp_path, LMConfig(hidden_size=8, phone_embed_size=4,
+                                          layers=2), dtype=np.float32)
+
+    def test_fit_scores_after_reload_as_it_did_before(self, tmp_path):
+        lex = small_corpus_lexicon(n=40, seed=6)
+        cfg = LMConfig(hidden_size=8, phone_embed_size=4, layers=2)
+        res = train_on_indices(lex, np.arange(30), np.arange(30, 40), cfg,
+                               OptSettings(max_epochs=2), seed=1)
+        path = tmp_path / "model.archive"
+        save_model(path, cfg, lex.inventory, res.params)
+        params = load_model(path).params
+        assert params.flat.dtype == res.params.flat.dtype == DTYPE
+        assert params.flat.tobytes() == res.params.flat.tobytes()
+        fresh, again = (evaluate(p, cfg, lex.signs, lex.inventory)
+                        for p in (res.params, params))
+        assert again.bits.tobytes() == fresh.bits.tobytes()
 
     def test_roundtrip_conditioned_with_pca(self, tmp_path):
         arc = self.roundtrip(
@@ -947,4 +998,27 @@ class TestArchive:
         path, _ = self.saved_with_meta(
             tmp_path, lambda meta: meta["config"].update(condition_on="class"))
         with pytest.raises(ArchiveFormatError, match="class labels"):
+            load_model(path)
+
+    @pytest.mark.parametrize("config", [
+        {"hiden_size": 8, "phone_embed_size": 4},
+        {"hidden_size": "8", "phone_embed_size": 4},
+        {"hidden_size": 8, "phone_embed_size": 4, "dropout": 1.5}])
+    def test_rejects_a_config_lmconfig_cannot_take(self, tmp_path, config):
+        path, _ = self.saved_with_meta(
+            tmp_path, lambda meta: meta.update(config=config))
+        with pytest.raises(ArchiveFormatError, match="bad config"):
+            load_model(path)
+
+    @pytest.mark.parametrize("name,dtype,match", [
+        ("wh0", np.float32, "tensor wh0 has dtype float32, tensor embed "
+                            "float64"),
+        ("embed", np.int64, "tensor embed has dtype int64, not float32"),
+        ("b_out", np.float16, "tensor b_out has dtype float16, not float32")])
+    def test_rejects_tensor_dtypes(self, tmp_path, name, dtype, match):
+        def cast(meta, data):
+            data[f"param.{name}"] = data[f"param.{name}"].astype(dtype)
+
+        path, _ = self.saved_with(tmp_path, cast)
+        with pytest.raises(ArchiveFormatError, match=match):
             load_model(path)

@@ -8,9 +8,11 @@ import shutil
 import numpy as np
 import pytest
 
+from signform import pipeline
 from signform.errors import ArchiveFormatError
 from signform.lexicon import load_embeddings, split_folds
-from signform.phonolm import LMConfig, OptSettings, load_model
+from signform.phonolm import DTYPE, LMConfig, OptSettings, load_model
+from signform.phonolm import training
 from signform.pipeline import (
     PHONESTHEME_DEFAULTS,
     RunConfig,
@@ -197,8 +199,6 @@ class TestFitModel:
 
     def test_fingerprint_only_when_archived(self, two_cluster_files,
                                             tmp_path, monkeypatch):
-        import signform.pipeline as pipeline
-
         _, files = two_cluster_files
         lex = resolve_lexicon(fast_config(str(tmp_path), files))
         folds = split_folds(lex, 5, seed_for(3, "folds"))
@@ -327,6 +327,30 @@ class TestEstimate:
         assert [r.getMessage().split()[0] for r in caplog.records] == \
             ["reused", "reused"]
         assert open(cfg.out_dir + "/report.json", "rb").read() == first
+
+    def test_float64_archives_retrain_once(self, two_cluster_files, tmp_path,
+                                           caplog, monkeypatch):
+        """Archives fit in float64, as they were before fits trained in
+        float32, are fingerprinted apart: each retrains once, in DTYPE."""
+        tmp, files = two_cluster_files
+        cfg = fast_config(str(tmp_path), files)
+        monkeypatch.setattr(training, "DTYPE", np.float64)
+        monkeypatch.setattr(pipeline, "DTYPE", np.float64)
+        out = run_estimate(cfg)
+        monkeypatch.undo()
+        paths = [out.files[f"model_{kind}"] for kind in ("uncond", "meaning")]
+        assert [load_model(p).params.flat.dtype for p in paths] == [
+            np.float64] * 2
+        caplog.set_level(logging.INFO, logger="signform.pipeline")
+        run_estimate(cfg)
+        assert [r.getMessage() for r in caplog.records] == [
+            "trained uncond: fingerprint differs",
+            "trained meaning: fingerprint differs"]
+        assert [load_model(p).params.flat.dtype for p in paths] == [DTYPE] * 2
+        caplog.clear()
+        run_estimate(cfg)
+        assert [r.getMessage().split()[0] for r in caplog.records] == \
+            ["reused", "reused"]
 
     def test_archives_reused_until_config_changes(self, two_cluster_files,
                                                   tmp_path, caplog):
