@@ -225,8 +225,8 @@ DEFAULT_COLUMNS = {"lemma": "lemma", "form": "ipa", "pos": "pos",
 
 
 def parse_lexicon(stream, language: str, columns: dict | None = None,
-                  pretokenized: bool = False, strip_marks: bool = True,
-                  meaning_dim: int = 0) -> Lexicon:
+                  pretokenized: bool = False,
+                  strip_marks: bool = True) -> Lexicon:
     """Parse a tab-separated lexicon table into a Lexicon.
 
     ``stream`` is text (a str or a file-like object) with a header row.
@@ -235,8 +235,8 @@ def parse_lexicon(stream, language: str, columns: dict | None = None,
     tokenization are logged, counted in the returned lexicon's stats, and
     skipped; later duplicates of a (lemma, form, pos) key are dropped.
 
-    Signs are created with zero meaning vectors of ``meaning_dim``; callers
-    attach real vectors with :func:`attach_meanings`.
+    Signs are created with empty meaning vectors; callers attach real
+    vectors with :func:`attach_meanings`.
     """
     colmap = dict(DEFAULT_COLUMNS)
     if columns:
@@ -270,7 +270,7 @@ def parse_lexicon(stream, language: str, columns: dict | None = None,
         sign = Sign(
             lemma=(row[colmap["lemma"]] or "").strip(),
             form=form,
-            meaning=np.zeros(meaning_dim),
+            meaning=np.zeros(0),
             pos=(row[colmap["pos"]] or "").strip(),
             concept_id=(row[colmap["concept"]] or "").strip() or None
             if has_concept else None,

@@ -7,18 +7,16 @@ from .model import (
     LossTable,
     encode_signs,
     evaluate,
-    forward,
     init_params,
     log_softmax2,
     loss_and_grads,
-    pack_batch,
     param_shapes,
 )
 from .training import DTYPE, OptSettings, TrainResult, train_on_indices
 
 __all__ = [
     "LMConfig", "LMParameters", "LossTable", "encode_signs", "evaluate",
-    "forward", "init_params", "log_softmax2", "loss_and_grads", "pack_batch",
-    "param_shapes", "ModelArchive", "load_model", "save_model",
+    "init_params", "log_softmax2", "loss_and_grads", "param_shapes",
+    "ModelArchive", "load_model", "save_model",
     "DTYPE", "OptSettings", "TrainResult", "train_on_indices",
 ]

@@ -20,7 +20,8 @@ param_shapes alone, and so are the gradients loss_and_grads returns, so the
 optimizer can update them with a few whole-buffer calls. Signs are padded
 once into (inputs, targets, lengths) matrices (_pad); a batch is a row
 gather and a cut to its longest row (_take), the same for training and
-evaluation.
+evaluation. Those per-row lengths are the only description of a batch:
+the kernel packs its cells from them.
 
 Every array the kernel makes takes the parameter buffer's dtype: a training
 fit runs it in float32, and init_params' float64 buffer runs the same code
@@ -63,6 +64,11 @@ class LMConfig:
     condition_on: str = "nothing"
 
     def __post_init__(self):
+        for name in ("layers", "hidden_size", "phone_embed_size", "pca_d"):
+            value = getattr(self, name)
+            # JSON true and false load as bools, which are ints to isinstance.
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.layers < 1 or self.hidden_size < 1 or self.phone_embed_size < 1:
             raise ValueError("layer and size fields must be >= 1")
         if self.pca_d < 1:
@@ -282,7 +288,9 @@ def _h0_backward(cfg: LMConfig, params: LMParameters, grads: dict,
     grads["b_v"] += dh0[:, half:].sum(axis=0)
 
 
-def _dropout_mask(rng, shape, p, dtype):
+def _dropout_scale(rng, shape, p, dtype):
+    """Each cell's inverted-dropout factor: 0 with probability p, else
+    1 / (1 - p)."""
     return np.divide(rng.random(shape) >= p, 1.0 - p, dtype=dtype)
 
 
@@ -324,13 +332,6 @@ def _pack(lengths: np.ndarray, t_len: int) -> _Packing:
     return _Packing(order, sizes, offsets, cells, prev)
 
 
-def _mask_lengths(mask: np.ndarray) -> np.ndarray:
-    """Per row, one past the last cell with a nonzero mask (0 if none)."""
-    live = np.asarray(mask) != 0
-    return np.where(live.any(axis=1),
-                    live.shape[1] - np.argmax(live[:, ::-1], axis=1), 0)
-
-
 def _lstm_forward(params: LMParameters, cfg: LMConfig, inputs: np.ndarray,
                   pk: _Packing, v: np.ndarray | None,
                   cidx: np.ndarray | None,
@@ -357,7 +358,7 @@ def _lstm_forward(params: LMParameters, cfg: LMConfig, inputs: np.ndarray,
     x = params.embed[tokens]
     embed_drop = None
     if p_drop > 0:
-        embed_drop = pk.gather(_dropout_mask(
+        embed_drop = pk.gather(_dropout_scale(
             drop_rng, (bsz, t_len, x.shape[1]), p_drop, dtype))
         x = x * embed_drop
     cache = {"tokens": tokens, "v": v, "cidx": cidx, "layers": [],
@@ -400,7 +401,7 @@ def _lstm_forward(params: LMParameters, cfg: LMConfig, inputs: np.ndarray,
         out = hs
         if p_drop > 0 and l < cfg.layers - 1:
             drop = pk.gather(
-                _dropout_mask(drop_rng, (bsz, t_len, h), p_drop, dtype))
+                _dropout_scale(drop_rng, (bsz, t_len, h), p_drop, dtype))
             layer_cache["drop"] = drop
             out = out * drop
         cache["layers"].append(layer_cache)
@@ -473,23 +474,6 @@ def _logits(params: LMParameters, top: np.ndarray) -> np.ndarray:
     return top @ params.w_out.T + params.b_out
 
 
-def forward(params: LMParameters, cfg: LMConfig, inputs: np.ndarray,
-            v: np.ndarray | None = None, cidx: np.ndarray | None = None,
-            drop_rng: np.random.Generator | None = None):
-    """Run the network over a batch of input token indices.
-
-    inputs is (batch, T) int64 and every row counts as full length. Returns
-    (logits (batch, T, phones), cache). Dropout is active only when drop_rng
-    is given (training mode); it is applied to the embedded inputs and to
-    each non-top layer's output, never to the initial state.
-    """
-    bsz, t_len = inputs.shape
-    pk = _pack(np.full(bsz, t_len), t_len)
-    top, cache = _lstm_forward(params, cfg, inputs, pk, v, cidx, drop_rng)
-    logits = _logits(params, top).reshape(t_len, bsz, -1).swapaxes(0, 1)
-    return logits, cache
-
-
 def log_softmax2(logits: np.ndarray) -> np.ndarray:
     """Row-wise log base-2 softmax over the last axis."""
     z = logits - logits.max(axis=-1, keepdims=True)
@@ -498,20 +482,28 @@ def log_softmax2(logits: np.ndarray) -> np.ndarray:
 
 
 def loss_and_grads(params: LMParameters, cfg: LMConfig, inputs: np.ndarray,
-                   targets: np.ndarray, mask: np.ndarray,
+                   targets: np.ndarray, lengths: np.ndarray,
                    v: np.ndarray | None = None,
                    cidx: np.ndarray | None = None,
                    drop_rng: np.random.Generator | None = None,
                    out: np.ndarray | None = None):
     """Total code length in bits of targets, plus gradients of it.
 
-    Each row is computed up to its last nonzero mask cell; cells after it
-    are padding and never computed. Returns (total_bits, total_tokens,
-    grads) where grads maps parameter names (as in named_arrays) to views
-    (params.views) into one flat gradient buffer: out when given (a
-    training fit reuses one), else a new one. Every element of out is
-    overwritten, so what it held before does not matter.
+    inputs and targets are (batch, T); row j counts its first lengths[j]
+    cells, an integer in 0..T, and the cells after them are padding and
+    never computed. Returns (total_bits, total_tokens, grads) where grads
+    maps parameter names (as in named_arrays) to views (params.views) into
+    one flat gradient buffer: out when given (a training fit reuses one),
+    else a new one. Every element of out is overwritten, so what it held
+    before does not matter.
     """
+    bsz, t_len = inputs.shape
+    lengths = np.asarray(lengths)
+    if (lengths.shape != (bsz,)
+            or not np.issubdtype(lengths.dtype, np.integer)
+            or np.any(lengths < 0) or np.any(lengths > t_len)):
+        raise ValueError(f"lengths must be {bsz} integers in 0..{t_len}, "
+                         f"got {lengths!r}")
     # A new buffer is allocated before the forward cache, so the cache's
     # blocks, freed on return, do not leave holes below it.
     if out is None:
@@ -521,18 +513,16 @@ def loss_and_grads(params: LMParameters, cfg: LMConfig, inputs: np.ndarray,
     for name in ("embed", "class_embed", "w_v", "b_v"):
         if name in grads:
             grads[name].fill(0.0)
-    mask = np.asarray(mask, dtype=np.float64)
-    pk = _pack(_mask_lengths(mask), inputs.shape[1])
+    pk = _pack(lengths, t_len)
     top, cache = _lstm_forward(params, cfg, inputs, pk, v, cidx, drop_rng)
     logp2 = log_softmax2(_logits(params, top))
     rows = np.arange(pk.cells.size), targets.ravel()[pk.cells]
-    weight = mask.ravel()[pk.cells]
-    total_bits = float(-(logp2[rows] * weight).sum())
-    total_tokens = float(mask.sum())
+    total_bits = float(-logp2[rows].astype(np.float64).sum())
+    total_tokens = float(lengths.sum())
 
     dlogits = np.exp(logp2 * LN2)
     dlogits[rows] -= 1.0
-    dlogits *= (weight / LN2).astype(dlogits.dtype)[:, None]
+    dlogits *= dlogits.dtype.type(1.0 / LN2)
 
     np.matmul(dlogits.T, top, out=grads["w_out"])
     np.sum(dlogits, axis=0, out=grads["b_out"])
@@ -631,21 +621,6 @@ def _take(padded, rows):
     lengths = lengths[rows]
     t_len = int(lengths.max(initial=0))
     return inputs[rows, :t_len], targets[rows, :t_len], lengths
-
-
-def _mask(lengths: np.ndarray, t_len: int) -> np.ndarray:
-    """(batch, t_len) float mask, 1 on each row's first lengths[j] cells."""
-    return (np.arange(t_len) < lengths[:, None]).astype(np.float64)
-
-
-def pack_batch(encoded: list[np.ndarray], eos: int):
-    """Pad encoded forms into (inputs, targets, mask) batch arrays.
-
-    Inputs are EOS + phones (the end marker doubles as start-of-word);
-    targets are phones + EOS; padding positions carry zero mask.
-    """
-    inputs, targets, lengths = _pad(encoded, eos)
-    return inputs, targets, _mask(lengths, inputs.shape[1])
 
 
 def evaluate(params: LMParameters, cfg: LMConfig, signs,

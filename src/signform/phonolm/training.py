@@ -29,7 +29,6 @@ from ..seeding import derive_rng
 from .model import (
     LMConfig,
     LMParameters,
-    _mask,
     _pad,
     _take,
     encode_signs,
@@ -201,8 +200,10 @@ def train_on_indices(lex: Lexicon, train_idx, val_idx, cfg: LMConfig,
         for bno, lo in enumerate(range(0, order.size, opt.batch_size)):
             batch = order[lo:lo + opt.batch_size]
             inputs, targets, lengths = _take(padded, batch)
+            # lengths goes positionally: perfbench's tracer counts tokens
+            # from loss_and_grads' fifth positional argument.
             bits, tokens, grads = loss_and_grads(
-                params, cfg, inputs, targets, _mask(lengths, inputs.shape[1]),
+                params, cfg, inputs, targets, lengths,
                 v=v[batch] if cfg.uses_meaning else None,
                 cidx=cidx_all[batch] if cidx_all is not None else None,
                 drop_rng=rng if cfg.dropout > 0 else None, out=grad_buf)

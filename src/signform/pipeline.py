@@ -133,10 +133,11 @@ class RunConfig:
         if unknown:
             raise ValueError(f"unknown lm keys: {sorted(unknown)} (the model "
                              "kind sets condition_on)")
-        _check_ints("lm", self.lm,
-                    ("layers", "hidden_size", "phone_embed_size", "pca_d"))
         for kind in self.model_kinds:
-            make_lm_config(kind, self.lm)
+            try:
+                make_lm_config(kind, self.lm)
+            except ValueError as exc:
+                raise ValueError(f"lm {exc}") from exc
         _check_phonesthemes(self.phonesthemes)
 
     @property
@@ -219,12 +220,10 @@ def resolve_lexicon(config: RunConfig) -> Lexicon:
 
 
 def make_lm_config(kind: str, base: dict) -> LMConfig:
-    values = dict(base)
-    values["condition_on"] = KIND_CONDITION[kind]
-    if (kind == "meaning_and_class"
-            and values.get("hidden_size", 32) % 2 != 0):
-        values["hidden_size"] = values["hidden_size"] + 1
-    return LMConfig(**values)
+    cfg = LMConfig(**{**base, "condition_on": KIND_CONDITION[kind]})
+    if kind == "meaning_and_class" and cfg.hidden_size % 2 != 0:
+        cfg = dataclasses.replace(cfg, hidden_size=cfg.hidden_size + 1)
+    return cfg
 
 
 def seed_for(config_seed: int, *tags) -> int:

@@ -116,10 +116,6 @@ def write_appendix_tsv(path, rows) -> None:
             writer.writerow(row)
 
 
-def phonestheme_string(candidate) -> str:
-    return candidate.affix_string()
-
-
 def write_phonesthemes_tsv(path, candidates) -> None:
     """Discovered-affix table: affix, carrier count, examples, p-value.
 
@@ -133,7 +129,7 @@ def write_phonesthemes_tsv(path, candidates) -> None:
             if not cand.bh_significant:
                 continue
             writer.writerow([
-                phonestheme_string(cand),
+                cand.affix_string(),
                 cand.count,
                 ", ".join(cand.example_lemmata),
                 fmt_p(cand.p_value),

@@ -41,11 +41,10 @@ from .phonolm import (
     OptSettings,
     encode_signs,
     evaluate,
-    forward,
     init_params,
-    log_softmax2,
     loss_and_grads,
 )
+from .phonolm.model import _pad
 from .pipeline import RunConfig, fit_model, run_batch, run_estimate, seed_for
 from .reports import (
     write_appendix_tsv,
@@ -141,16 +140,13 @@ def c01_gradient_check(hooks) -> tuple[bool, str]:
     cfg = LMConfig(layers=2, hidden_size=8, phone_embed_size=4, pca_d=3,
                    condition_on="nothing")
     params = init_params(cfg, len(lex.inventory), rng=rng)
-    inputs, targets, mask = _pack(lex)
+    batch = _pad(encode_signs(lex.signs, lex.inventory),
+                 lex.inventory.eos_index)
 
     def batch_loss():
-        logits, _ = forward(params, cfg, inputs)
-        logp2 = log_softmax2(logits)
-        rows = (np.arange(inputs.shape[0])[:, None],
-                np.arange(inputs.shape[1])[None, :], targets)
-        return float(-(logp2[rows] * mask).sum())
+        return loss_and_grads(params, cfg, *batch)[0]
 
-    _, _, grads = loss_and_grads(params, cfg, inputs, targets, mask)
+    _, _, grads = loss_and_grads(params, cfg, *batch)
     fault = float(hooks.get("gradient_fault", 0.0))
     if fault:
         name0 = list(params.named_arrays())[0][0]
@@ -175,12 +171,6 @@ def c01_gradient_check(hooks) -> tuple[bool, str]:
     elapsed = time.time() - start
     ok = worst <= 1e-4 and elapsed < 10.0
     return ok, f"max rel err {worst:.2e} (tol 1e-4), {elapsed:.1f}s (<10s)"
-
-
-def _pack(lex):
-    from .phonolm import pack_batch
-    encoded = encode_signs(lex.signs, lex.inventory)
-    return pack_batch(encoded, lex.inventory.eos_index)
 
 
 def c02_variational_bound(hooks) -> tuple[bool, str]:

@@ -18,9 +18,14 @@ from signform.phonolm import (
     evaluate,
     log_softmax2,
     loss_and_grads,
-    pack_batch,
 )
-from signform.phonolm.model import LN2, _dropout_mask, _h0_backward, _h0_batch
+from signform.phonolm.model import (
+    LN2,
+    _dropout_scale,
+    _h0_backward,
+    _h0_batch,
+    _pad,
+)
 from signform.seeding import derive_rng
 from signform.synthbench import oracle_word_bits
 
@@ -88,7 +93,7 @@ def _reference_forward(params, cfg, inputs, v=None, cidx=None,
     x = params.embed[inputs]
     embed_drop = None
     if p_drop > 0:
-        embed_drop = _dropout_mask(drop_rng, x.shape, p_drop, dtype)
+        embed_drop = _dropout_scale(drop_rng, x.shape, p_drop, dtype)
         x = x * embed_drop
     cache = {"inputs": inputs, "v": v, "cidx": cidx, "layers": [],
              "init_h": init_h, "init_c": init_c, "embed_drop": embed_drop}
@@ -114,7 +119,7 @@ def _reference_forward(params, cfg, inputs, v=None, cidx=None,
                        "c": cs, "tc": tcs, "h": hs, "drop": None}
         out = hs
         if p_drop > 0 and l < cfg.layers - 1:
-            m = _dropout_mask(drop_rng, out.shape, p_drop, dtype)
+            m = _dropout_scale(drop_rng, out.shape, p_drop, dtype)
             layer_cache["drop"] = m
             out = out * m
         cache["layers"].append(layer_cache)
@@ -168,13 +173,16 @@ def reference_init(cfg, n_phones, classes=None, rng=None, dtype=np.float64):
     )
 
 
-def reference_loss_and_grads(params, cfg, inputs, targets, mask, v=None,
+def reference_loss_and_grads(params, cfg, inputs, targets, lengths, v=None,
                              cidx=None, drop_rng=None):
-    """(total_bits, total_tokens, grads) from the padded per-step loop."""
+    """(total_bits, total_tokens, grads) from the padded per-step loop,
+    each row's first lengths[j] cells weighted 1 and the rest 0."""
     logits, cache = _reference_forward(params, cfg, inputs, v=v, cidx=cidx,
                                        drop_rng=drop_rng)
     logp2 = log_softmax2(logits)
     bsz, t_len, n_out = logits.shape
+    mask = (np.arange(t_len) < np.asarray(lengths)[:, None]).astype(
+        np.float64)
     rows = np.arange(bsz)[:, None], np.arange(t_len)[None, :], targets
     total_bits = float(-(logp2[rows] * mask).sum())
     total_tokens = float(mask.sum())
@@ -234,7 +242,7 @@ def reference_loss_and_grads(params, cfg, inputs, targets, mask, v=None,
 
 
 # The training loop the flat-buffer one must match bit for bit: a padded
-# batch per step from pack_batch, gradients scaled and clipped array by
+# batch per step from _pad, gradients scaled and clipped array by
 # array, an Adam update per array, and validation scoring that encodes its
 # signs every epoch.
 
@@ -298,10 +306,10 @@ def reference_train(lex, train_idx, val_idx, cfg, opt, seed, dtype,
         epoch_bits = epoch_tokens = 0.0
         for lo in range(0, order.size, opt.batch_size):
             batch = order[lo:lo + opt.batch_size]
-            inputs, targets, mask = pack_batch([encoded[i] for i in batch],
-                                               inventory.eos_index)
+            inputs, targets, lengths = _pad([encoded[i] for i in batch],
+                                            inventory.eos_index)
             bits, tokens, grads = loss_and_grads(
-                params, cfg, inputs, targets, mask,
+                params, cfg, inputs, targets, lengths,
                 v=v[batch] if cfg.uses_meaning else None,
                 cidx=cidx_all[batch] if cidx_all is not None else None,
                 drop_rng=rng if cfg.dropout > 0 else None)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 from oracle_utils import (
+    _reference_forward,
     reference_init,
     reference_loss_and_grads,
     reference_pack,
@@ -29,18 +30,23 @@ from signform.phonolm import (
     OptSettings,
     encode_signs,
     evaluate,
-    forward,
     init_params,
     load_model,
     log_softmax2,
     loss_and_grads,
-    pack_batch,
     param_shapes,
     save_model,
     train_on_indices,
 )
 from signform.phonolm.archive import FORMAT_VERSION
-from signform.phonolm.model import CONDITION_MODES, _h0_batch, _pack
+from signform.phonolm.model import (
+    CONDITION_MODES,
+    _h0_batch,
+    _logits,
+    _lstm_forward,
+    _pack,
+    _pad,
+)
 from signform.phonolm.training import _CHUNK, _Adam
 from signform.seeding import derive_rng
 
@@ -61,12 +67,14 @@ def make_lexicon(words, dim=3, pos=None, seed=0):
                    classes=classes)
 
 
-def batch_loss(params, cfg, inputs, targets, mask, v=None, cidx=None):
-    logits, _ = forward(params, cfg, inputs, v=v, cidx=cidx)
+def batch_loss(params, cfg, inputs, targets, lengths, v=None, cidx=None):
+    """Bits of each row's first lengths[j] targets, from the padded loop."""
+    logits, _ = _reference_forward(params, cfg, inputs, v=v, cidx=cidx)
     logp2 = log_softmax2(logits)
     rows = (np.arange(inputs.shape[0])[:, None],
             np.arange(inputs.shape[1])[None, :], targets)
-    return float(-(logp2[rows] * mask).sum())
+    mask = np.arange(inputs.shape[1]) < lengths[:, None]
+    return float(-logp2[rows][mask].sum())
 
 
 def max_grad_rel_err(cfg, n_classes=3, seed=1, step=1e-4):
@@ -79,12 +87,12 @@ def max_grad_rel_err(cfg, n_classes=3, seed=1, step=1e-4):
                          classes=lex.classes if cfg.uses_class else None,
                          rng=rng)
     encoded = encode_signs(lex.signs, lex.inventory)
-    inputs, targets, mask = pack_batch(encoded, lex.inventory.eos_index)
+    inputs, targets, lengths = _pad(encoded, lex.inventory.eos_index)
     v = rng.normal(size=(3, cfg.pca_d)) if cfg.uses_meaning else None
     cidx = (np.array([params.class_index(s.pos) for s in lex.signs])
             if cfg.uses_class else None)
 
-    _, _, grads = loss_and_grads(params, cfg, inputs, targets, mask,
+    _, _, grads = loss_and_grads(params, cfg, inputs, targets, lengths,
                                  v=v, cidx=cidx)
     worst = 0.0
     for name, arr in params.named_arrays():
@@ -93,9 +101,9 @@ def max_grad_rel_err(cfg, n_classes=3, seed=1, step=1e-4):
         for k in range(flat.size):
             orig = flat[k]
             flat[k] = orig + step
-            up = batch_loss(params, cfg, inputs, targets, mask, v, cidx)
+            up = batch_loss(params, cfg, inputs, targets, lengths, v, cidx)
             flat[k] = orig - step
-            dn = batch_loss(params, cfg, inputs, targets, mask, v, cidx)
+            dn = batch_loss(params, cfg, inputs, targets, lengths, v, cidx)
             flat[k] = orig
             num = (up - dn) / (2 * step)
             err = abs(gflat[k] - num) / max(abs(gflat[k]), abs(num), 1e-3)
@@ -132,7 +140,7 @@ class TestGradients:
         assert max_grad_rel_err(cfg) <= 1e-4
 
 
-def assert_matches_reference(params, cfg, inputs, targets, mask, v, cidx,
+def assert_matches_reference(params, cfg, inputs, targets, lengths, v, cidx,
                              seed=None, tol=1e-10, ref_params=None):
     """Packed kernel against the padded per-step reference, same dropout.
 
@@ -141,11 +149,12 @@ def assert_matches_reference(params, cfg, inputs, targets, mask, v, cidx,
     def drop_rng():
         return None if seed is None else np.random.default_rng(seed)
 
-    bits, tokens, grads = loss_and_grads(params, cfg, inputs, targets, mask,
-                                         v=v, cidx=cidx, drop_rng=drop_rng())
+    bits, tokens, grads = loss_and_grads(params, cfg, inputs, targets,
+                                         lengths, v=v, cidx=cidx,
+                                         drop_rng=drop_rng())
     ref_bits, ref_tokens, ref_grads = reference_loss_and_grads(
         params if ref_params is None else ref_params, cfg, inputs, targets,
-        mask, v=v, cidx=cidx, drop_rng=drop_rng())
+        lengths, v=v, cidx=cidx, drop_rng=drop_rng())
     assert tokens == ref_tokens
     assert abs(bits - ref_bits) <= tol * abs(ref_bits)
     assert grads.keys() == ref_grads.keys()
@@ -188,23 +197,23 @@ class TestPackedKernel:
             word_lengths = rng.permutation(t_len)
         encoded = [rng.integers(0, n_phones - 1, size=n)
                    for n in word_lengths]
-        inputs, targets, mask = pack_batch(encoded, n_phones - 1)
+        inputs, targets, lengths = _pad(encoded, n_phones - 1)
         classes = ("N", "V", "A") if cfg.uses_class else None
         params = init_params(cfg, n_phones, classes=classes, rng=rng)
         bsz = len(encoded)
         v = rng.normal(size=(bsz, cfg.pca_d)) if cfg.uses_meaning else None
         cidx = rng.integers(0, 3, size=bsz) if cfg.uses_class else None
-        return params, inputs, targets, mask, v, cidx
+        return params, inputs, targets, lengths, v, cidx
 
     @pytest.mark.parametrize("layers,cond,dropout", KERNEL_CASES)
     @pytest.mark.parametrize("shape", BATCH_SHAPES)
     def test_matches_padded_reference(self, shape, layers, cond, dropout):
         cfg = LMConfig(layers=layers, hidden_size=6, phone_embed_size=4,
                        pca_d=3, condition_on=cond, dropout=dropout)
-        params, inputs, targets, mask, v, cidx = self.ragged_batch(
+        params, inputs, targets, lengths, v, cidx = self.ragged_batch(
             cfg, BATCH_SHAPES[shape])
-        assert_matches_reference(params, cfg, inputs, targets, mask, v, cidx,
-                                 seed=5 if dropout else None)
+        assert_matches_reference(params, cfg, inputs, targets, lengths, v,
+                                 cidx, seed=5 if dropout else None)
 
     @pytest.mark.parametrize("layers,cond,dropout", KERNEL_CASES)
     def test_float32_matches_padded_reference_and_float64(self, layers, cond,
@@ -214,13 +223,13 @@ class TestPackedKernel:
         a float32 tolerance."""
         cfg = LMConfig(layers=layers, hidden_size=6, phone_embed_size=4,
                        pca_d=3, condition_on=cond, dropout=dropout)
-        params, inputs, targets, mask, v, cidx = self.ragged_batch(cfg)
+        params, inputs, targets, lengths, v, cidx = self.ragged_batch(cfg)
         single = params.with_flat(params.flat.astype(np.float32))
         same_values = single.with_flat(single.flat.astype(np.float64))
         seed = 5 if dropout else None
         for ref_params in (single, same_values):
-            assert_matches_reference(single, cfg, inputs, targets, mask, v,
-                                     cidx, seed=seed, tol=1e-5,
+            assert_matches_reference(single, cfg, inputs, targets, lengths,
+                                     v, cidx, seed=seed, tol=1e-5,
                                      ref_params=ref_params)
 
     @pytest.mark.parametrize("layers,cond,dropout", KERNEL_CASES)
@@ -231,13 +240,14 @@ class TestPackedKernel:
         differs from adding it to a zeroed buffer."""
         cfg = LMConfig(layers=layers, hidden_size=6, phone_embed_size=4,
                        pca_d=3, condition_on=cond, dropout=dropout)
-        params, inputs, targets, mask, v, cidx = self.ragged_batch(
+        params, inputs, targets, lengths, v, cidx = self.ragged_batch(
             cfg, BATCH_SHAPES[shape])
 
         def grads(out):
             drop_rng = np.random.default_rng(5) if dropout else None
-            return loss_and_grads(params, cfg, inputs, targets, mask, v=v,
-                                  cidx=cidx, drop_rng=drop_rng, out=out)[2]
+            return loss_and_grads(params, cfg, inputs, targets, lengths,
+                                  v=v, cidx=cidx, drop_rng=drop_rng,
+                                  out=out)[2]
 
         fresh = grads(None)
         buf = np.full(params.flat.size, np.nan)
@@ -247,14 +257,33 @@ class TestPackedKernel:
         for name, g in got.items():
             assert g.tobytes() == fresh[name].tobytes(), name
 
-    def test_mask_sets_each_rows_length(self):
+    def test_lengths_set_each_rows_cells(self):
+        """A row of length 0 counts no cell, and rows cut short of their
+        word, and of T, count only their first lengths[j] cells."""
         cfg = LMConfig(layers=2, hidden_size=6, phone_embed_size=4, pca_d=3,
                        condition_on="meaning")
-        params, inputs, targets, mask, v, cidx = self.ragged_batch(cfg)
-        mask[np.argmax(mask.sum(axis=1))] = 0.0
-        mask[:, -2:] = 0.0
-        mask[:, 1] *= 0.5
-        assert_matches_reference(params, cfg, inputs, targets, mask, v, cidx)
+        params, inputs, targets, lengths, v, cidx = self.ragged_batch(cfg)
+        lengths = np.minimum(lengths, inputs.shape[1] - 2)
+        lengths[np.argmax(lengths)] = 0
+        assert lengths.min() == 0 and lengths.max() < inputs.shape[1]
+        assert_matches_reference(params, cfg, inputs, targets, lengths, v,
+                                 cidx)
+
+    @pytest.mark.parametrize("bad", ["negative", "past_t", "too_few",
+                                     "too_many", "float"])
+    def test_rejects_lengths_off_the_grid(self, bad):
+        """A length past T would read the next row's cells."""
+        cfg = LMConfig(hidden_size=6, phone_embed_size=4)
+        params, inputs, targets, lengths, _, _ = self.ragged_batch(cfg)
+        t_len = inputs.shape[1]
+        lengths = {
+            "negative": np.concatenate([[-1], lengths[1:]]),
+            "past_t": np.concatenate([[t_len + 1], lengths[1:]]),
+            "too_few": lengths[1:],
+            "too_many": np.concatenate([lengths, [1]]),
+            "float": lengths.astype(np.float64)}[bad]
+        with pytest.raises(ValueError, match="lengths must be"):
+            loss_and_grads(params, cfg, inputs, targets, lengths)
 
 
 class TestPacking:
@@ -273,20 +302,20 @@ class TestPacking:
             assert arr.dtype == ref.dtype, name
             assert arr.tolist() == ref.tolist(), name
 
-    def test_pack_batch_matches_row_loop(self):
+    def test_pad_matches_row_loop(self):
         rng = np.random.default_rng(14)
         encoded = [rng.integers(0, 5, size=n) for n in (3, 0, 5, 5, 1, 2)]
-        inputs, targets, mask = pack_batch(encoded, 5)
+        inputs, targets, lengths = _pad(encoded, 5)
         t_len = max(len(e) for e in encoded) + 1
         want_in = np.full((len(encoded), t_len), 5, dtype=np.int64)
         want_tg = want_in.copy()
-        want_mask = np.zeros((len(encoded), t_len))
+        want_len = np.zeros(len(encoded), dtype=np.int64)
         for j, e in enumerate(encoded):
             want_in[j, 1:len(e) + 1] = e
             want_tg[j, :len(e)] = e
-            want_mask[j, :len(e) + 1] = 1.0
+            want_len[j] = len(e) + 1
         for got, want in ((inputs, want_in), (targets, want_tg),
-                          (mask, want_mask)):
+                          (lengths, want_len)):
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
 
@@ -313,9 +342,12 @@ class TestPositionBits:
         params = init_params(cfg, len(lex.inventory),
                              rng=np.random.default_rng(3))
         encoded = encode_signs(lex.signs, lex.inventory)
-        inputs, _, _ = pack_batch(encoded, lex.inventory.eos_index)
-        logits, _ = forward(params, cfg, inputs)
-        probs = np.exp(log_softmax2(logits) * np.log(2))
+        inputs, _, _ = _pad(encoded, lex.inventory.eos_index)
+        bsz, t_len = inputs.shape
+        top, _ = _lstm_forward(params, cfg, inputs,
+                               _pack(np.full(bsz, t_len), t_len), None, None,
+                               None)
+        probs = np.exp(log_softmax2(_logits(params, top)) * np.log(2))
         np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-9)
 
     def test_causality_under_suffix_change(self):
@@ -436,10 +468,11 @@ class TestEvaluate:
         losses = evaluate(params, cfg, lex.signs, lex.inventory, v=v)
         assert losses.keys == tuple(s.key for s in lex.signs)
         for j, (s, bits) in enumerate(zip(lex.signs, row_bits(losses))):
-            inputs, targets, _ = pack_batch(
+            inputs, targets, _ = _pad(
                 encode_signs([s], lex.inventory), lex.inventory.eos_index)
-            logits, _ = forward(params, cfg, inputs, v=v[j:j + 1],
-                                cidx=np.array([params.class_index(s.pos)]))
+            logits, _ = _reference_forward(
+                params, cfg, inputs, v=v[j:j + 1],
+                cidx=np.array([params.class_index(s.pos)]))
             lp = log_softmax2(logits)[0, np.arange(targets.shape[1]),
                                       targets[0]]
             np.testing.assert_allclose(bits, -lp, atol=1e-9)
@@ -615,6 +648,31 @@ class TestTraining:
         assert exc.value.epoch == 0
         assert exc.value.batch == 0
 
+    def test_lengths_reach_loss_and_grads_positionally(self, monkeypatch):
+        """Every batch's lengths arrive as loss_and_grads' fifth positional
+        argument and sum to the tokens it returns: perfbench's tracer
+        counts a batch's tokens that way."""
+        import signform.phonolm.training as tr
+        calls = []
+
+        def spy(*args, **kwargs):
+            result = loss_and_grads(*args, **kwargs)
+            calls.append((args, kwargs, result[1]))
+            return result
+
+        monkeypatch.setattr(tr, "loss_and_grads", spy)
+        lex = small_corpus_lexicon()
+        cfg = LMConfig(hidden_size=8, phone_embed_size=4)
+        train_on_indices(lex, np.arange(40), np.arange(40, 60), cfg,
+                         OptSettings(max_epochs=2, batch_size=16), seed=0)
+        assert len(calls) == 2 * 3
+        for args, kwargs, tokens in calls:
+            assert len(args) >= 5 and "lengths" not in kwargs
+            assert args[4].shape == (args[2].shape[0],)
+            assert float(args[4].sum()) == tokens
+        assert sum(tokens for _, _, tokens in calls) == 2 * sum(
+            len(s.form) + 1 for s in lex.signs[:40])
+
     def test_meaning_conditioning_requires_vectors(self):
         lex = small_corpus_lexicon()
         cfg = LMConfig(hidden_size=8, phone_embed_size=4, pca_d=3,
@@ -736,11 +794,11 @@ class TestFlatBuffers:
         with np.load(path) as data:
             meta = json.loads(bytes(data["meta"]).decode())
         assert meta["param_names"] == list(shapes)
-        inputs, targets, mask = pack_batch(
+        inputs, targets, lengths = _pad(
             [np.array([1, 2, 3]), np.array([4])], 5)
         v = np.ones((2, 3)) if cfg.uses_meaning else None
         cidx = np.array([0, 2]) if cfg.uses_class else None
-        _, _, grads = loss_and_grads(params, cfg, inputs, targets, mask,
+        _, _, grads = loss_and_grads(params, cfg, inputs, targets, lengths,
                                      v=v, cidx=cidx)
         assert [(n, g.shape) for n, g in grads.items()] == list(
             shapes.items())
@@ -748,11 +806,11 @@ class TestFlatBuffers:
     def test_gradients_land_in_the_given_buffer(self):
         cfg = LMConfig(hidden_size=8, phone_embed_size=4)
         params = init_params(cfg, 6, rng=np.random.default_rng(17))
-        inputs, targets, mask = pack_batch(
+        inputs, targets, lengths = _pad(
             [np.array([1, 2, 3]), np.array([4])], 5)
-        _, _, fresh = loss_and_grads(params, cfg, inputs, targets, mask)
+        _, _, fresh = loss_and_grads(params, cfg, inputs, targets, lengths)
         buf = np.full(params.flat.size, 7.0)
-        _, _, grads = loss_and_grads(params, cfg, inputs, targets, mask,
+        _, _, grads = loss_and_grads(params, cfg, inputs, targets, lengths,
                                      out=buf)
         assert grads.keys() == fresh.keys()
         for name, g in grads.items():
@@ -1008,6 +1066,15 @@ class TestArchive:
         path, _ = self.saved_with_meta(
             tmp_path, lambda meta: meta.update(config=config))
         with pytest.raises(ArchiveFormatError, match="bad config"):
+            load_model(path)
+
+    @pytest.mark.parametrize("hidden_size", [8.0, "8"])
+    def test_rejects_a_non_integer_size(self, tmp_path, hidden_size):
+        path, _ = self.saved_with_meta(
+            tmp_path,
+            lambda meta: meta["config"].update(hidden_size=hidden_size))
+        with pytest.raises(ArchiveFormatError,
+                           match="hidden_size must be an integer"):
             load_model(path)
 
     @pytest.mark.parametrize("name,dtype,match", [
