@@ -52,6 +52,16 @@ LN2 = float(np.log(2.0))
 CONDITION_MODES = ("nothing", "meaning", "class", "meaning_and_class")
 
 
+def _require_ints(settings, names) -> None:
+    """Raise ValueError for the first of settings' fields names that is not
+    an int. JSON true and false load as bools, which are ints to
+    isinstance, so a bool is refused too."""
+    for name in names:
+        value = getattr(settings, name)
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class LMConfig:
     """Architecture and conditioning choices for one language model."""
@@ -64,11 +74,8 @@ class LMConfig:
     condition_on: str = "nothing"
 
     def __post_init__(self):
-        for name in ("layers", "hidden_size", "phone_embed_size", "pca_d"):
-            value = getattr(self, name)
-            # JSON true and false load as bools, which are ints to isinstance.
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        _require_ints(self, ("layers", "hidden_size", "phone_embed_size",
+                             "pca_d"))
         if self.layers < 1 or self.hidden_size < 1 or self.phone_embed_size < 1:
             raise ValueError("layer and size fields must be >= 1")
         if self.pca_d < 1:
@@ -373,8 +380,11 @@ def _lstm_forward(params: LMParameters, cfg: LMConfig, inputs: np.ndarray,
     n_cells = pk.cells.size
     for l in range(cfg.layers):
         # The conditioning vector is layer 0's initial hidden and cell
-        # state; the layers above start from zeros.
+        # state; the layers above start from zeros, and so does layer 0 of
+        # an unconditioned model, whose step 0 then skips the recurrent
+        # GEMM of a zero state.
         init = h0 if l == 0 else zeros
+        zero_init = l > 0 or cfg.condition_on == "nothing"
         wh_t = params.wh[l].T
         acts = x @ params.wx[l].T
         acts += params.b[l]
@@ -385,7 +395,8 @@ def _lstm_forward(params: LMParameters, cfg: LMConfig, inputs: np.ndarray,
         for lo, hi in zip(pk.offsets[:-1], pk.offsets[1:]):
             m = hi - lo
             a = acts[lo:hi]
-            a += h_prev[:m] @ wh_t
+            if lo > 0 or not zero_init:
+                a += h_prev[:m] @ wh_t
             a *= scale
             np.tanh(a, out=a)
             a *= scale
@@ -422,6 +433,7 @@ def _lstm_backward(params: LMParameters, cfg: LMConfig, pk: _Packing,
     h = cfg.hidden_size
     dtype = params.flat.dtype
     n0 = cache["h0"].shape[0]
+    conditioned = cfg.condition_on != "nothing"
     dx = dtop
     for l in range(cfg.layers - 1, -1, -1):
         lc = cache["layers"][l]
@@ -429,6 +441,9 @@ def _lstm_backward(params: LMParameters, cfg: LMConfig, pk: _Packing,
             dx = dx * lc["drop"]
         acts, cs, tcs = lc["acts"], lc["c"], lc["tc"]
         wh = params.wh[l]
+        # Step 0's recurrent gradient is read only as a conditioned layer
+        # 0's initial-state gradient.
+        cond_layer = l == 0 and conditioned
         dh_rec = dc_rec = np.zeros((0, h), dtype=dtype)
         for t in range(pk.sizes.size - 1, -1, -1):
             lo, hi = pk.offsets[t], pk.offsets[t + 1]
@@ -450,14 +465,14 @@ def _lstm_backward(params: LMParameters, cfg: LMConfig, pk: _Packing,
             di = dc * g_t * i_t * (1.0 - i_t)
             g_t[...] = dc * i_t * (1.0 - g_t ** 2)
             i_t[...] = di
-            dh_rec = a @ wh
+            if t > 0 or cond_layer:
+                dh_rec = a @ wh
         np.matmul(acts.T, lc["x"], out=grads[f"wx{l}"])
         np.matmul(acts[n0:].T, lc["h"][pk.prev], out=grads[f"wh{l}"])
         np.sum(acts, axis=0, out=grads[f"b{l}"])
-        if l == 0:
-            # An unconditioned model's h0 is zero, and so is this term.
-            if cfg.condition_on != "nothing":
-                grads["wh0"] += acts[:n0].T @ cache["h0"]
+        # An unconditioned model's h0 is zero, and so is this term.
+        if cond_layer:
+            grads["wh0"] += acts[:n0].T @ cache["h0"]
             dh0_cond = dh_rec + dc_rec
         dx = acts @ params.wx[l]
 
@@ -465,9 +480,10 @@ def _lstm_backward(params: LMParameters, cfg: LMConfig, pk: _Packing,
         dx = dx * cache["embed_drop"]
     np.add.at(grads["embed"], cache["tokens"], dx)
 
-    dh0 = np.zeros((bsz, h), dtype=dtype)
-    dh0[pk.order[:n0]] = dh0_cond
-    _h0_backward(cfg, params, grads, dh0, cache["v"], cache["cidx"])
+    if conditioned:
+        dh0 = np.zeros((bsz, h), dtype=dtype)
+        dh0[pk.order[:n0]] = dh0_cond
+        _h0_backward(cfg, params, grads, dh0, cache["v"], cache["cidx"])
 
 
 def _logits(params: LMParameters, top: np.ndarray) -> np.ndarray:

@@ -30,6 +30,7 @@ from .model import (
     LMConfig,
     LMParameters,
     _pad,
+    _require_ints,
     _take,
     encode_signs,
     evaluate,
@@ -62,6 +63,7 @@ class OptSettings:
     min_delta: float = 1e-6
 
     def __post_init__(self):
+        _require_ints(self, ("batch_size", "max_epochs", "patience"))
         if self.batch_size < 1 or self.max_epochs < 1:
             raise ValueError("batch_size and max_epochs must be >= 1")
         if self.patience < 0:

@@ -126,8 +126,10 @@ class RunConfig:
             f.name for f in dataclasses.fields(OptSettings)}
         if unknown:
             raise ValueError(f"unknown opt keys: {sorted(unknown)}")
-        _check_ints("opt", self.opt, ("batch_size", "max_epochs", "patience"))
-        OptSettings(**self.opt)
+        try:
+            OptSettings(**self.opt)
+        except ValueError as exc:
+            raise ValueError(f"opt {exc}") from exc
         unknown = set(self.lm) - (
             {f.name for f in dataclasses.fields(LMConfig)} - {"condition_on"})
         if unknown:

@@ -2,7 +2,10 @@
 
 Word vectors arrive in a few hundred dimensions; the phone models condition
 on a compressed version. Compression is plain PCA: center, project onto the
-top-d principal axes of the population covariance.
+top-d principal axes of the population covariance. The axes are the top-d
+eigenvectors of the centered D x D scatter matrix (Jolliffe 2002,
+"Principal Component Analysis", ch. 3), so a fit never forms an N x D
+factor beside the centered data.
 """
 
 from __future__ import annotations
@@ -50,8 +53,12 @@ class PCAModel:
 def pca_fit(data: np.ndarray, d: int) -> PCAModel:
     """Fit a d-dimensional PCA to an (N, D) data matrix.
 
-    Uses the SVD of the centered data; explained_variance = s^2 / N
-    (population convention). Each axis's sign is fixed so its largest-
+    Takes the top-d eigenpairs (lambda, axis) of the centered scatter
+    matrix X^T X, D x D, in descending order; explained_variance =
+    max(lambda, 0) / N (population convention), the clamp removing the
+    rounding below zero of a rank-deficient input's null eigenvalues. The
+    cost is O(N D^2 + D^3), and no (N, D) factor is formed beyond the
+    centered data itself. Each axis's sign is fixed so its largest-
     magnitude entry is positive, making fits reproducible. Zero-variance
     input is legal and yields zero explained variance on arbitrary axes.
     """
@@ -66,9 +73,10 @@ def pca_fit(data: np.ndarray, d: int) -> PCAModel:
 
     mean = data.mean(axis=0)
     centered = data - mean
-    _, s, vt = np.linalg.svd(centered, full_matrices=False)
-    components = vt[:d].copy()
-    explained = (s[:d] ** 2) / n
+    # eigh returns the eigenvalues ascending; the top d are the last d.
+    evals, evecs = np.linalg.eigh(centered.T @ centered)
+    components = evecs.T[::-1][:d].copy()
+    explained = np.maximum(evals[::-1][:d], 0.0) / n
 
     # Sign convention: largest-|entry| of each axis positive.
     for row in components:

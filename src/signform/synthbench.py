@@ -12,6 +12,7 @@ for the estimation pipeline.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -150,38 +151,63 @@ class SyntheticSpec:
         )
 
 
+def _cdf(p: np.ndarray) -> list[float]:
+    """p's CDF as rng.choice(len(p), p=p) computes it: a cumsum divided by
+    its last entry. For choice's one uniform double u, bisect_right(cdf, u)
+    is the index its searchsorted(u, side="right") picks."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
+def _uniforms(rng: np.random.Generator, block: int = 4096):
+    """rng's stream of doubles, as successive rng.random() calls give it."""
+    while True:
+        yield from rng.random(block).tolist()
+
+
 def generate(spec: SyntheticSpec, n_words: int, seed: int):
     """Draw an i.i.d. lexicon from the spec; returns (lexicon, cluster labels).
 
     Forms follow the cluster's chain (planted prefix emitted verbatim first),
     stopping by the per-phone probability and forced at max_len. Meanings are
     centroid plus noise_scale * standard normal. Deterministic given seed.
+
+    After the clusters and meanings, each phone is rng.choice(s, p=row) of
+    its chain row and each stop test is rng.random() < stop: one double
+    each. The forms replay that stream from blocks of doubles against CDFs
+    computed once per chain row, so they are the forms those calls draw.
     """
     if n_words < 1:
         raise InfeasibleSpecError("n_words must be >= 1")
     rng = derive_rng(seed, "synth", spec.language)
-    m, s, cap = spec.n_clusters, len(spec.alphabet), spec.max_len
+    m, cap = spec.n_clusters, spec.max_len
     clusters = rng.choice(m, size=n_words, p=spec.prior)
     meanings = (spec.centroids[clusters]
                 + spec.noise_scale * rng.standard_normal(
                     (n_words, spec.meaning_dim)))
 
-    inventory = PhoneInventory.from_phones(Phone(p) for p in spec.alphabet)
+    phones_of = tuple(Phone(p) for p in spec.alphabet)
+    inventory = PhoneInventory.from_phones(phones_of)
+    starts = [_cdf(chain.start) for chain in spec.chains]
+    trans = [[_cdf(row) for row in chain.trans] for chain in spec.chains]
+    stops = [chain.stop.tolist() for chain in spec.chains]
+    planted, prefix = spec.planted or (-1, ())
+    uniforms = _uniforms(rng)
     signs = []
-    for i in range(n_words):
-        c = int(clusters[i])
-        chain = spec.chains[c]
-        if spec.planted is not None and c == spec.planted[0]:
-            phones = list(spec.planted[1])
+    for i, c in enumerate(clusters.tolist()):
+        if c == planted:
+            phones = list(prefix)
         else:
-            phones = [int(rng.choice(s, p=chain.start))]
+            phones = [bisect_right(starts[c], next(uniforms))]
+        stop, rows = stops[c], trans[c]
         while len(phones) < cap:
-            if rng.random() < chain.stop[phones[-1]]:
+            if next(uniforms) < stop[phones[-1]]:
                 break
-            phones.append(int(rng.choice(s, p=chain.trans[phones[-1]])))
-        form = tuple(Phone(spec.alphabet[p]) for p in phones)
-        signs.append(Sign(lemma=f"w{i:06d}", form=form, meaning=meanings[i],
-                          pos="X"))
+            phones.append(bisect_right(rows[phones[-1]], next(uniforms)))
+        signs.append(Sign(lemma=f"w{i:06d}",
+                          form=tuple(phones_of[p] for p in phones),
+                          meaning=meanings[i], pos="X"))
     lex = Lexicon(language=spec.language, inventory=inventory, signs=signs,
                   classes=("X",))
     return lex, clusters

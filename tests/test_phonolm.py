@@ -47,7 +47,7 @@ from signform.phonolm.model import (
     _pack,
     _pad,
 )
-from signform.phonolm.training import _CHUNK, _Adam
+from signform.phonolm.training import _CHUNK, _Adam, _clip
 from signform.seeding import derive_rng
 
 
@@ -855,6 +855,107 @@ def reference_adam_steps(opt, p, g_steps):
     return p
 
 
+class _NoPromotion(np.ndarray):
+    """A float32 array whose ufuncs refuse to run a float64 loop.
+
+    Every ufunc result that has an operand of this type is of this type
+    too, so the guard follows every value derived from the parameters. A
+    loop that would promote a float32 operand of this type to float64
+    raises TypeError. A float64 operand of this type comes only from an
+    explicit astype, as the float64 code-length sums make, and its loops
+    run.
+    """
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=(), **kwargs):
+        guarded = [x for x in inputs + out if isinstance(x, _NoPromotion)]
+        if any(x.dtype == np.float32 for x in guarded):
+            dtypes = tuple(type(x) if type(x) in (int, float) else
+                           np.asarray(x).dtype for x in inputs)
+            if method == "reduce":
+                loop = ufunc.resolve_dtypes((None,) + dtypes + (None,),
+                                            reduction=True)
+            elif method == "at":
+                loop = ufunc.resolve_dtypes(
+                    (dtypes[0],) + dtypes[2:] + (None,) * ufunc.nout)
+            else:
+                loop = ufunc.resolve_dtypes(dtypes + (None,) * ufunc.nout)
+            if kwargs.get("dtype") is not None:
+                loop += (np.dtype(kwargs["dtype"]),)
+            if np.dtype(np.float64) in loop:
+                raise TypeError(f"{ufunc.__name__}.{method} runs a float64 "
+                                "loop on float32 parameter values")
+        plain = [x.view(np.ndarray) if isinstance(x, _NoPromotion) else x
+                 for x in inputs]
+        if out:
+            kwargs["out"] = tuple(
+                x.view(np.ndarray) if isinstance(x, _NoPromotion) else x
+                for x in out)
+        result = getattr(ufunc, method)(*plain, **kwargs)
+        if out:
+            return out[0] if len(out) == 1 else out
+        if isinstance(result, np.ndarray):
+            return result.view(_NoPromotion)
+        return result
+
+
+class TestDtypeDiscipline:
+    """The float32 kernel, clipping and Adam never widen a float32 value
+    to float64: only the code-length sums run in float64, from an
+    explicit cast."""
+
+    def guarded(self, cfg):
+        lex = make_lexicon(["kat", "mast", "ta", "askt", "m", "sakam"],
+                           pos=["N", "V", "N", "A", "V", "N"])
+        params = init_params(cfg, len(lex.inventory), classes=lex.classes,
+                             rng=np.random.default_rng(30))
+        params = params.with_flat(
+            params.flat.astype(np.float32).view(_NoPromotion))
+        v = np.random.default_rng(31).normal(size=(len(lex.signs),
+                                                   cfg.pca_d))
+        cidx = np.array([params.class_index(s.pos) for s in lex.signs])
+        return lex, params, v, cidx
+
+    def test_guard_refuses_a_promotion(self):
+        flat = np.ones(4, dtype=np.float32).view(_NoPromotion)
+        flat *= np.float32(0.5)
+        assert float(np.sum(flat.astype(np.float64))) == 2.0
+        with pytest.raises(TypeError, match="float64 loop"):
+            flat *= np.float64(0.5)
+        with pytest.raises(TypeError, match="float64 loop"):
+            np.add.at(flat, [0, 1], np.ones(2))
+        with pytest.raises(TypeError, match="float64 loop"):
+            np.add.reduce(flat, dtype=np.float64)
+
+    @pytest.mark.parametrize("layers,dropout", [(1, 0.0), (2, 0.3)])
+    def test_float32_step_and_scoring_stay_float32(self, layers, dropout):
+        cfg = LMConfig(layers=layers, hidden_size=8, phone_embed_size=4,
+                       pca_d=3, dropout=dropout,
+                       condition_on="meaning_and_class")
+        lex, params, v, cidx = self.guarded(cfg)
+        inputs, targets, lengths = _pad(encode_signs(lex.signs,
+                                                     lex.inventory),
+                                        lex.inventory.eos_index)
+        bits, tokens, grads = loss_and_grads(
+            params, cfg, inputs, targets, lengths, v=v, cidx=cidx,
+            drop_rng=np.random.default_rng(32) if dropout else None)
+        assert np.isfinite(bits) and tokens == lengths.sum()
+        assert all(isinstance(g, _NoPromotion) and g.dtype == np.float32
+                   for g in grads.values())
+        table = evaluate(params, cfg, lex.signs, lex.inventory, v=v)
+        assert np.all(np.isfinite(table.bits))
+
+        buf = np.empty_like(params.flat)
+        loss_and_grads(params, cfg, inputs, targets, lengths, v=v,
+                       cidx=cidx, out=buf)
+        buf /= tokens
+        assert _clip(params.views(buf), buf, 1e-3) > 1e-3
+        adam = _Adam(OptSettings(), params.flat.size, np.float32)
+        for name in ("m", "v", "_a", "_b"):
+            setattr(adam, name, getattr(adam, name).view(_NoPromotion))
+        adam.step(params.flat, buf)
+        assert params.flat.dtype == np.float32
+
+
 class TestAdam:
     def test_chunked_step_matches_whole_array_expressions(self):
         rng = np.random.default_rng(18)
@@ -899,6 +1000,13 @@ class TestOptSettings:
     def test_accepts_edges(self):
         OptSettings(batch_size=1, max_epochs=1, patience=0, beta1=0.0,
                     beta2=0.0, clip_norm=None)
+
+    @pytest.mark.parametrize("value", [8.5, 2.0, "8", True])
+    @pytest.mark.parametrize("name", ["batch_size", "max_epochs", "patience"])
+    def test_rejects_non_integer_counts(self, name, value):
+        with pytest.raises(ValueError,
+                           match=f"^{name} must be an integer, got "):
+            OptSettings(**{name: value})
 
 
 class TestArchive:

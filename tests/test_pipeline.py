@@ -99,6 +99,15 @@ class TestRunConfig:
         with pytest.raises(ValueError, match=match):
             RunConfig.from_dict({"language": "xx", "opt": opt})
 
+    @pytest.mark.parametrize("value", [8.5, 2.0, "8", True])
+    @pytest.mark.parametrize("name", ["batch_size", "max_epochs", "patience"])
+    def test_non_integer_opt_counts_rejected_at_load(self, name, value):
+        match = f"^opt {name} must be an integer, got "
+        with pytest.raises(ValueError, match=match):
+            RunConfig(language="xx", opt={name: value})
+        with pytest.raises(ValueError, match=match):
+            RunConfig.from_dict({"language": "xx", "opt": {name: value}})
+
     @pytest.mark.parametrize("lm,match", [
         ({"hiden_size": 64}, "unknown lm keys"),
         ({"condition_on": "meaning"}, "condition_on"),

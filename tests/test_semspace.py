@@ -1,8 +1,68 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from signform.errors import DimensionMismatchError
 from signform.semspace import PCAModel, pca_fit, pca_transform
+from signform.synthbench import generate, planted_prefix_spec
+
+
+def svd_reference(data, d, signs_of):
+    """Top-d axes and 1/N variances from the float64 thin SVD of the
+    centered data, each axis's sign matched to the same row of signs_of."""
+    centered = data - data.mean(axis=0)
+    _, s, vt = np.linalg.svd(centered, full_matrices=False)
+    axes = vt[:d] * np.sign(np.sum(vt[:d] * signs_of, axis=1))[:, None]
+    return axes, s[:d] ** 2 / data.shape[0]
+
+
+def estimate_meanings():
+    """720 x 300 meaning vectors as the estimate workload's training rows
+    hold them: one dominant axis over a near-flat noise tail."""
+    lex, _ = generate(planted_prefix_spec(meaning_dim=300), 720, seed=3)
+    return np.stack([s.meaning for s in lex.signs])
+
+
+class TestScatterEigendecomposition:
+    """pca_fit's scatter-matrix eigenpairs against the thin SVD."""
+
+    @pytest.mark.parametrize("case", ["estimate", "rank_deficient",
+                                      "full_basis"])
+    def test_matches_thin_svd(self, case):
+        rng = np.random.default_rng(6)
+        if case == "estimate":
+            data, d = estimate_meanings(), 8
+        elif case == "rank_deficient":
+            # N < D: the centered rows span N - 1 dimensions.
+            data = rng.normal(size=(12, 30)) @ rng.normal(size=(30, 30))
+            d = 11
+        else:
+            data = rng.normal(size=(40, 10)) * rng.uniform(0.2, 3.0, 10)
+            d = min(data.shape)
+        m = pca_fit(data, d)
+        axes, variance = svd_reference(data, d, m.components)
+        np.testing.assert_allclose(m.components, axes, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(m.explained_variance, variance,
+                                   rtol=1e-10, atol=0)
+        np.testing.assert_allclose(m.components @ m.components.T,
+                                   np.eye(d), rtol=0, atol=1e-12)
+        assert np.all(np.diff(m.explained_variance) <= 0)
+        assert np.all(m.explained_variance >= 0)
+
+    def test_forms_no_n_by_d_factor(self):
+        """Beyond the centered copy, the fit holds about two D x D
+        matrices; the thin SVD's (N, D) left factor would not fit."""
+        data = estimate_meanings()
+        cap = data.shape[1]
+        pca_fit(data, 8)
+        tracemalloc.start()
+        try:
+            pca_fit(data, 8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < data.nbytes + 2.5 * cap * cap * data.itemsize
 
 
 class TestPcaFit:

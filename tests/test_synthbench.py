@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from signform.errors import InfeasibleSpecError
+from signform.seeding import derive_rng
 from signform.synthbench import (
     ClusterChain,
     SyntheticSpec,
@@ -157,7 +158,52 @@ class TestExactMi:
             assert exact_mi(spec) >= 0.0
 
 
+def reference_forms(spec, n_words, seed):
+    """Clusters, meanings and phone-index forms from one rng.choice call
+    per phone and one rng.random() per stop test, the draws generate
+    replays."""
+    rng = derive_rng(seed, "synth", spec.language)
+    s, cap = len(spec.alphabet), spec.max_len
+    clusters = rng.choice(spec.n_clusters, size=n_words, p=spec.prior)
+    meanings = (spec.centroids[clusters] + spec.noise_scale
+                * rng.standard_normal((n_words, spec.meaning_dim)))
+    forms = []
+    for c in clusters.tolist():
+        chain = spec.chains[c]
+        if spec.planted is not None and c == spec.planted[0]:
+            phones = list(spec.planted[1])
+        else:
+            phones = [int(rng.choice(s, p=chain.start))]
+        while len(phones) < cap:
+            if rng.random() < chain.stop[phones[-1]]:
+                break
+            phones.append(int(rng.choice(s, p=chain.trans[phones[-1]])))
+        forms.append(tuple(spec.alphabet[p] for p in phones))
+    return clusters, meanings, forms
+
+
 class TestGenerate:
+    @pytest.mark.parametrize("make", [two_cluster_spec, independent_spec,
+                                      planted_prefix_spec, "zeros"])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_replays_per_phone_choice_draws(self, make, seed):
+        if make == "zeros":
+            # Zero entries, leading and trailing, put ties in each CDF.
+            rng = np.random.default_rng(9)
+            trans = rng.dirichlet(np.ones(4), size=4) * [0, 1, 1, 0]
+            trans /= trans.sum(axis=1, keepdims=True)
+            spec = single_chain_spec(np.array([0.0, 0.3, 0.7, 0.0]), trans,
+                                     np.array([0.2, 0.0, 0.5, 1.0]),
+                                     max_len=5, alphabet=("a", "b", "c", "d"))
+        else:
+            spec = make()
+        lex, clusters = generate(spec, 1500, seed)
+        ref_clusters, ref_meanings, ref_forms = reference_forms(spec, 1500,
+                                                                seed)
+        assert clusters.tobytes() == ref_clusters.tobytes()
+        assert lex.meanings().tobytes() == ref_meanings.tobytes()
+        assert [s.form for s in lex.signs] == ref_forms
+
     def test_deterministic_given_seed(self):
         spec = independent_spec()
         lex1, lab1 = generate(spec, 50, seed=5)
