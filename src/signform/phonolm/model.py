@@ -24,8 +24,8 @@ evaluation. Those per-row lengths are the only description of a batch:
 the kernel packs its cells from them.
 
 Every array the kernel makes takes the parameter buffer's dtype: a training
-fit runs it in float32, and init_params' float64 buffer runs the same code
-in float64. Code lengths are summed and returned in float64 either way.
+fit runs it in float32, and a float64 buffer from init_params runs the same
+code in float64. Code lengths are summed and returned in float64 either way.
 
 Everything here is deterministic given the parameter values; all sampling
 (init, dropout) flows through generators passed in by the caller.
@@ -34,6 +34,7 @@ Everything here is deterministic given the parameter values; all sampling
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -51,6 +52,9 @@ LN2 = float(np.log(2.0))
 
 CONDITION_MODES = ("nothing", "meaning", "class", "meaning_and_class")
 
+# Values init_params draws at a time: its float64 scratch takes 256 KiB.
+_INIT_BLOCK = 1 << 15
+
 
 def _require_ints(settings, names) -> None:
     """Raise ValueError for the first of settings' fields names that is not
@@ -60,6 +64,15 @@ def _require_ints(settings, names) -> None:
         value = getattr(settings, name)
         if not isinstance(value, int) or isinstance(value, bool):
             raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _require_reals(settings, names) -> None:
+    """Raise ValueError for the first of settings' fields names that is not
+    a real number; a bool is refused, as in _require_ints."""
+    for name in names:
+        value = getattr(settings, name)
+        if not isinstance(value, numbers.Real) or isinstance(value, bool):
+            raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -76,6 +89,7 @@ class LMConfig:
     def __post_init__(self):
         _require_ints(self, ("layers", "hidden_size", "phone_embed_size",
                              "pca_d"))
+        _require_reals(self, ("dropout",))
         if self.layers < 1 or self.hidden_size < 1 or self.phone_embed_size < 1:
             raise ValueError("layer and size fields must be >= 1")
         if self.pca_d < 1:
@@ -204,31 +218,38 @@ class LMParameters:
             raise UnknownClassError(f"unknown class label {label!r}") from None
 
 
-def init_params(cfg: LMConfig, n_phones: int,
+def init_params(cfg: LMConfig, n_phones: int, dtype,
                 classes: tuple[str, ...] | None = None,
                 rng: np.random.Generator | None = None) -> LMParameters:
     """Initialize parameters uniform in +-1/sqrt(fan-in), forget bias +1.
 
-    The float64 buffer is laid out by param_shapes, zeroed, and each tensor
-    is drawn in place, in the order wx0, wh0, ..., w_v, class_embed, embed,
-    w_out.
+    The buffer of dtype is laid out by param_shapes and zeroed, and each
+    tensor is drawn in the order wx0, wh0, ..., w_v, class_embed, embed,
+    w_out. The draws are made in float64, _INIT_BLOCK values at a time, and
+    each block is cast once into the buffer, so every dtype gets the
+    float64 draw rounded once.
     """
     if rng is None:
         rng = np.random.default_rng(0)
     params = LMParameters.zeros(
         param_shapes(cfg, n_phones, len(classes or ())),
-        tuple(classes) if classes is not None else None, np.float64)
+        tuple(classes) if classes is not None else None, dtype)
     views = dict(params.named_arrays())
+    scratch = np.empty(min(params.flat.size, _INIT_BLOCK))
 
     def uniform(name):
         # rng.uniform(-bound, bound, shape), computed as it computes it:
         # low + (high - low) * u. Every drawn tensor's fan-in is its
-        # second axis.
+        # second axis. Blocked draws read the stream as one draw would.
         view = views[name]
         bound = 1.0 / np.sqrt(view.shape[1])
-        rng.random(out=view)
-        view *= bound - (-bound)
-        view += -bound
+        out = view.reshape(-1)
+        for lo in range(0, out.size, _INIT_BLOCK):
+            block = scratch[:min(_INIT_BLOCK, out.size - lo)]
+            rng.random(out=block)
+            block *= bound - (-bound)
+            block += -bound
+            out[lo:lo + block.size] = block
 
     h = cfg.hidden_size
     for l in range(cfg.layers):

@@ -7,9 +7,9 @@ derives from the run seed, so two runs with the same inputs produce
 bitwise-identical parameters.
 
 A fit encodes and pads its lexicon once; each batch and each epoch's
-validation scoring gathers rows of those matrices. The initial parameters
-are drawn in float64, as init_params draws them, and cast once to DTYPE,
-which the fit then trains and scores in. Parameters, gradients and Adam's
+validation scoring gathers rows of those matrices. init_params draws the
+initial parameters in float64 blocks straight into a DTYPE buffer, which
+the fit then trains and scores in. Parameters, gradients and Adam's
 moments are flat buffers of that dtype, so a step's scaling, clipping and
 update are a few whole-buffer calls, with no per-step allocation the size
 of the parameters. The best epoch's parameters are copied lazily: only when
@@ -31,6 +31,7 @@ from .model import (
     LMParameters,
     _pad,
     _require_ints,
+    _require_reals,
     _take,
     encode_signs,
     evaluate,
@@ -64,6 +65,9 @@ class OptSettings:
 
     def __post_init__(self):
         _require_ints(self, ("batch_size", "max_epochs", "patience"))
+        _require_reals(self, ("lr", "beta1", "beta2", "eps", "min_delta"))
+        if self.clip_norm is not None:
+            _require_reals(self, ("clip_norm",))
         if self.batch_size < 1 or self.max_epochs < 1:
             raise ValueError("batch_size and max_epochs must be >= 1")
         if self.patience < 0:
@@ -170,10 +174,9 @@ def train_on_indices(lex: Lexicon, train_idx, val_idx, cfg: LMConfig,
     inventory = lex.inventory
     padded = _pad(encode_signs(lex.signs, inventory), inventory.eos_index)
     cidx_all = None
-    params = init_params(cfg, len(inventory),
+    params = init_params(cfg, len(inventory), DTYPE,
                          classes=lex.classes if cfg.uses_class else None,
                          rng=derive_rng(seed, "init"))
-    params = params.with_flat(params.flat.astype(DTYPE))
     if cfg.uses_class:
         cidx_all = np.array([params.class_index(s.pos) for s in lex.signs],
                             dtype=np.int64)

@@ -42,6 +42,7 @@ from .phonolm import (
     save_model,
     train_on_indices,
 )
+from .phonolm.model import _require_ints
 from .reports import (
     appendix_row,
     report_json_payload,
@@ -103,6 +104,7 @@ class RunConfig:
     schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self):
+        self._check_types()
         self.model_kinds = tuple(self.model_kinds)
         unknown = set(self.model_kinds) - set(MODEL_KINDS)
         if unknown:
@@ -120,8 +122,15 @@ class RunConfig:
                              "meaning_and_class models")
         if self.folds < 2:
             raise ValueError("folds must be >= 2")
+        # report.json records the rotation as given, so it is not taken
+        # mod folds.
+        if not 0 <= self.rotation < self.folds:
+            raise ValueError(f"rotation must be in 0..{self.folds - 1}, got "
+                             f"{self.rotation}")
         if self.permutations < 1:
             raise ValueError("permutations must be >= 1")
+        if self.hyperopt_budget < 0:
+            raise ValueError("hyperopt_budget must be >= 0")
         unknown = set(self.opt) - {
             f.name for f in dataclasses.fields(OptSettings)}
         if unknown:
@@ -141,6 +150,33 @@ class RunConfig:
             except ValueError as exc:
                 raise ValueError(f"lm {exc}") from exc
         _check_phonesthemes(self.phonesthemes)
+
+    def _check_types(self) -> None:
+        """Raise ValueError for the first top-level field of a wrong type."""
+        _require_ints(self, ("folds", "rotation", "seed", "permutations",
+                             "hyperopt_budget", "schema_version"))
+        for name, kinds, what in (
+                ("language", str, "a string"),
+                ("lexicon_path", (str, type(None)), "a string or null"),
+                ("embeddings_path", (str, type(None)), "a string or null"),
+                ("out_dir", str, "a string"),
+                ("columns", (dict, type(None)), "an object or null"),
+                ("pretokenized", bool, "true or false"),
+                ("strip_marks", bool, "true or false"),
+                ("model_kinds", (list, tuple), "a list"),
+                ("lm", dict, "an object"),
+                ("opt", dict, "an object"),
+                ("phonesthemes", dict, "an object")):
+            value = getattr(self, name)
+            if not isinstance(value, kinds):
+                raise ValueError(f"{name} must be {what}, got {value!r}")
+        columns = self.columns or {}
+        if not all(isinstance(x, str) for x in [*columns, *columns.values()]):
+            raise ValueError("columns must map names to names, got "
+                             f"{self.columns!r}")
+        if not all(isinstance(kind, str) for kind in self.model_kinds):
+            raise ValueError("model_kinds must hold names, got "
+                             f"{self.model_kinds!r}")
 
     @property
     def with_pos_control(self) -> bool:
@@ -251,7 +287,8 @@ def _fingerprint(lex: Lexicon, train_idx, val_idx, cfg: LMConfig,
 
 
 def fit_model(lex: Lexicon, folds, rotation: int, kind: str, lm: dict,
-              opt: OptSettings, seed: int, path: str | None = None):
+              opt: OptSettings, seed: int, path: str | None = None,
+              projections: dict | None = None):
     """Train one model kind on a rotation's folds, or reuse its archive.
 
     The archive at path is reused only when its fingerprint matches the
@@ -259,15 +296,25 @@ def fit_model(lex: Lexicon, folds, rotation: int, kind: str, lm: dict,
     path is given, archived with the fingerprint. Returns
     (cfg, params, pca, v_all, val_bits): v_all is the projected meaning of
     every sign (None when the kind ignores meaning), so callers score
-    whichever signs they need. The PCA is fit on the training rows only.
+    whichever signs they need. The PCA is fit on the training rows only,
+    from the lexicon's own meaning vectors, without stacking them first.
+
+    projections maps pca_d to a (pca, v_all) pair and is filled on first
+    use: the fits of one command, which share the meaning vectors (in
+    order), the folds and the rotation, pass the same dict so that each
+    pca_d is fitted once.
     """
     cfg = make_lm_config(kind, lm)
     train_idx, val_idx, _ = folds.roles(rotation)
     pca = v_all = None
     if cfg.uses_meaning:
-        meanings = np.array([s.meaning for s in lex.signs])
-        pca = pca_fit(meanings[train_idx], cfg.pca_d)
-        v_all = pca_transform(pca, meanings)
+        if projections is None:
+            projections = {}
+        if cfg.pca_d not in projections:
+            meanings = [s.meaning for s in lex.signs]
+            pca = pca_fit([meanings[i] for i in train_idx], cfg.pca_d)
+            projections[cfg.pca_d] = pca, pca_transform(pca, meanings)
+        pca, v_all = projections[cfg.pca_d]
     # Only an archived fit needs a fingerprint; search trials have no path.
     fingerprint = None if path is None else _fingerprint(
         lex, train_idx, val_idx, cfg, opt, seed, v_all)
@@ -373,11 +420,12 @@ def run_estimate(config: RunConfig, lex: Lexicon | None = None,
             files["search_log"] = os.path.join(config.out_dir, "search.jsonl")
         lms = _search_kinds(lex, folds, config, files.get("search_log"))
     tables = {}
+    projections = {}
     for kind in config.model_kinds:
         path = os.path.join(models_dir, f"{kind}.archive") if write else None
         cfg, params, _, v_all, _ = fit_model(
             lex, folds, config.rotation, kind, lms[kind], opt,
-            seed_for(config.seed, "train", kind), path)
+            seed_for(config.seed, "train", kind), path, projections)
         tables[kind] = evaluate(
             params, cfg, test_signs, lex.inventory,
             v=v_all[test_idx] if v_all is not None else None)
@@ -573,12 +621,15 @@ def run_phonesthemes(config: RunConfig, lex: Lexicon | None = None):
     opt = OptSettings(**config.opt)
     rev = reverse_forms(lex)
     tables = {}
+    # The reversed lexicon keeps every sign's meaning, in order.
+    projections = {}
     for tag, forms in (("fwd", lex), ("rev", rev)):
         for kind in ("uncond", "meaning"):
             cfg, params, _, v_all, _ = fit_model(
                 forms, folds, config.rotation, kind, config.lm, opt,
                 seed_for(seed_for(config.seed, tag), "train", kind),
-                os.path.join(models_dir, f"{kind}_{tag}.archive"))
+                os.path.join(models_dir, f"{kind}_{tag}.archive"),
+                projections)
             tables[tag, kind] = evaluate(params, cfg, forms.signs,
                                          forms.inventory, v=v_all)
     opts = {**PHONESTHEME_DEFAULTS, **config.phonesthemes}

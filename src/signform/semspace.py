@@ -6,6 +6,11 @@ top-d principal axes of the population covariance. The axes are the top-d
 eigenvectors of the centered D x D scatter matrix (Jolliffe 2002,
 "Principal Component Analysis", ch. 3), so a fit never forms an N x D
 factor beside the centered data.
+
+The input is an (N, D) array or a list of D-vectors, such as the
+lexicon's own meaning vectors. pca_fit and pca_transform each make one
+float64 copy of it, centre that copy in place and never write to the
+caller's data, so a fit or a projection holds one N x D array at a time.
 """
 
 from __future__ import annotations
@@ -50,31 +55,36 @@ class PCAModel:
         return self.components.shape[1]
 
 
-def pca_fit(data: np.ndarray, d: int) -> PCAModel:
-    """Fit a d-dimensional PCA to an (N, D) data matrix.
+def pca_fit(data, d: int) -> PCAModel:
+    """Fit a d-dimensional PCA to an (N, D) data matrix or N D-vectors.
 
     Takes the top-d eigenpairs (lambda, axis) of the centered scatter
     matrix X^T X, D x D, in descending order; explained_variance =
     max(lambda, 0) / N (population convention), the clamp removing the
     rounding below zero of a rank-deficient input's null eigenvalues. The
-    cost is O(N D^2 + D^3), and no (N, D) factor is formed beyond the
-    centered data itself. Each axis's sign is fixed so its largest-
-    magnitude entry is positive, making fits reproducible. Zero-variance
-    input is legal and yields zero explained variance on arbitrary axes.
+    cost is O(N D^2 + D^3). The data is copied once into float64 and
+    centred in place, and that copy is freed once the scatter matrix is
+    formed, before the eigendecomposition. Each axis's sign is fixed so its
+    largest-magnitude entry is positive, making fits reproducible.
+    Zero-variance input is legal and yields zero explained variance on
+    arbitrary axes.
     """
-    data = np.asarray(data, dtype=np.float64)
-    if data.ndim != 2:
-        raise DimensionMismatchError(f"expected 2d data, got shape {data.shape}")
-    n, cap = data.shape
+    centered = np.array(data, dtype=np.float64)
+    if centered.ndim != 2:
+        raise DimensionMismatchError(
+            f"expected 2d data, got shape {centered.shape}")
+    n, cap = centered.shape
     if n < 2:
         raise ValueError("need at least 2 rows to fit")
     if not (1 <= d <= min(n, cap)):
-        raise ValueError(f"d={d} out of range for data {data.shape}")
+        raise ValueError(f"d={d} out of range for data {centered.shape}")
 
-    mean = data.mean(axis=0)
-    centered = data - mean
+    mean = centered.mean(axis=0)
+    centered -= mean
+    scatter = centered.T @ centered
+    del centered
     # eigh returns the eigenvalues ascending; the top d are the last d.
-    evals, evecs = np.linalg.eigh(centered.T @ centered)
+    evals, evecs = np.linalg.eigh(scatter)
     components = evecs.T[::-1][:d].copy()
     explained = np.maximum(evals[::-1][:d], 0.0) / n
 
@@ -87,15 +97,17 @@ def pca_fit(data: np.ndarray, d: int) -> PCAModel:
                     explained_variance=explained)
 
 
-def pca_transform(model: PCAModel, v: np.ndarray) -> np.ndarray:
+def pca_transform(model: PCAModel, v) -> np.ndarray:
     """Project vector(s) onto the principal axes: components @ (v - mean).
 
-    Accepts a single D-vector or an (N, D) matrix; the output mirrors the
-    input's leading shape.
+    Accepts a single D-vector, an (N, D) matrix or a list of N D-vectors;
+    the output mirrors the input's leading shape. The input is copied once
+    into float64 and centred in place.
     """
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape[-1] != model.input_dim:
+    centered = np.array(v, dtype=np.float64)
+    if centered.shape[-1] != model.input_dim:
         raise DimensionMismatchError(
-            f"vector dim {v.shape[-1]} != model dim {model.input_dim}")
-    return (v - model.mean) @ model.components.T
+            f"vector dim {centered.shape[-1]} != model dim {model.input_dim}")
+    centered -= model.mean
+    return centered @ model.components.T
 

@@ -139,7 +139,7 @@ def c01_gradient_check(hooks) -> tuple[bool, str]:
                   classes=("X",))
     cfg = LMConfig(layers=2, hidden_size=8, phone_embed_size=4, pca_d=3,
                    condition_on="nothing")
-    params = init_params(cfg, len(lex.inventory), rng=rng)
+    params = init_params(cfg, len(lex.inventory), np.float64, rng=rng)
     batch = _pad(encode_signs(lex.signs, lex.inventory),
                  lex.inventory.eos_index)
 

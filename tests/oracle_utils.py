@@ -1,10 +1,12 @@
 """Shared helpers: loss tables built from the exact synthetic oracle, the
 per-word pointwise MI that the vectorised table is checked against, the
 padded per-step LSTM that the packed kernel is checked against, the
-per-tensor initialiser that the in-place one is checked against, and the
-per-array training loop that the flat-buffer one is checked against. The
-LSTM and the training loop compute in the parameters' dtype, as the
-package's do."""
+per-tensor initialiser that the in-place one is checked against, the
+per-array training loop that the flat-buffer one is checked against, and
+the traced allocation peak the memory bounds read. The LSTM and the
+training loop compute in the parameters' dtype, as the package's do."""
+
+import tracemalloc
 
 import numpy as np
 from scipy.special import expit
@@ -28,6 +30,22 @@ from signform.phonolm.model import (
 )
 from signform.seeding import derive_rng
 from signform.synthbench import oracle_word_bits
+
+
+def traced_peak(fn, *args):
+    """(peak bytes, result) of fn(*args) under tracemalloc.
+
+    fn runs once untraced first, so that imports, caches and lazily built
+    tables are not counted; the peak is of the second call alone.
+    """
+    fn(*args)
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, result
 
 
 def oracle_loss_tables(spec, lex, labels, conditional="cluster"):

@@ -109,6 +109,21 @@ class TestEstimateCommand:
         on_disk = read_json(out / "error.json")
         assert on_disk["message"] == record["message"]
 
+    def test_wrong_field_type_rejected_before_parsing(self, tmp_path,
+                                                     capsys):
+        # The lexicon path does not exist: a parse would fail differently.
+        cfg = tmp_path / "bad.json"
+        out = tmp_path / "failed"
+        write_config(cfg, str(tmp_path / "nowhere"), folds="10")
+        rc = main(["--config", str(cfg), "--out", str(out), "estimate"])
+        assert rc == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {
+            "error": "ValueError", "stage": "estimate",
+            "message": "folds must be an integer, got '10'"}
+        assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+
     def test_success_clears_stale_error(self, corpus, tmp_path, capsys):
         out = tmp_path / "run"
         out.mkdir()

@@ -9,6 +9,7 @@ from oracle_utils import (
     reference_pack,
     reference_train,
     row_bits,
+    traced_peak,
 )
 
 from signform.errors import (
@@ -40,6 +41,7 @@ from signform.phonolm import (
 )
 from signform.phonolm.archive import FORMAT_VERSION
 from signform.phonolm.model import (
+    _INIT_BLOCK,
     CONDITION_MODES,
     _h0_batch,
     _logits,
@@ -83,7 +85,7 @@ def max_grad_rel_err(cfg, n_classes=3, seed=1, step=1e-4):
     lex = make_lexicon(["kat", "sam", "ta"],
                        dim=cfg.pca_d,
                        pos=["N", "V", "N"])
-    params = init_params(cfg, len(lex.inventory),
+    params = init_params(cfg, len(lex.inventory), np.float64,
                          classes=lex.classes if cfg.uses_class else None,
                          rng=rng)
     encoded = encode_signs(lex.signs, lex.inventory)
@@ -199,7 +201,8 @@ class TestPackedKernel:
                    for n in word_lengths]
         inputs, targets, lengths = _pad(encoded, n_phones - 1)
         classes = ("N", "V", "A") if cfg.uses_class else None
-        params = init_params(cfg, n_phones, classes=classes, rng=rng)
+        params = init_params(cfg, n_phones, np.float64, classes=classes,
+                             rng=rng)
         bsz = len(encoded)
         v = rng.normal(size=(bsz, cfg.pca_d)) if cfg.uses_meaning else None
         cidx = rng.integers(0, 3, size=bsz) if cfg.uses_class else None
@@ -322,7 +325,7 @@ class TestPacking:
 
 class TestPositionBits:
     def zero_model(self, cfg, lex):
-        params = init_params(cfg, len(lex.inventory),
+        params = init_params(cfg, len(lex.inventory), np.float64,
                              rng=np.random.default_rng(0))
         for _, arr in params.named_arrays():
             arr[...] = 0.0
@@ -339,7 +342,7 @@ class TestPositionBits:
     def test_distributions_normalize(self):
         lex = make_lexicon(["kat", "ms"])
         cfg = LMConfig(hidden_size=8, phone_embed_size=4, layers=2)
-        params = init_params(cfg, len(lex.inventory),
+        params = init_params(cfg, len(lex.inventory), np.float64,
                              rng=np.random.default_rng(3))
         encoded = encode_signs(lex.signs, lex.inventory)
         inputs, _, _ = _pad(encoded, lex.inventory.eos_index)
@@ -353,7 +356,7 @@ class TestPositionBits:
     def test_causality_under_suffix_change(self):
         lex = make_lexicon(["kat", "kats", "katm"])
         cfg = LMConfig(hidden_size=8, phone_embed_size=4)
-        params = init_params(cfg, len(lex.inventory),
+        params = init_params(cfg, len(lex.inventory), np.float64,
                              rng=np.random.default_rng(4))
         base, longer1, longer2 = row_bits(
             evaluate(params, cfg, lex.signs, lex.inventory))
@@ -363,7 +366,7 @@ class TestPositionBits:
     def test_unknown_phone(self):
         lex = make_lexicon(["kat"])
         cfg = LMConfig(hidden_size=8, phone_embed_size=4)
-        params = init_params(cfg, len(lex.inventory),
+        params = init_params(cfg, len(lex.inventory), np.float64,
                              rng=np.random.default_rng(5))
         alien = Sign(lemma="x", form=(Phone("z"),), meaning=np.zeros(3),
                      pos="N")
@@ -376,7 +379,7 @@ class TestConditionInit:
         self.lex = make_lexicon(["kat", "sam"], pos=["N", "V"])
 
     def params_for(self, cfg):
-        return init_params(cfg, len(self.lex.inventory),
+        return init_params(cfg, len(self.lex.inventory), np.float64,
                            classes=self.lex.classes if cfg.uses_class else None,
                            rng=np.random.default_rng(6))
 
@@ -421,7 +424,7 @@ class TestConditionInit:
         cfg = LMConfig(hidden_size=7, phone_embed_size=4, pca_d=3,
                        condition_on="meaning_and_class")
         with pytest.raises(OddHiddenSplitError):
-            init_params(cfg, 6, classes=("N", "V"),
+            init_params(cfg, 6, np.float64, classes=("N", "V"),
                         rng=np.random.default_rng(0))
 
     def test_unknown_class(self):
@@ -451,7 +454,7 @@ class TestEvaluate:
         sign = Sign(lemma="abc", form=tuple(Phone(p) for p in "abc"),
                     meaning=np.zeros(3), pos="N")
         cfg = LMConfig(hidden_size=8, phone_embed_size=4)
-        params = init_params(cfg, 16, rng=np.random.default_rng(0))
+        params = init_params(cfg, 16, np.float64, rng=np.random.default_rng(0))
         for _, arr in params.named_arrays():
             arr[...] = 0.0
         losses = evaluate(params, cfg, [sign], inventory)
@@ -462,8 +465,8 @@ class TestEvaluate:
         lex = make_lexicon(["kat", "sam", "ta", "maks"], pos=list("NVNV"))
         cfg = LMConfig(hidden_size=8, phone_embed_size=4, pca_d=3,
                        condition_on="meaning_and_class", layers=2)
-        params = init_params(cfg, len(lex.inventory), classes=lex.classes,
-                             rng=np.random.default_rng(7))
+        params = init_params(cfg, len(lex.inventory), np.float64,
+                             classes=lex.classes, rng=np.random.default_rng(7))
         v = np.random.default_rng(8).normal(size=(4, 3))
         losses = evaluate(params, cfg, lex.signs, lex.inventory, v=v)
         assert losses.keys == tuple(s.key for s in lex.signs)
@@ -480,7 +483,7 @@ class TestEvaluate:
     def test_micro_average(self):
         lex = make_lexicon(["kat", "s"])
         cfg = LMConfig(hidden_size=8, phone_embed_size=4)
-        params = init_params(cfg, len(lex.inventory),
+        params = init_params(cfg, len(lex.inventory), np.float64,
                              rng=np.random.default_rng(9))
         losses = evaluate(params, cfg, lex.signs, lex.inventory)
         assert losses.token_count.tolist() == [4, 2]
@@ -493,7 +496,8 @@ class TestEvaluate:
                             "a", "sk"], pos=list("NVNVNVNVN"))
         cfg = LMConfig(hidden_size=8, phone_embed_size=4, pca_d=3, layers=2,
                        condition_on="meaning_and_class")
-        params = init_params(cfg, len(lex.inventory), classes=lex.classes,
+        params = init_params(cfg, len(lex.inventory), np.float64,
+                             classes=lex.classes,
                              rng=np.random.default_rng(10))
         v = np.random.default_rng(11).normal(size=(len(lex.signs), 3))
         base = evaluate(params, cfg, lex.signs, lex.inventory, v=v)
@@ -588,7 +592,7 @@ class TestTraining:
     def test_initial_loss_near_uniform_for_tiny_init(self):
         lex = small_corpus_lexicon()
         cfg = LMConfig(hidden_size=8, phone_embed_size=4)
-        params = init_params(cfg, len(lex.inventory),
+        params = init_params(cfg, len(lex.inventory), np.float64,
                              rng=np.random.default_rng(1))
         for _, arr in params.named_arrays():
             arr *= 1e-4
@@ -749,7 +753,7 @@ class TestFlatBuffers:
     def test_named_arrays_are_views_of_flat(self):
         cfg = LMConfig(layers=2, hidden_size=8, phone_embed_size=4, pca_d=3,
                        condition_on="meaning_and_class")
-        params = init_params(cfg, 6, classes=("N", "V"),
+        params = init_params(cfg, 6, np.float64, classes=("N", "V"),
                              rng=np.random.default_rng(16))
         sizes = [arr.size for _, arr in params.named_arrays()]
         assert params.flat.size == sum(sizes)
@@ -769,12 +773,26 @@ class TestFlatBuffers:
                        pca_d=3, condition_on=cond)
         classes = ("N", "V", "A") if cfg.uses_class else None
         rng, ref_rng = np.random.default_rng(20), np.random.default_rng(20)
-        params = init_params(cfg, 7, classes=classes, rng=rng)
+        params = init_params(cfg, 7, np.float64, classes=classes, rng=rng)
         ref = reference_init(cfg, 7, classes=classes, rng=ref_rng)
         assert params.flat.tobytes() == ref.flat.tobytes()
         assert [(n, a.shape) for n, a in params.named_arrays()] == [
             (n, a.shape) for n, a in ref.named_arrays()]
         assert params.classes == ref.classes
+        assert rng.random() == ref_rng.random()
+
+    def test_float32_init_is_the_float64_draw_cast_once(self):
+        # The recurrent tensors span two draw blocks, the rest one each.
+        cfg = LMConfig(layers=2, hidden_size=96, phone_embed_size=4,
+                       pca_d=3, condition_on="meaning_and_class")
+        assert 4 * 96 * 96 > _INIT_BLOCK
+        rng, ref_rng = np.random.default_rng(21), np.random.default_rng(21)
+        params = init_params(cfg, 7, np.float32, classes=("N", "V"),
+                             rng=rng)
+        ref = reference_init(cfg, 7, classes=("N", "V"), rng=ref_rng,
+                             dtype=np.float32)
+        assert params.flat.dtype == np.float32
+        assert params.flat.tobytes() == ref.flat.tobytes()
         assert rng.random() == ref_rng.random()
 
     @pytest.mark.parametrize("layers", [1, 2, 3])
@@ -784,7 +802,7 @@ class TestFlatBuffers:
                        pca_d=3, condition_on=cond)
         classes = ("N", "V", "A") if cfg.uses_class else None
         shapes = param_shapes(cfg, 6, len(classes or ()))
-        params = init_params(cfg, 6, classes=classes,
+        params = init_params(cfg, 6, np.float64, classes=classes,
                              rng=np.random.default_rng(22))
         assert [(n, a.shape) for n, a in params.named_arrays()] == list(
             shapes.items())
@@ -805,7 +823,7 @@ class TestFlatBuffers:
 
     def test_gradients_land_in_the_given_buffer(self):
         cfg = LMConfig(hidden_size=8, phone_embed_size=4)
-        params = init_params(cfg, 6, rng=np.random.default_rng(17))
+        params = init_params(cfg, 6, np.float64, rng=np.random.default_rng(17))
         inputs, targets, lengths = _pad(
             [np.array([1, 2, 3]), np.array([4])], 5)
         _, _, fresh = loss_and_grads(params, cfg, inputs, targets, lengths)
@@ -820,23 +838,16 @@ class TestFlatBuffers:
     def test_fit_holds_one_copy_of_the_parameters(self):
         """A fit holds four parameter-sized buffers of the training dtype
         (parameters, gradient and Adam's two moments) plus one batch's
-        activations and backward temporaries. The float64 draw it casts
-        from is freed first. A fit that also kept an initial and a
-        best-epoch copy peaked at 6.4 buffers."""
-        import tracemalloc
-
+        activations and backward temporaries. The initial draw goes
+        through a small float64 block, never a float64 buffer. A fit that
+        also kept an initial and a best-epoch copy peaked at 6.4
+        buffers."""
         lex = small_corpus_lexicon(n=64, seed=0)
         cfg = LMConfig(layers=2, hidden_size=256, phone_embed_size=16)
         opt = OptSettings(max_epochs=1, batch_size=64)
-        nbytes = init_params(cfg, len(lex.inventory)).flat.size * np.dtype(
-            DTYPE).itemsize
-        tracemalloc.start()
-        try:
-            res = train_on_indices(lex, np.arange(48), np.arange(48, 64),
-                                   cfg, opt, seed=0)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        nbytes = init_params(cfg, len(lex.inventory), DTYPE).flat.nbytes
+        peak, res = traced_peak(train_on_indices, lex, np.arange(48),
+                                np.arange(48, 64), cfg, opt, 0)
         assert res.params.flat.dtype == DTYPE
         assert res.params.flat.nbytes == nbytes
         assert peak < 5.5 * nbytes
@@ -906,7 +917,8 @@ class TestDtypeDiscipline:
     def guarded(self, cfg):
         lex = make_lexicon(["kat", "mast", "ta", "askt", "m", "sakam"],
                            pos=["N", "V", "N", "A", "V", "N"])
-        params = init_params(cfg, len(lex.inventory), classes=lex.classes,
+        params = init_params(cfg, len(lex.inventory), np.float64,
+                             classes=lex.classes,
                              rng=np.random.default_rng(30))
         params = params.with_flat(
             params.flat.astype(np.float32).view(_NoPromotion))
@@ -971,18 +983,11 @@ class TestAdam:
             opt, p.copy(), g_steps).tobytes()
 
     def test_step_allocates_nothing_parameter_sized(self):
-        import tracemalloc
-
         n = 1_200_000
         rng = np.random.default_rng(19)
         p, g = (rng.normal(size=n).astype(DTYPE) for _ in range(2))
         adam = _Adam(OptSettings(), n, DTYPE)
-        tracemalloc.start()
-        try:
-            adam.step(p, g)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak, _ = traced_peak(adam.step, p, g)
         assert peak < 1 << 20
 
 
@@ -1012,7 +1017,7 @@ class TestOptSettings:
 class TestArchive:
     def roundtrip(self, tmp_path, cfg, classes=None, with_pca=False,
                   dtype=np.float64):
-        params = init_params(cfg, 6, classes=classes,
+        params = init_params(cfg, 6, np.float64, classes=classes,
                              rng=np.random.default_rng(3))
         params = params.with_flat(params.flat.astype(dtype))
         inventory = PhoneInventory.from_phones(Phone(p) for p in ALPHABET)
@@ -1078,7 +1083,7 @@ class TestArchive:
     @pytest.mark.parametrize("keep", [0.0, 0.5])
     def test_rejects_truncated(self, tmp_path, keep):
         cfg = LMConfig(hidden_size=8, phone_embed_size=4)
-        params = init_params(cfg, 6, rng=np.random.default_rng(0))
+        params = init_params(cfg, 6, np.float64, rng=np.random.default_rng(0))
         inventory = PhoneInventory.from_phones(Phone(p) for p in ALPHABET)
         path = tmp_path / "model.archive"
         save_model(path, cfg, inventory, params)
@@ -1096,7 +1101,7 @@ class TestArchive:
         """A plain model's archive, its header and arrays changed in place
         by edit(meta, data)."""
         cfg = LMConfig(hidden_size=8, phone_embed_size=4)
-        params = init_params(cfg, 6, rng=np.random.default_rng(0))
+        params = init_params(cfg, 6, np.float64, rng=np.random.default_rng(0))
         inventory = PhoneInventory.from_phones(Phone(p) for p in ALPHABET)
         path = tmp_path / "model.archive"
         save_model(path, cfg, inventory, params)

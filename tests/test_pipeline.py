@@ -7,6 +7,7 @@ import shutil
 
 import numpy as np
 import pytest
+from oracle_utils import traced_peak
 
 from signform import pipeline
 from signform.errors import ArchiveFormatError
@@ -14,6 +15,7 @@ from signform.lexicon import load_embeddings, split_folds
 from signform.phonolm import DTYPE, LMConfig, OptSettings, load_model
 from signform.phonolm import training
 from signform.pipeline import (
+    MODEL_KINDS,
     PHONESTHEME_DEFAULTS,
     RunConfig,
     fit_model,
@@ -26,7 +28,13 @@ from signform.pipeline import (
     seed_for,
 )
 from signform.semspace import pca_fit, pca_transform
-from signform.synthbench import exact_entropy, exact_mi, two_cluster_spec
+from signform.synthbench import (
+    exact_entropy,
+    exact_mi,
+    generate,
+    planted_prefix_spec,
+    two_cluster_spec,
+)
 from signform.validate import estimate_in_new_process
 
 FAST_LM = {"hidden_size": 16, "phone_embed_size": 8, "pca_d": 3}
@@ -151,6 +159,50 @@ class TestRunConfig:
         with pytest.raises(ValueError, match=match):
             RunConfig.from_dict({"language": "xx", section: values})
 
+    @pytest.mark.parametrize("fields,match", [
+        ({"folds": 2.5}, "^folds must be an integer, got 2.5$"),
+        ({"folds": "10"}, "^folds must be an integer"),
+        ({"seed": 1.5}, "^seed must be an integer"),
+        ({"seed": True}, "^seed must be an integer"),
+        ({"permutations": 10.5}, "^permutations must be an integer"),
+        ({"hyperopt_budget": 1.5}, "^hyperopt_budget must be an integer"),
+        ({"hyperopt_budget": -1}, "^hyperopt_budget must be >= 0"),
+        ({"schema_version": True}, "^schema_version must be an integer"),
+        ({"rotation": 7, "folds": 4}, r"^rotation must be in 0\.\.3, got 7"),
+        ({"rotation": -1}, r"^rotation must be in 0\.\.9, got -1"),
+        ({"rotation": 1.0}, "^rotation must be an integer"),
+        ({"pretokenized": "no"}, "^pretokenized must be true or false"),
+        ({"strip_marks": "yes"}, "^strip_marks must be true or false"),
+        ({"strip_marks": 1}, "^strip_marks must be true or false"),
+        ({"columns": [1]}, "^columns must be an object or null"),
+        ({"columns": {"form": 1}}, "^columns must map names to names"),
+        ({"language": 5}, "^language must be a string"),
+        ({"lexicon_path": 5}, "^lexicon_path must be a string or null"),
+        ({"out_dir": None}, "^out_dir must be a string"),
+        ({"model_kinds": "uncond"}, "^model_kinds must be a list, got "
+                                    "'uncond'$"),
+        ({"model_kinds": ["uncond", 1]}, "^model_kinds must hold names"),
+        ({"lm": None}, "^lm must be an object, got None$"),
+        ({"opt": []}, "^opt must be an object"),
+        ({"phonesthemes": None}, "^phonesthemes must be an object"),
+        ({"lm": {"dropout": "0.1"}}, "^lm dropout must be a real number"),
+        ({"opt": {"lr": "0.1"}}, "^opt lr must be a real number"),
+        ({"opt": {"clip_norm": True}}, "^opt clip_norm must be a real "
+                                       "number, got True$"),
+        ({"opt": {"min_delta": None}}, "^opt min_delta must be a real")])
+    def test_wrong_field_types_rejected_at_load(self, fields, match):
+        with pytest.raises(ValueError, match=match):
+            RunConfig.from_dict({"language": "xx", **fields})
+
+    @pytest.mark.parametrize("fields", [
+        {"rotation": 9}, {"rotation": 3, "folds": 4}, {"seed": -5},
+        {"opt": {"clip_norm": None, "lr": 1}}, {"lm": {"dropout": 0}},
+        {"columns": {"form": "ipa"}}, {"model_kinds": ["uncond", "meaning"]},
+        {"lexicon_path": "lex.tsv", "embeddings_path": None}])
+    def test_right_field_types_load(self, fields):
+        cfg = RunConfig.from_dict({"language": "xx", **fields})
+        assert RunConfig.from_dict(cfg.to_dict()) == cfg
+
     def test_phonesthemes_stored_as_given(self):
         cfg = RunConfig(language="xx", phonesthemes={"k_range": [2]})
         assert cfg.to_dict()["phonesthemes"] == {"k_range": [2]}
@@ -205,6 +257,41 @@ class TestFitModel:
         everyone = pca_fit(meanings, FAST_LM["pca_d"])
         assert not np.array_equal(pca.mean, everyone.mean)
         assert not np.array_equal(pca.components, everyone.components)
+
+    def test_meaning_fit_holds_one_n_by_d_copy(self):
+        """A meaning fit on 800 x 300 meanings with a tiny LM holds one
+        (N, D) float64 copy of the meanings plus the PCA's D x D scatter
+        and eigendecomposition. Stacking the meanings, gathering the
+        training rows and centring a third copy peaked at 6.15 MiB, 3.4
+        times the (N, D) matrix."""
+        lex, _ = generate(planted_prefix_spec(meaning_dim=300), 800, seed=3)
+        folds = split_folds(lex, 10, seed=0)
+        lm = {"hidden_size": 4, "phone_embed_size": 2, "pca_d": 8}
+        peak, _ = traced_peak(fit_model, lex, folds, 0, "meaning", lm,
+                              OptSettings(max_epochs=1), 0)
+        n, cap = len(lex.signs), 300
+        assert peak < n * cap * 8 + 2.5 * cap * cap * 8
+
+    @pytest.mark.parametrize("command", ["estimate", "phonesthemes"])
+    def test_one_pca_fit_per_command(self, planted_files, tmp_path,
+                                     monkeypatch, command):
+        """estimate's meaning and meaning_and_class models, and
+        phonesthemes' forward and reversed meaning models, share the
+        meanings, folds and pca_d, so the command fits one PCA."""
+        _, files = planted_files
+        calls = []
+        real = pipeline.pca_fit
+        monkeypatch.setattr(pipeline, "pca_fit",
+                            lambda *a: calls.append(a) or real(*a))
+        cfg = fast_config(str(tmp_path), files, model_kinds=MODEL_KINDS,
+                          opt=dict(FAST_OPT, max_epochs=1),
+                          phonesthemes={"k_range": [1], "min_count": 15,
+                                        "n_samples": 100})
+        if command == "estimate":
+            run_estimate(cfg, write=False)
+        else:
+            run_phonesthemes(cfg)
+        assert len(calls) == 1
 
     def test_fingerprint_only_when_archived(self, two_cluster_files,
                                             tmp_path, monkeypatch):

@@ -1,7 +1,6 @@
-import tracemalloc
-
 import numpy as np
 import pytest
+from oracle_utils import traced_peak
 
 from signform.errors import DimensionMismatchError
 from signform.semspace import PCAModel, pca_fit, pca_transform
@@ -55,14 +54,32 @@ class TestScatterEigendecomposition:
         matrices; the thin SVD's (N, D) left factor would not fit."""
         data = estimate_meanings()
         cap = data.shape[1]
-        pca_fit(data, 8)
-        tracemalloc.start()
-        try:
-            pca_fit(data, 8)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak, _ = traced_peak(pca_fit, data, 8)
         assert peak < data.nbytes + 2.5 * cap * cap * data.itemsize
+
+
+class TestOneCopy:
+    """pca_fit and pca_transform copy their input once and leave it be."""
+
+    def setup_method(self):
+        self.data = estimate_meanings()[:200]
+        self.rows = list(self.data)
+        self.model = pca_fit(self.data, 8)
+
+    def test_callers_array_unchanged(self):
+        before = self.data.tobytes()
+        pca_fit(self.data, 8)
+        pca_transform(self.model, self.data)
+        pca_transform(self.model, self.data[0])
+        assert self.data.tobytes() == before
+
+    def test_list_of_rows_gives_the_same_bytes(self):
+        from_rows = pca_fit(self.rows, 8)
+        for name in ("mean", "components", "explained_variance"):
+            assert (getattr(from_rows, name).tobytes()
+                    == getattr(self.model, name).tobytes()), name
+        assert (pca_transform(self.model, self.rows).tobytes()
+                == pca_transform(self.model, self.data).tobytes())
 
 
 class TestPcaFit:
