@@ -15,7 +15,6 @@ import sys
 
 from .pipeline import (
     RunConfig,
-    _check_ints,
     load_config,
     run_batch,
     run_estimate,
@@ -23,6 +22,7 @@ from .pipeline import (
     run_phonesthemes,
     run_synth,
 )
+from .phonolm.model import _require_int
 from .reports import read_json, write_json, write_report_csv_rows
 from .validate import CRITERIA, battery_passed, run_battery
 
@@ -102,8 +102,8 @@ def cmd_batch(args) -> int:
         out_dir = overrides.pop("out_dir") or doc.get("out_dir") or "."
         threads = overrides.pop("threads")
         if threads is None:
-            _check_ints("batch", doc, ("threads",))
             threads = doc.get("threads", 1)
+            _require_int("batch threads", threads)
         configs = []
         for i, entry in enumerate(doc["languages"]):
             entry = dict(entry)

@@ -32,8 +32,42 @@ import numpy as np
 from .errors import SignSetMismatchError
 from .lexicon import Lexicon, Phone, Sign
 from .phonolm import LossTable
+from .phonolm.model import _require_int, _require_ints, _require_reals
 from .seeding import derive_rng
 from .stats import bh_correct
+
+
+@dataclass(frozen=True)
+class MiningSettings:
+    """What a phonestheme run mines: a config's phonesthemes section.
+
+    Affixes of each length in k_range held by at least min_count words are
+    tested with n_samples null draws per length, then corrected jointly
+    with Benjamini-Hochberg at level alpha. k_range is kept as a tuple.
+    """
+
+    k_range: tuple[int, ...] = (1, 2, 3)
+    min_count: int = 20
+    alpha: float = 0.05
+    n_samples: int = 100_000
+
+    def __post_init__(self):
+        if not isinstance(self.k_range, (list, tuple)):
+            raise ValueError(f"k_range must be a list, got {self.k_range!r}")
+        for i, k in enumerate(self.k_range):
+            _require_int(f"k_range[{i}]", k)
+        object.__setattr__(self, "k_range", tuple(self.k_range))
+        _require_ints(self, ("min_count", "n_samples"))
+        _require_reals(self, ("alpha",))
+        if not self.k_range or min(self.k_range) < 1:
+            raise ValueError("k_range must be non-empty, every k >= 1")
+        if self.min_count < 1:
+            raise ValueError("min_count must be >= 1")
+        if not 0 < self.alpha < 1:
+            raise ValueError("alpha must be in (0, 1)")
+        if self.n_samples < 1:
+            raise ValueError("n_samples must be >= 1")
+
 
 @dataclass
 class AffixCandidate:
@@ -116,9 +150,12 @@ def enumerate_candidates(lex: Lexicon, k_range,
     return out
 
 
-# Null samples are drawn in chunks of about this many permutation entries;
-# the index and value buffers are allocated once per sampler call.
-_CHUNK_ELEMS = 1 << 19
+# Null samples are drawn in blocks of about this many permutation entries:
+# a 512 KiB int64 index block, with a value block and a gather copy no
+# larger, so the sampler's working set stays near the L2 cache and its peak
+# memory does not grow with n_samples. rng.permuted draws row by row, so
+# the block's row count does not change the stream.
+_CHUNK_ELEMS = 1 << 16
 
 
 def _permutation_sums(pops: np.ndarray, widths, n_samples: int,
@@ -126,12 +163,16 @@ def _permutation_sums(pops: np.ndarray, widths, n_samples: int,
     """Running sums of each row of pops along shared uniform permutations.
 
     pops is (n_rows, N), every row over the same N words in the same order.
-    Draws n_samples uniform permutations of the words and yields, chunk by
-    chunk and row by row, (row, sums): sums[s, i] adds the row's values at
+    Draws n_samples uniform permutations of the words and yields, block by
+    block and row by row, (row, sums): sums[s, i] adds the row's values at
     the first i + 1 words of sample s's permutation, for i < widths[row].
     The first n words of a uniform permutation are a uniform n-subset, so
     sums[:, n - 1] / n are null means for every size n at once. Rows of
     width 0 are skipped. sums is a buffer that the next yield overwrites.
+
+    A block holds max(1, _CHUNK_ELEMS // N) permutations (81 of 800
+    words), so the buffers stay cache-sized and bounded whatever n_samples
+    is; the permutations, and so every sum, do not depend on the block.
     """
     n_rows, big = pops.shape
     widths = [int(w) for w in widths]
@@ -153,7 +194,8 @@ def _permutation_sums(pops: np.ndarray, widths, n_samples: int,
                 continue
             sums = buf[:take * w].reshape(take, w)
             # Every index is in range by construction; "clip" skips the
-            # bounds check and the copy of the strided index block it makes.
+            # bounds check. np.take still makes one contiguous copy of the
+            # strided idx[:, :w], which the block bounds.
             np.take(pops[row], idx[:, :w], out=sums, mode="clip")
             np.cumsum(sums, axis=1, out=sums)
             yield row, sums
@@ -194,13 +236,17 @@ def _test_k(tables, candidates, k: int, n_samples: int, seed: int):
             sampled.append((i, row, cand.count, observed))
             widths[row] = max(widths[row], cand.count)
     if sampled:
+        # Grouped by row once, so that a block's counts for all of a row's
+        # candidates are one compare.
+        ii, rows, ns, obs = (np.array(col) for col in zip(*sampled))
+        by_row = {row: (ii[rows == row], ns[rows == row], obs[rows == row])
+                  for row in set(rows.tolist())}
         counts = np.zeros(len(candidates), dtype=np.int64)
         rng = derive_rng(seed, "phonesthemes", k)
         for row, sums in _permutation_sums(pops, widths, n_samples, rng):
-            for i, r, n, observed in sampled:
-                if r == row:
-                    counts[i] += np.count_nonzero(sums[:, n - 1] / n
-                                                  >= observed)
+            ii, ns, obs = by_row[row]
+            counts[ii] += np.count_nonzero(sums[:, ns - 1] / ns >= obs,
+                                           axis=0)
         for i, _, _, observed in sampled:
             out[i] = ((int(counts[i]) + 1) / (n_samples + 1), observed)
     return out

@@ -56,14 +56,18 @@ CONDITION_MODES = ("nothing", "meaning", "class", "meaning_and_class")
 _INIT_BLOCK = 1 << 15
 
 
+def _require_int(name: str, value) -> None:
+    """Raise ValueError, naming value name, unless value is an int. JSON
+    true and false load as bools, which are ints to isinstance, so a bool
+    is refused too."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _require_ints(settings, names) -> None:
-    """Raise ValueError for the first of settings' fields names that is not
-    an int. JSON true and false load as bools, which are ints to
-    isinstance, so a bool is refused too."""
+    """_require_int on each of settings' fields names, in order."""
     for name in names:
-        value = getattr(settings, name)
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+        _require_int(name, getattr(settings, name))
 
 
 def _require_reals(settings, names) -> None:

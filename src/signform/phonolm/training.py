@@ -48,6 +48,9 @@ DTYPE = np.float32
 # float32.
 _CHUNK = 1 << 15
 
+# Elements _clip squares at a time: its scratch takes 256 KiB in float32.
+_SQ_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class OptSettings:
@@ -135,15 +138,37 @@ class _Adam:
             params[lo:hi] -= a
 
 
+def _sum_sq(a: np.ndarray, scratch: np.ndarray):
+    """np.sum(a * a) of a 1-D array, bit for bit, in a's dtype, squaring at
+    most scratch.size elements at a time into scratch.
+
+    numpy sums a contiguous float array pairwise: above 128 elements it
+    splits n at n2 = n // 2 rounded down to a multiple of 8 and adds the
+    two halves' sums. Recursing along the same splits down to pieces that
+    fit scratch gives the same additions in the same order. scratch must
+    hold at least 128 elements or all of a.
+    """
+    n = a.size
+    if n <= scratch.size:
+        sq = scratch[:n]
+        np.multiply(a, a, out=sq)
+        return sq.sum()
+    n2 = n // 2
+    n2 -= n2 % 8
+    return _sum_sq(a[:n2], scratch) + _sum_sq(a[n2:], scratch)
+
+
 def _clip(grads: dict[str, np.ndarray], flat: np.ndarray, max_norm: float):
     """Scale flat, whose views grads are, to norm at most max_norm.
 
-    The squared norm sums one array at a time, in grads' order, and the
+    The squared norm sums one array at a time, in grads' order, each as
+    np.sum(g * g) would but without a temporary the size of g, and the
     scale factor is rounded to flat's dtype before it multiplies.
     """
+    scratch = np.empty(min(flat.size, _SQ_BLOCK), dtype=flat.dtype)
     total = 0.0
     for g in grads.values():
-        total += float(np.sum(g * g))
+        total += float(_sum_sq(g.reshape(-1), scratch))
     norm = np.sqrt(total)
     if norm > max_norm:
         flat *= flat.dtype.type(max_norm / norm)

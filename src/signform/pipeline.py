@@ -10,7 +10,6 @@ isolation, then corrects significance across languages and aggregates.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import hashlib
 import json
@@ -32,7 +31,7 @@ from .lexicon import (
     parse_lexicon,
     split_folds,
 )
-from .phonesthemes import mine, reverse_forms
+from .phonesthemes import MiningSettings, mine, reverse_forms
 from .phonolm import (
     DTYPE,
     LMConfig,
@@ -74,8 +73,6 @@ KIND_CONDITION = {
     "meaning_and_class": "meaning_and_class",
 }
 SCHEMA_VERSION = 1
-PHONESTHEME_DEFAULTS = {"k_range": [1, 2, 3], "min_count": 20,
-                        "alpha": 0.05, "n_samples": 100_000}
 
 logger = logging.getLogger(__name__)
 
@@ -100,7 +97,7 @@ class RunConfig:
     lm: dict = field(default_factory=dict)
     opt: dict = field(default_factory=dict)
     phonesthemes: dict = field(
-        default_factory=lambda: copy.deepcopy(PHONESTHEME_DEFAULTS))
+        default_factory=lambda: dataclasses.asdict(MiningSettings()))
     schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self):
@@ -131,14 +128,7 @@ class RunConfig:
             raise ValueError("permutations must be >= 1")
         if self.hyperopt_budget < 0:
             raise ValueError("hyperopt_budget must be >= 0")
-        unknown = set(self.opt) - {
-            f.name for f in dataclasses.fields(OptSettings)}
-        if unknown:
-            raise ValueError(f"unknown opt keys: {sorted(unknown)}")
-        try:
-            OptSettings(**self.opt)
-        except ValueError as exc:
-            raise ValueError(f"opt {exc}") from exc
+        _check_section("opt", OptSettings, self.opt)
         unknown = set(self.lm) - (
             {f.name for f in dataclasses.fields(LMConfig)} - {"condition_on"})
         if unknown:
@@ -149,7 +139,7 @@ class RunConfig:
                 make_lm_config(kind, self.lm)
             except ValueError as exc:
                 raise ValueError(f"lm {exc}") from exc
-        _check_phonesthemes(self.phonesthemes)
+        _check_section("phonesthemes", MiningSettings, self.phonesthemes)
 
     def _check_types(self) -> None:
         """Raise ValueError for the first top-level field of a wrong type."""
@@ -206,36 +196,16 @@ class RunConfig:
             raise FileNotFoundError(self.embeddings_path)
 
 
-def _is_int(value) -> bool:
-    # JSON true and false load as bools, which are ints to isinstance.
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _check_ints(section: str, values: dict, names) -> None:
-    for name in names:
-        if name in values and not _is_int(values[name]):
-            raise ValueError(f"{section} {name} must be an integer, got "
-                             f"{values[name]!r}")
-
-
-def _check_phonesthemes(given: dict) -> None:
-    unknown = set(given) - set(PHONESTHEME_DEFAULTS)
+def _check_section(section: str, settings_type, given: dict) -> None:
+    """Raise ValueError, naming the section, unless settings_type(**given)
+    loads."""
+    unknown = set(given) - {f.name for f in dataclasses.fields(settings_type)}
     if unknown:
-        raise ValueError(f"unknown phonesthemes keys: {sorted(unknown)}")
-    opts = {**PHONESTHEME_DEFAULTS, **given}
-    _check_ints("phonesthemes", opts, ("min_count", "n_samples"))
-    if not all(_is_int(k) for k in opts["k_range"]):
-        raise ValueError("phonesthemes k_range must hold integers, got "
-                         f"{opts['k_range']!r}")
-    if not opts["k_range"] or any(k < 1 for k in opts["k_range"]):
-        raise ValueError("phonesthemes k_range must be non-empty, every "
-                         "k >= 1")
-    if opts["min_count"] < 1:
-        raise ValueError("phonesthemes min_count must be >= 1")
-    if not 0 < opts["alpha"] < 1:
-        raise ValueError("phonesthemes alpha must be in (0, 1)")
-    if opts["n_samples"] < 1:
-        raise ValueError("phonesthemes n_samples must be >= 1")
+        raise ValueError(f"unknown {section} keys: {sorted(unknown)}")
+    try:
+        settings_type(**given)
+    except ValueError as exc:
+        raise ValueError(f"{section} {exc}") from exc
 
 
 def load_config(path, **overrides) -> RunConfig:
@@ -632,11 +602,11 @@ def run_phonesthemes(config: RunConfig, lex: Lexicon | None = None):
                 projections)
             tables[tag, kind] = evaluate(params, cfg, forms.signs,
                                          forms.inventory, v=v_all)
-    opts = {**PHONESTHEME_DEFAULTS, **config.phonesthemes}
+    mining = MiningSettings(**config.phonesthemes)
     candidates = mine(
         lex, tables["fwd", "uncond"], tables["fwd", "meaning"],
-        k_range=tuple(opts["k_range"]), min_count=int(opts["min_count"]),
-        alpha=float(opts["alpha"]), n_samples=int(opts["n_samples"]),
+        k_range=mining.k_range, min_count=mining.min_count,
+        alpha=mining.alpha, n_samples=mining.n_samples,
         seed=seed_for(config.seed, "phonesthemes"),
         reversed_lex=rev, reversed_uncond=tables["rev", "uncond"],
         reversed_cond=tables["rev", "meaning"])

@@ -1,10 +1,11 @@
 """Shared helpers: loss tables built from the exact synthetic oracle, the
 per-word pointwise MI that the vectorised table is checked against, the
-padded per-step LSTM that the packed kernel is checked against, the
-per-tensor initialiser that the in-place one is checked against, the
-per-array training loop that the flat-buffer one is checked against, and
-the traced allocation peak the memory bounds read. The LSTM and the
-training loop compute in the parameters' dtype, as the package's do."""
+phonestheme null counted one candidate at a time, the padded per-step LSTM
+that the packed kernel is checked against, the per-tensor initialiser that
+the in-place one is checked against, the per-array training loop that the
+flat-buffer one is checked against, and the traced allocation peak the
+memory bounds read. The LSTM and the training loop compute in the
+parameters' dtype, as the package's do."""
 
 import tracemalloc
 
@@ -28,6 +29,7 @@ from signform.phonolm.model import (
     _h0_batch,
     _pad,
 )
+from signform.phonesthemes import _permutation_sums
 from signform.seeding import derive_rng
 from signform.synthbench import oracle_word_bits
 
@@ -84,6 +86,34 @@ def pointwise_affix_mi(uncond_bits, cond_bits, k):
     if not (1 <= k <= ub.shape[0]):
         raise ValueError(f"k={k} out of range for {ub.shape[0]} positions")
     return float((ub[:k] - cb[:k]).mean())
+
+
+def reference_test_k(tables, candidates, k, n_samples, seed):
+    """phonesthemes._test_k's (p, observed) pairs, counted one candidate
+    at a time in every block of the k's permutation stream: the loop that
+    its one compare per row and block must match exactly."""
+    eligible = ~np.isnan(tables[0])
+    pops = np.stack([t[eligible] for t in tables])
+    constant = pops.min(axis=1) == pops.max(axis=1)
+    out, sampled = [], []
+    widths = [0] * len(tables)
+    for i, (row, cand) in enumerate(candidates):
+        observed = float(tables[row][cand.word_indices].mean())
+        out.append((1.0, observed))
+        if cand.count < pops.shape[1] and not constant[row]:
+            sampled.append((i, row, cand.count, observed))
+            widths[row] = max(widths[row], cand.count)
+    if sampled:
+        counts = np.zeros(len(candidates), dtype=np.int64)
+        rng = derive_rng(seed, "phonesthemes", k)
+        for row, sums in _permutation_sums(pops, widths, n_samples, rng):
+            for i, r, n, observed in sampled:
+                if r == row:
+                    counts[i] += np.count_nonzero(sums[:, n - 1] / n
+                                                  >= observed)
+        for i, _, _, observed in sampled:
+            out[i] = ((int(counts[i]) + 1) / (n_samples + 1), observed)
+    return out
 
 
 # The plain LSTM the packed kernel must match: batch-major (B, T, h) arrays,

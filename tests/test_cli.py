@@ -124,6 +124,22 @@ class TestEstimateCommand:
             "message": "folds must be an integer, got '10'"}
         assert sorted(p.name for p in out.iterdir()) == ["error.json"]
 
+    def test_wrong_mining_field_rejected_before_parsing(self, tmp_path,
+                                                       capsys):
+        cfg = tmp_path / "bad.json"
+        out = tmp_path / "failed"
+        write_config(cfg, str(tmp_path / "nowhere"),
+                     phonesthemes={"alpha": "0.05"})
+        rc = main(["--config", str(cfg), "--out", str(out), "phonesthemes"])
+        assert rc == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {
+            "error": "ValueError", "stage": "phonesthemes",
+            "message": "phonesthemes alpha must be a real number, got "
+                       "'0.05'"}
+        assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+
     def test_success_clears_stale_error(self, corpus, tmp_path, capsys):
         out = tmp_path / "run"
         out.mkdir()

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from signform import phonesthemes
 from signform.errors import SignSetMismatchError
 from signform.lexicon import Lexicon, Phone, PhoneInventory, Sign
 from signform.phonesthemes import (
@@ -20,7 +21,13 @@ from signform.synthbench import generate, planted_prefix_spec
 
 from signform.phonolm import LossTable
 
-from oracle_utils import oracle_loss_tables, pointwise_affix_mi, row_bits
+from oracle_utils import (
+    oracle_loss_tables,
+    pointwise_affix_mi,
+    reference_test_k,
+    row_bits,
+    traced_peak,
+)
 
 
 def make_lex(forms, lemmas=None, dim=2, language="toy"):
@@ -284,6 +291,60 @@ def stub_candidate(indices, phones=("x",)):
     return AffixCandidate(phones=tuple(Phone(p) for p in phones),
                           side="prefix", word_indices=idx,
                           count=int(idx.shape[0]))
+
+
+def two_row_batch(n_words, n_cands, max_count, seed):
+    """Two PMI rows over n_words words (the first 20 ineligible in both)
+    and n_cands random candidates alternating between the rows."""
+    rng = np.random.default_rng(seed)
+    tables = [rng.normal(size=n_words) for _ in range(2)]
+    for t in tables:
+        t[:20] = np.nan
+    batch = [(i % 2, stub_candidate(rng.choice(
+        np.arange(20, n_words), int(rng.integers(1, max_count + 1)),
+        replace=False))) for i in range(n_cands)]
+    return tables, batch
+
+
+class TestNullBlocks:
+    @pytest.fixture
+    def batch(self):
+        tables, batch = two_row_batch(320, 10, 120, 31)
+        # Two candidates of one size on one row, one of them shifted up.
+        batch.append((1, stub_candidate(np.arange(60, 100))))
+        batch.append((1, stub_candidate(np.arange(20, 60))))
+        tables[1][20:60] += 0.3
+        return tables, batch
+
+    def test_p_values_do_not_depend_on_the_block(self, batch, monkeypatch):
+        # 300 eligible words: blocks of 1, 8, 218 and 1001 permutations,
+        # and 1001 samples is a multiple of none but the first and last.
+        tables, cands = batch
+        got = []
+        for elems in (1, 2401, 1 << 16, 1 << 19):
+            monkeypatch.setattr(phonesthemes, "_CHUNK_ELEMS", elems)
+            got.append(_test_k(tables, cands, 2, 1001, 17))
+        assert all(g == got[0] for g in got[1:])
+        assert len({p for p, _ in got[0]}) > 1
+
+    def test_vectorised_count_matches_per_candidate_loop(self):
+        # Single-word candidates tie with the draws of their own word.
+        tables, cands = two_row_batch(500, 36, 200, 32)
+        cands += [(row, stub_candidate([20 + row + 2 * i]))
+                  for i in range(2) for row in (0, 1)]
+        assert _test_k(tables, cands, 1, 1500, 18) == reference_test_k(
+            tables, cands, 1, 1500, 18)
+
+    @pytest.mark.parametrize("n_samples", [1000, 40000])
+    def test_peak_memory_is_one_block(self, n_samples):
+        # Widths 325 and 309 of 800 words, as on the phonesthemes
+        # benchmark lexicon at k=1.
+        rng = np.random.default_rng(33)
+        tables = [rng.normal(size=800) for _ in range(2)]
+        cands = [(row, stub_candidate(rng.choice(800, n, replace=False)))
+                 for row, n in ((0, 325), (0, 70), (1, 309), (1, 150))]
+        peak, _ = traced_peak(_test_k, tables, cands, 1, n_samples, 19)
+        assert peak < 1.5 * 2**20
 
 
 class TestPhonesthemeTest:

@@ -49,7 +49,13 @@ from signform.phonolm.model import (
     _pack,
     _pad,
 )
-from signform.phonolm.training import _CHUNK, _Adam, _clip
+from signform.phonolm.training import (
+    _CHUNK,
+    _SQ_BLOCK,
+    _Adam,
+    _clip,
+    _sum_sq,
+)
 from signform.seeding import derive_rng
 
 
@@ -989,6 +995,38 @@ class TestAdam:
         adam = _Adam(OptSettings(), n, DTYPE)
         peak, _ = traced_peak(adam.step, p, g)
         assert peak < 1 << 20
+
+
+class TestClip:
+    @pytest.mark.parametrize("shape", [
+        (0,), (1,), (7,), (8,), (129,), (_SQ_BLOCK - 1,), (_SQ_BLOCK,),
+        (_SQ_BLOCK + 1,), (3 * _SQ_BLOCK + 5,), (1820, 455), (2048, 512)])
+    def test_sum_sq_is_numpys_pairwise_sum(self, shape):
+        # _sum_sq mirrors numpy's pairwise summation; a numpy that summed
+        # differently would fail here before it changed any clipped model.
+        # Values over eight decades make the rounding depend on the order
+        # of the additions; a 128-element scratch takes every split numpy
+        # makes.
+        rng = np.random.default_rng(21)
+        g = (rng.normal(size=shape)
+             * 10.0 ** rng.uniform(-4, 4, size=shape)).astype(DTYPE)
+        want = DTYPE(np.sum(g * g)).tobytes()
+        for block in (_SQ_BLOCK, 128):
+            scratch = np.empty(min(g.size, block), dtype=DTYPE)
+            got = _sum_sq(g.reshape(-1), scratch)
+            assert got.dtype == DTYPE
+            assert got.tobytes() == want
+
+    def test_clip_allocates_no_gradient_sized_square(self):
+        cfg = LMConfig(layers=2, hidden_size=455, phone_embed_size=16,
+                       pca_d=8, condition_on="meaning")
+        params = init_params(cfg, 5, DTYPE, rng=np.random.default_rng(22))
+        grads = params.views(params.flat)
+        largest = max(g.nbytes for g in grads.values())
+        assert largest == 1820 * 455 * 4
+        peak, norm = traced_peak(_clip, grads, params.flat, 1e9)
+        assert norm < 1e9
+        assert peak < largest / 4
 
 
 class TestOptSettings:

@@ -14,9 +14,9 @@ from signform.errors import ArchiveFormatError
 from signform.lexicon import load_embeddings, split_folds
 from signform.phonolm import DTYPE, LMConfig, OptSettings, load_model
 from signform.phonolm import training
+from signform.phonesthemes import MiningSettings
 from signform.pipeline import (
     MODEL_KINDS,
-    PHONESTHEME_DEFAULTS,
     RunConfig,
     fit_model,
     load_config,
@@ -189,7 +189,19 @@ class TestRunConfig:
         ({"opt": {"lr": "0.1"}}, "^opt lr must be a real number"),
         ({"opt": {"clip_norm": True}}, "^opt clip_norm must be a real "
                                        "number, got True$"),
-        ({"opt": {"min_delta": None}}, "^opt min_delta must be a real")])
+        ({"opt": {"min_delta": None}}, "^opt min_delta must be a real"),
+        ({"phonesthemes": {"alpha": "0.05"}}, "^phonesthemes alpha must be "
+                                              "a real number, got '0.05'$"),
+        ({"phonesthemes": {"alpha": None}}, "^phonesthemes alpha must be a "
+                                            "real number, got None$"),
+        ({"phonesthemes": {"alpha": True}}, "^phonesthemes alpha must be a "
+                                            "real number, got True$"),
+        ({"phonesthemes": {"k_range": 5}}, "^phonesthemes k_range must be a "
+                                           "list, got 5$"),
+        ({"phonesthemes": {"k_range": None}}, "^phonesthemes k_range must "
+                                              "be a list, got None$"),
+        ({"phonesthemes": {"k_range": [2, "3"]}}, r"^phonesthemes "
+         r"k_range\[1\] must be an integer, got '3'$")])
     def test_wrong_field_types_rejected_at_load(self, fields, match):
         with pytest.raises(ValueError, match=match):
             RunConfig.from_dict({"language": "xx", **fields})
@@ -206,9 +218,14 @@ class TestRunConfig:
     def test_phonesthemes_stored_as_given(self):
         cfg = RunConfig(language="xx", phonesthemes={"k_range": [2]})
         assert cfg.to_dict()["phonesthemes"] == {"k_range": [2]}
-        assert RunConfig(language="xx").phonesthemes == PHONESTHEME_DEFAULTS
-        RunConfig(language="xx").phonesthemes["k_range"].append(4)
-        assert PHONESTHEME_DEFAULTS["k_range"] == [1, 2, 3]
+        assert MiningSettings(**cfg.phonesthemes).k_range == (2,)
+        # The default section is written out in full, as report.json has
+        # always recorded it.
+        default = RunConfig(language="xx").phonesthemes
+        assert json.loads(json.dumps(default)) == {
+            "k_range": [1, 2, 3], "min_count": 20, "alpha": 0.05,
+            "n_samples": 100_000}
+        assert MiningSettings(**default) == MiningSettings()
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError):
