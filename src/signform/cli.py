@@ -3,7 +3,9 @@
 Every command reads one JSON config document, honors the global overrides
 (--seed, --threads, --out, then SIGNFORM_SEED / SIGNFORM_THREADS), prints a
 short human summary to stdout, and on failure emits one machine-readable
-JSON error line and exits nonzero.
+JSON error line, writes it to error.json in the output directory and exits
+nonzero. A successful estimate, batch, phonesthemes or hyperopt removes the
+error.json an earlier failure left in its output directory.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import sys
 
 from .pipeline import (
     RunConfig,
+    _clear_stale_error,
     load_config,
     run_batch,
     run_estimate,
@@ -67,13 +70,6 @@ def _fail(exc: Exception, stage: str, out_dir: str | None = None) -> int:
     return 1
 
 
-def _clear_stale_error(out_dir: str) -> None:
-    try:
-        os.remove(os.path.join(out_dir, "error.json"))
-    except OSError:
-        pass
-
-
 def cmd_estimate(args) -> int:
     config = None
     try:
@@ -117,6 +113,7 @@ def cmd_batch(args) -> int:
         out = run_batch(configs, out_dir, threads=threads)
     except Exception as exc:
         return _fail(exc, "batch", out_dir)
+    _clear_stale_error(out_dir)
     for rep in out.reports:
         flags = out.significant[rep.language]
         mark = "*" if flags["significant"] else " "

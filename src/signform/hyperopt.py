@@ -4,8 +4,7 @@ Minimizes validation bits/phone over a small box of hyperparameters with a
 Gaussian process surrogate (squared-exponential kernel, per-dimension
 length-scales, noise term) and the expected-improvement acquisition rule.
 Integer dimensions are relaxed to the unit interval and rounded only when a
-proposal is turned back into native units. Every trial can be streamed to a
-JSON-lines log and replayed to resume an interrupted search.
+proposal is turned back into native units.
 
 Only the GP step needs scipy (L-BFGS-B and the normal CDF), so `gp_fit`,
 `expected_improvement` and `propose_next` import it when they run: the
@@ -108,13 +107,6 @@ class Trial:
                            "unit": np.asarray(self.unit).tolist(),
                            "objective": self.objective,
                            "status": self.status}, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, line: str) -> "Trial":
-        rec = json.loads(line)
-        return cls(native=rec["native"],
-                   unit=np.asarray(rec["unit"], dtype=np.float64),
-                   objective=float(rec["objective"]), status=rec["status"])
 
 
 # --- Gaussian process surrogate ---------------------------------------------
@@ -314,58 +306,30 @@ class SearchResult:
     trials: list[Trial]
 
 
-def read_log(path) -> list[Trial]:
-    trials = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                trials.append(Trial.from_json(line))
-    return trials
-
-
 def run_search(evaluate, space: SearchSpace, budget: int = 50,
-               seed: int = 0, *, n_init: int = 5, log_path=None,
-               resume: bool = False) -> SearchResult:
+               seed: int = 0, *, n_init: int = 5) -> SearchResult:
     """Bayesian-optimization loop; returns the lowest-objective trial.
 
     evaluate(native) returns validation bits/phone; a raised training
     divergence or a non-finite return records the trial as diverged with a
     penalty objective (2 bits above the worst finite trial so far, 22 before
-    any) so the surrogate avoids the region. With resume=True, trials
-    already in log_path count toward the budget and seed the surrogate.
+    any) so the surrogate avoids the region.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     trials: list[Trial] = []
-    if resume and log_path is not None:
+    for _ in range(budget):
+        native = propose_next(trials, space, seed, n_init=n_init)
         try:
-            trials = read_log(log_path)
-        except FileNotFoundError:
-            trials = []
-    log = open(log_path, "a", encoding="utf-8") if log_path else None
-    try:
-        while len(trials) < budget:
-            native = propose_next(trials, space, seed, n_init=n_init)
-            unit = space.to_unit(native)
-            try:
-                value = float(evaluate(native))
-                status = "ok" if math.isfinite(value) else "diverged"
-            except TrainingDivergedError:
-                value, status = math.nan, "diverged"
-            if status == "diverged":
-                finite = [tr.objective for tr in trials
-                          if tr.status == "ok"]
-                value = (max(finite) if finite else 20.0) + 2.0
-            trial = Trial(native=native, unit=unit, objective=value,
-                          status=status)
-            trials.append(trial)
-            if log:
-                log.write(trial.to_json() + "\n")
-                log.flush()
-    finally:
-        if log:
-            log.close()
+            value = float(evaluate(native))
+            status = "ok" if math.isfinite(value) else "diverged"
+        except TrainingDivergedError:
+            value, status = math.nan, "diverged"
+        if status == "diverged":
+            finite = [tr.objective for tr in trials if tr.status == "ok"]
+            value = (max(finite) if finite else 20.0) + 2.0
+        trials.append(Trial(native=native, unit=space.to_unit(native),
+                            objective=value, status=status))
     ok = [tr for tr in trials if tr.status == "ok"]
     if not ok:
         raise AllTrialsDivergedError(

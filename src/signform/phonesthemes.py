@@ -252,22 +252,6 @@ def _test_k(tables, candidates, k: int, n_samples: int, seed: int):
     return out
 
 
-def phonestheme_test(candidate: AffixCandidate, pmis_by_sign: np.ndarray,
-                     n_samples: int = 100_000, seed: int = 0):
-    """Monte Carlo tail test of one candidate against random word sets.
-
-    pmis_by_sign holds each sign's pointwise MI at the candidate's k (NaN
-    for ineligible words). Draws n_samples sets of candidate.count words
-    (without replacement, from eligible words only) and counts sample means
-    at least as large as the observed mean, ties extreme, add-one smoothed.
-    Returns (p_value, observed_mean). The draws come from the stream keyed
-    by (seed, k) that mine() shares among all candidates of that k, so the
-    result equals the candidate's p-value within mine().
-    """
-    return _test_k([pmis_by_sign], [(0, candidate)], candidate.k,
-                   n_samples, seed)[0]
-
-
 def reverse_forms(lex: Lexicon) -> Lexicon:
     """The same lexicon with every phone sequence reversed (involutive)."""
     signs = [Sign(lemma=s.lemma, form=tuple(reversed(s.form)),

@@ -6,6 +6,10 @@ train one model per enabled kind, score the held-out test fold, difference
 the cross-entropies, and attach sign-flip permutation p-values. Batch mode
 repeats this per language in a bounded worker pool with per-language crash
 isolation, then corrects significance across languages and aggregates.
+
+Both commands that train models state them as a fit plan, a list of
+FitUnits that fit_units trains or reuses and scores: estimate one unit per
+kind, phonesthemes forward and reversed uncond + meaning pairs.
 """
 
 from __future__ import annotations
@@ -270,8 +274,8 @@ def fit_model(lex: Lexicon, folds, rotation: int, kind: str, lm: dict,
     from the lexicon's own meaning vectors, without stacking them first.
 
     projections maps pca_d to a (pca, v_all) pair and is filled on first
-    use: the fits of one command, which share the meaning vectors (in
-    order), the folds and the rotation, pass the same dict so that each
+    use: fit_units passes one dict to every fit of a plan, which share the
+    meaning vectors (in order), the folds and the rotation, so that each
     pca_d is fitted once.
     """
     cfg = make_lm_config(kind, lm)
@@ -336,6 +340,48 @@ def search_lm(lex: Lexicon, folds, rotation: int, kind: str,
     return best, result.trials
 
 
+@dataclass(frozen=True)
+class FitUnit:
+    """One model of a fit plan; path None means it is not archived."""
+
+    kind: str
+    lm: dict
+    seed: int
+    path: str | None
+    reverse: bool = False
+
+
+def fit_units(lex: Lexicon, folds, rotation: int, opt: OptSettings, units,
+              score_idx=None) -> list:
+    """Fit or reuse every unit, then score lex.signs[score_idx] (every sign
+    when None); returns the units' LossTables in plan order.
+
+    The units share one PCA per pca_d, and reversed units one reversed
+    lexicon, which keeps every sign's meaning in order.
+    """
+    rev = reverse_forms(lex) if any(u.reverse for u in units) else None
+    idx = np.arange(len(lex.signs)) if score_idx is None else score_idx
+    projections = {}
+    tables = []
+    for unit in units:
+        forms = rev if unit.reverse else lex
+        cfg, params, _, v_all, _ = fit_model(
+            forms, folds, rotation, unit.kind, unit.lm, opt, unit.seed,
+            unit.path, projections)
+        tables.append(evaluate(
+            params, cfg, [forms.signs[i] for i in idx], forms.inventory,
+            v=None if v_all is None else v_all[idx]))
+    return tables
+
+
+def _prepare(config: RunConfig, lex: Lexicon | None):
+    """A run's lexicon (parsed when lex is None), folds and OptSettings."""
+    if lex is None:
+        lex = resolve_lexicon(config)
+    folds = split_folds(lex, config.folds, seed_for(config.seed, "folds"))
+    return lex, folds, OptSettings(**config.opt)
+
+
 @dataclass
 class EstimateOutput:
     report: MIReport
@@ -373,12 +419,7 @@ def run_estimate(config: RunConfig, lex: Lexicon | None = None,
     With write, models are archived under out_dir/models and reused from
     there when their fingerprint matches.
     """
-    if lex is None:
-        lex = resolve_lexicon(config)
-    folds = split_folds(lex, config.folds, seed_for(config.seed, "folds"))
-    test_idx = folds.roles(config.rotation)[2]
-    test_signs = [lex.signs[i] for i in test_idx]
-    opt = OptSettings(**config.opt)
+    lex, folds, opt = _prepare(config, lex)
     models_dir = os.path.join(config.out_dir, "models")
     if write:
         os.makedirs(models_dir, exist_ok=True)
@@ -389,18 +430,15 @@ def run_estimate(config: RunConfig, lex: Lexicon | None = None,
         if write:
             files["search_log"] = os.path.join(config.out_dir, "search.jsonl")
         lms = _search_kinds(lex, folds, config, files.get("search_log"))
-    tables = {}
-    projections = {}
-    for kind in config.model_kinds:
-        path = os.path.join(models_dir, f"{kind}.archive") if write else None
-        cfg, params, _, v_all, _ = fit_model(
-            lex, folds, config.rotation, kind, lms[kind], opt,
-            seed_for(config.seed, "train", kind), path, projections)
-        tables[kind] = evaluate(
-            params, cfg, test_signs, lex.inventory,
-            v=v_all[test_idx] if v_all is not None else None)
-        if write:
-            files[f"model_{kind}"] = path
+    units = [FitUnit(kind, lms[kind], seed_for(config.seed, "train", kind),
+                     os.path.join(models_dir, f"{kind}.archive")
+                     if write else None)
+             for kind in config.model_kinds]
+    test_idx = folds.roles(config.rotation)[2]
+    tables = dict(zip(config.model_kinds, fit_units(
+        lex, folds, config.rotation, opt, units, test_idx)))
+    if write:
+        files.update((f"model_{u.kind}", u.path) for u in units)
 
     plain = mi_estimate(tables["uncond"], tables["meaning"])
     perm = permutation_test(plain.deltas, n_perm=config.permutations,
@@ -438,9 +476,7 @@ def run_hyperopt(config: RunConfig, lex: Lexicon | None = None):
     """
     if config.hyperopt_budget < 1:
         raise ValueError("hyperopt needs hyperopt_budget >= 1 in the config")
-    if lex is None:
-        lex = resolve_lexicon(config)
-    folds = split_folds(lex, config.folds, seed_for(config.seed, "folds"))
+    lex, folds, _ = _prepare(config, lex)
     os.makedirs(config.out_dir, exist_ok=True)
     files = {"search_log": os.path.join(config.out_dir, "search.jsonl"),
              "best": os.path.join(config.out_dir, "best.json")}
@@ -458,6 +494,13 @@ class BatchOutput:
     files: dict
 
 
+def _clear_stale_error(out_dir: str) -> None:
+    try:
+        os.remove(os.path.join(out_dir, "error.json"))
+    except OSError:
+        pass
+
+
 def _error_record(exc: Exception) -> dict:
     return {"error": type(exc).__name__, "message": str(exc),
             "trace": traceback.format_exc()}
@@ -467,7 +510,8 @@ def run_batch(configs, out_dir: str, threads: int = 1) -> BatchOutput:
     """Estimate every language, then correct and aggregate across them.
 
     Each language writes into out_dir/<language>/; a failure there is
-    captured into that directory's error.json and the batch carries on.
+    captured into that directory's error.json and the batch carries on,
+    and a success removes an error.json an earlier failure left there.
     Repeated language names are rejected with SchemaError before any run.
     """
     if threads < 1:
@@ -485,12 +529,14 @@ def run_batch(configs, out_dir: str, threads: int = 1) -> BatchOutput:
         config = dataclasses.replace(
             config, out_dir=os.path.join(out_dir, config.language))
         try:
-            return config.language, run_estimate(config), None
+            output = run_estimate(config)
         except Exception as exc:
             os.makedirs(config.out_dir, exist_ok=True)
             record = _error_record(exc)
             write_json(os.path.join(config.out_dir, "error.json"), record)
             return config.language, None, record
+        _clear_stale_error(config.out_dir)
+        return config.language, output, None
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -583,33 +629,23 @@ def run_phonesthemes(config: RunConfig, lex: Lexicon | None = None):
     so the two commands can share an out_dir) and reused from there when
     its fingerprint matches; every sign is scored.
     """
-    if lex is None:
-        lex = resolve_lexicon(config)
+    lex, folds, opt = _prepare(config, lex)
     models_dir = os.path.join(config.out_dir, "models")
     os.makedirs(models_dir, exist_ok=True)
-    folds = split_folds(lex, config.folds, seed_for(config.seed, "folds"))
-    opt = OptSettings(**config.opt)
-    rev = reverse_forms(lex)
-    tables = {}
-    # The reversed lexicon keeps every sign's meaning, in order.
-    projections = {}
-    for tag, forms in (("fwd", lex), ("rev", rev)):
-        for kind in ("uncond", "meaning"):
-            cfg, params, _, v_all, _ = fit_model(
-                forms, folds, config.rotation, kind, config.lm, opt,
+    fwd_u, fwd_m, rev_u, rev_m = fit_units(lex, folds, config.rotation, opt, [
+        FitUnit(kind, config.lm,
                 seed_for(seed_for(config.seed, tag), "train", kind),
                 os.path.join(models_dir, f"{kind}_{tag}.archive"),
-                projections)
-            tables[tag, kind] = evaluate(params, cfg, forms.signs,
-                                         forms.inventory, v=v_all)
+                reverse=tag == "rev")
+        for tag in ("fwd", "rev") for kind in ("uncond", "meaning")])
     mining = MiningSettings(**config.phonesthemes)
     candidates = mine(
-        lex, tables["fwd", "uncond"], tables["fwd", "meaning"],
+        lex, fwd_u, fwd_m,
         k_range=mining.k_range, min_count=mining.min_count,
         alpha=mining.alpha, n_samples=mining.n_samples,
         seed=seed_for(config.seed, "phonesthemes"),
-        reversed_lex=rev, reversed_uncond=tables["rev", "uncond"],
-        reversed_cond=tables["rev", "meaning"])
+        reversed_lex=reverse_forms(lex), reversed_uncond=rev_u,
+        reversed_cond=rev_m)
     table = os.path.join(config.out_dir, "phonesthemes.tsv")
     detail = os.path.join(config.out_dir, "phonesthemes_detail.tsv")
     write_phonesthemes_tsv(table, candidates)

@@ -295,10 +295,6 @@ class ExactEntropy:
     def conditional_total_bits(self) -> float:
         return float(self._prior @ self.cluster_bits)
 
-    @property
-    def conditional_bits_per_phone(self) -> float:
-        return self.conditional_total_bits / self.expected_tokens
-
     _prior: np.ndarray = field(repr=False, default=None)
 
 

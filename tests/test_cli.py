@@ -150,6 +150,21 @@ class TestEstimateCommand:
         assert rc == 0
         assert not (out / "error.json").exists()
 
+        # A batch whose only language failed (its embeddings are missing),
+        # then succeeds: both the batch's and the language's error.json go.
+        doc = write_config(tmp_path / "unused.json", corpus)
+        batch = tmp_path / "batch"
+        batch_cfg = tmp_path / "batch.json"
+        for embeddings, rc in ((str(tmp_path / "missing.vec"), 1),
+                               (doc["embeddings_path"], 0)):
+            batch_cfg.write_text(json.dumps({"languages": [
+                dict(doc, embeddings_path=embeddings)]}))
+            assert main(["--config", str(batch_cfg), "--out", str(batch),
+                         "batch"]) == rc
+        assert (batch / "toy" / "report.json").exists()
+        assert not (batch / "error.json").exists()
+        assert not (batch / "toy" / "error.json").exists()
+
     def test_env_threads_must_be_int(self, corpus, tmp_path, monkeypatch):
         monkeypatch.setenv("SIGNFORM_THREADS", "many")
         cfg = tmp_path / "est.json"

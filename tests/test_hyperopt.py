@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -13,7 +14,6 @@ from signform.hyperopt import (
     expected_improvement,
     gp_fit,
     propose_next,
-    read_log,
     run_search,
 )
 from signform.pipeline import _search_space
@@ -112,11 +112,11 @@ class TestTrial:
     def test_json_roundtrip(self):
         t = Trial(native={"x": 0.25, "n": 3}, unit=np.array([0.25, 0.4]),
                   objective=2.5, status="ok")
-        back = Trial.from_json(t.to_json())
-        assert back.native == t.native
-        np.testing.assert_allclose(back.unit, t.unit)
-        assert back.objective == t.objective
-        assert back.status == t.status
+        back = json.loads(t.to_json())
+        assert back["native"] == t.native
+        np.testing.assert_allclose(back["unit"], t.unit)
+        assert back["objective"] == t.objective
+        assert back["status"] == t.status
 
 
 class TestGP:
@@ -262,16 +262,10 @@ def quadratic(native):
 
 
 class TestRunSearch:
-    def test_budget_one(self, tmp_path):
-        space = line_space()
-        log = tmp_path / "search.jsonl"
-        result = run_search(quadratic, space, budget=1, seed=0,
-                            log_path=log)
+    def test_budget_one(self):
+        result = run_search(quadratic, line_space(), budget=1, seed=0)
         assert len(result.trials) == 1
         assert result.best is result.trials[0]
-        replay = read_log(log)
-        assert len(replay) == 1
-        assert replay[0].objective == result.best.objective
 
     def test_validation(self):
         space = line_space()
@@ -330,22 +324,3 @@ class TestRunSearch:
 
         with pytest.raises(AllTrialsDivergedError):
             run_search(always_bad, space, budget=3, seed=5)
-
-    def test_resume_from_log(self, tmp_path):
-        space = line_space()
-        log = tmp_path / "resume.jsonl"
-        calls = []
-
-        def counting(native):
-            calls.append(native["x"])
-            return quadratic(native)
-
-        first = run_search(counting, space, budget=3, seed=6, log_path=log)
-        assert len(calls) == 3
-        second = run_search(counting, space, budget=6, seed=6,
-                            log_path=log, resume=True)
-        assert len(calls) == 6
-        assert len(second.trials) == 6
-        for a, b in zip(first.trials, second.trials):
-            assert a.objective == b.objective
-            assert a.native == b.native

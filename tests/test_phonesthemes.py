@@ -12,7 +12,6 @@ from signform.phonesthemes import (
     _test_k,
     enumerate_candidates,
     mine,
-    phonestheme_test,
     pointwise_mi_table,
     reverse_forms,
 )
@@ -278,12 +277,17 @@ class TestSubsetMeans:
         cands = [stub_candidate(np.arange(0, 6)),
                  stub_candidate(np.arange(6, 40), phones=("y",)),
                  stub_candidate(np.arange(40, 45), phones=("z",))]
-        alone = [phonestheme_test(c, pmis, n_samples=3000, seed=14)
+        alone = [one_candidate_test(c, pmis, 3000, 14)
                  for c in cands]
         for subset in ([0], [0, 1], [1, 2], [0, 1, 2], [2, 0]):
             batch = [(0, cands[i]) for i in subset]
             got = _test_k([pmis], batch, 1, 3000, 14)
             assert got == [alone[i] for i in subset]
+
+
+def one_candidate_test(cand, pmis, n_samples, seed):
+    """(p_value, observed_mean) of one candidate alone on one PMI row."""
+    return _test_k([pmis], [(0, cand)], cand.k, n_samples, seed)[0]
 
 
 def stub_candidate(indices, phones=("x",)):
@@ -351,7 +355,7 @@ class TestPhonesthemeTest:
     def test_all_equal_pmis_tie_to_one(self):
         pmis = np.full(30, 0.7)
         cand = stub_candidate([2, 5, 9])
-        p, observed = phonestheme_test(cand, pmis, n_samples=200, seed=0)
+        p, observed = one_candidate_test(cand, pmis, 200, 0)
         assert p == 1.0
         assert observed == pytest.approx(0.7)
 
@@ -359,7 +363,7 @@ class TestPhonesthemeTest:
         rng = np.random.default_rng(7)
         pmis = rng.normal(size=25)
         cand = stub_candidate(np.arange(25))
-        p, observed = phonestheme_test(cand, pmis, n_samples=200, seed=0)
+        p, observed = one_candidate_test(cand, pmis, 200, 0)
         assert p == 1.0
         assert observed == pytest.approx(pmis.mean())
 
@@ -367,7 +371,7 @@ class TestPhonesthemeTest:
         rng = np.random.default_rng(8)
         pmis = rng.normal(size=10)
         cand = stub_candidate([int(np.argmax(pmis))])
-        p, _ = phonestheme_test(cand, pmis, n_samples=20000, seed=1)
+        p, _ = one_candidate_test(cand, pmis, 20000, 1)
         assert p == pytest.approx(0.1, abs=0.01)
 
     def test_add_one_smoothing_floor(self):
@@ -375,7 +379,7 @@ class TestPhonesthemeTest:
         # that pair is ~1/2e6 per sample, so this seed sees no tie.
         pmis = np.concatenate([np.zeros(2000), [100.0, 100.0]])
         cand = stub_candidate([2000, 2001])
-        p, _ = phonestheme_test(cand, pmis, n_samples=999, seed=2)
+        p, _ = one_candidate_test(cand, pmis, 999, 2)
         assert p == pytest.approx(1.0 / 1000.0)
 
     def test_larger_observed_never_larger_p(self):
@@ -384,8 +388,8 @@ class TestPhonesthemeTest:
         order = np.argsort(pmis)
         low = stub_candidate(order[:8])
         high = stub_candidate(order[-8:])
-        p_low, o_low = phonestheme_test(low, pmis, n_samples=2000, seed=3)
-        p_high, o_high = phonestheme_test(high, pmis, n_samples=2000, seed=3)
+        p_low, o_low = one_candidate_test(low, pmis, 2000, 3)
+        p_high, o_high = one_candidate_test(high, pmis, 2000, 3)
         assert o_high > o_low
         assert p_high < p_low
 
@@ -393,23 +397,22 @@ class TestPhonesthemeTest:
         rng = np.random.default_rng(10)
         pmis = rng.normal(size=60)
         cand = stub_candidate(np.arange(0, 24, 2))
-        a = phonestheme_test(cand, pmis, n_samples=400, seed=4)
-        b = phonestheme_test(cand, pmis, n_samples=400, seed=4)
-        c = phonestheme_test(cand, pmis, n_samples=400, seed=5)
+        a = one_candidate_test(cand, pmis, 400, 4)
+        b = one_candidate_test(cand, pmis, 400, 4)
+        c = one_candidate_test(cand, pmis, 400, 5)
         assert a == b
         assert a[0] != c[0]
 
     def test_count_population_and_nan_errors(self):
         pmis = np.array([0.1, np.nan, 0.3])
         with pytest.raises(ValueError):
-            phonestheme_test(stub_candidate([1]), pmis, n_samples=10, seed=0)
+            one_candidate_test(stub_candidate([1]), pmis, 10, 0)
         with pytest.raises(ValueError):
-            phonestheme_test(stub_candidate([0, 2, 0]), pmis, n_samples=10,
-                             seed=0)
+            one_candidate_test(stub_candidate([0, 2, 0]), pmis, 10, 0)
         bad = stub_candidate([0, 2])
         bad.count = 3
         with pytest.raises(ValueError):
-            phonestheme_test(bad, pmis, n_samples=10, seed=0)
+            one_candidate_test(bad, pmis, 10, 0)
 
     def test_p_uniform_under_exchangeable_noise(self):
         # Fixed word set, fresh i.i.d. noise each repeat: p ~ U(0, 1).
@@ -418,7 +421,7 @@ class TestPhonesthemeTest:
         ps = []
         for rep in range(1000):
             pmis = rng.normal(size=80)
-            p, _ = phonestheme_test(cand, pmis, n_samples=499, seed=rep)
+            p, _ = one_candidate_test(cand, pmis, 499, rep)
             ps.append(p)
         assert ks_uniform(ps) <= 0.05
 
@@ -495,9 +498,8 @@ class TestMine:
             phones = (cand.phones if cand.side == "prefix"
                       else cand.phones[::-1])
             table = pointwise_mi_table(eval_lex, eu, ec, cand.k)
-            alone = phonestheme_test(stub_candidate(cand.word_indices,
-                                                    phones),
-                                     table, n_samples=400, seed=6)
+            alone = one_candidate_test(
+                stub_candidate(cand.word_indices, phones), table, 400, 6)
             assert alone == (cand.p_value, cand.avg_pmi)
 
     def test_bh_is_joint_and_sorted(self):

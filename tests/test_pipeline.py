@@ -12,17 +12,20 @@ from oracle_utils import traced_peak
 from signform import pipeline
 from signform.errors import ArchiveFormatError
 from signform.lexicon import load_embeddings, split_folds
-from signform.phonolm import DTYPE, LMConfig, OptSettings, load_model
+from signform.phonolm import DTYPE, LMConfig, OptSettings, evaluate, load_model
 from signform.phonolm import training
-from signform.phonesthemes import MiningSettings
+from signform.phonesthemes import MiningSettings, reverse_forms
 from signform.pipeline import (
     MODEL_KINDS,
+    FitUnit,
     RunConfig,
     fit_model,
+    fit_units,
     load_config,
     resolve_lexicon,
     run_batch,
     run_estimate,
+    run_hyperopt,
     run_phonesthemes,
     run_synth,
     seed_for,
@@ -326,6 +329,81 @@ class TestFitModel:
         fit_model(lex, folds, 0, "meaning", FAST_LM, opt, seed=0, path=path)
         assert len(calls) == 1
         assert load_model(path).extra["fingerprint"] == real(*calls[0])
+
+
+class TestFitUnits:
+    def test_scores_chosen_signs_in_plan_order(self, two_cluster_files,
+                                               tmp_path):
+        _, files = two_cluster_files
+        lex = resolve_lexicon(fast_config(str(tmp_path), files))
+        folds = split_folds(lex, 5, seed_for(3, "folds"))
+        opt = OptSettings(max_epochs=1)
+        idx = np.array([7, 2, 40])
+        units = [FitUnit("meaning", FAST_LM, 5, None, reverse=True),
+                 FitUnit("uncond", FAST_LM, 4, None)]
+        tables = fit_units(lex, folds, 0, opt, units, idx)
+        rev = reverse_forms(lex)
+        assert tables[0].keys == tuple(rev.signs[i].key for i in idx)
+        assert tables[1].keys == tuple(lex.signs[i].key for i in idx)
+        cfg, params, _, v_all, _ = fit_model(rev, folds, 0, "meaning",
+                                             FAST_LM, opt, 5)
+        alone = evaluate(params, cfg, [rev.signs[i] for i in idx],
+                         rev.inventory, v=v_all[idx])
+        np.testing.assert_array_equal(tables[0].bits, alone.bits)
+        every = fit_units(lex, folds, 0, opt, units[1:])[0]
+        assert every.keys == tuple(s.key for s in lex.signs)
+
+
+def counting(monkeypatch, name):
+    """Count the calls made through pipeline.<name>."""
+    calls = []
+    real = getattr(pipeline, name)
+    monkeypatch.setattr(pipeline, name,
+                        lambda *a, **k: calls.append(a) or real(*a, **k))
+    return calls
+
+
+class TestCallCounts:
+    """The calls per operation that perfbench/workloads.py's
+    expected_calls asks a traced benchmark run to record."""
+
+    def test_estimate_trains_once_per_kind(self, two_cluster_files,
+                                           tmp_path, monkeypatch):
+        _, files = two_cluster_files
+        calls = counting(monkeypatch, "train_on_indices")
+        run_estimate(fast_config(str(tmp_path), files,
+                                 model_kinds=MODEL_KINDS,
+                                 opt=dict(FAST_OPT, max_epochs=1)))
+        assert len(calls) == len(MODEL_KINDS)
+
+    def test_phonesthemes_trains_four_models(self, planted_files, tmp_path,
+                                             monkeypatch):
+        _, files = planted_files
+        calls = counting(monkeypatch, "train_on_indices")
+        run_phonesthemes(fast_config(
+            str(tmp_path), files, opt=dict(FAST_OPT, max_epochs=1),
+            phonesthemes={"k_range": [1], "min_count": 15,
+                          "n_samples": 100}))
+        assert len(calls) == 4
+
+    def test_batch_estimates_once_per_language(self, two_cluster_files,
+                                               tmp_path, monkeypatch):
+        _, files = two_cluster_files
+        calls = counting(monkeypatch, "run_estimate")
+        configs = [fast_config(str(tmp_path), files, language=name,
+                               opt=dict(FAST_OPT, max_epochs=1))
+                   for name in ("l1", "l2", "l3")]
+        run_batch(configs, str(tmp_path / "batch"))
+        assert len(calls) == 3
+
+    def test_hyperopt_searches_once_per_kind(self, two_cluster_files,
+                                             tmp_path, monkeypatch):
+        _, files = two_cluster_files
+        calls = counting(monkeypatch, "run_search")
+        run_hyperopt(fast_config(str(tmp_path), files,
+                                 model_kinds=MODEL_KINDS, hyperopt_budget=1,
+                                 opt=dict(FAST_OPT, max_epochs=1)))
+        assert len(calls) == len(MODEL_KINDS)
 
 
 class TestSynth:

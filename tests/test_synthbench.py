@@ -76,7 +76,7 @@ class TestExactEntropy:
         np.testing.assert_allclose(ee.cluster_bits, [1.0, 1.0], atol=1e-12)
         np.testing.assert_allclose(ee.cluster_expected_tokens, [3.0, 3.0],
                                    atol=1e-12)
-        assert ee.conditional_bits_per_phone == pytest.approx(1 / 3, abs=1e-12)
+        assert ee.conditional_total_bits == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_direct_enumeration_random_spec(self):
         rng = np.random.default_rng(8)
