@@ -16,17 +16,18 @@ import os
 import sys
 
 from .pipeline import (
-    RunConfig,
     _clear_stale_error,
+    error_record,
+    load_batch,
     load_config,
     run_batch,
     run_estimate,
     run_hyperopt,
     run_phonesthemes,
     run_synth,
+    write_error,
 )
-from .phonolm.model import _require_int
-from .reports import read_json, write_json, write_report_csv_rows
+from .reports import read_json, write_report_csv_rows
 from .validate import CRITERIA, battery_passed, run_battery
 
 
@@ -48,71 +49,83 @@ def _resolve_overrides(args) -> dict:
     return {"seed": seed, "threads": threads, "out_dir": args.out}
 
 
-def _load_run_config(args) -> RunConfig:
+def _config_path(args, what: str) -> str:
     if not args.config:
-        raise ValueError("this command needs --config pointing at a JSON "
-                         "config document")
-    overrides = _resolve_overrides(args)
-    del overrides["threads"]  # only batch runs languages concurrently
-    return load_config(args.config, **overrides)
+        raise ValueError(f"{args.command} needs --config pointing at {what}")
+    return args.config
 
 
 def _fail(exc: Exception, stage: str, out_dir: str | None = None) -> int:
-    record = {"error": type(exc).__name__, "message": str(exc),
-              "stage": stage}
+    record = error_record(exc, stage)
     print(json.dumps(record, sort_keys=True))
     if out_dir:
         try:
-            os.makedirs(out_dir, exist_ok=True)
-            write_json(os.path.join(out_dir, "error.json"), record)
+            write_error(out_dir, record)
         except OSError:
             pass
     return 1
 
 
-def cmd_estimate(args) -> int:
-    config = None
+def _run_config_command(args, run) -> int:
+    """Load the run config and call run(config) -> (summary lines, files);
+    print both, or on error print and store the error record."""
+    out_dir = args.out
     try:
-        config = _load_run_config(args)
-        out = run_estimate(config)
+        path = _config_path(args, "a JSON config document")
+        # SIGNFORM_THREADS is checked, though only batch uses it.
+        overrides = _resolve_overrides(args)
+        config = load_config(path, seed=overrides["seed"], out_dir=args.out)
+        out_dir = config.out_dir
+        lines, files = run(config)
     except Exception as exc:
-        return _fail(exc, "estimate",
-                     config.out_dir if config else args.out)
-    _clear_stale_error(out.out_dir)
-    rep = out.report
-    print(f"{rep.language}: H(W) {rep.h_w.bits_per_phone:.3f} bits/phone, "
-          f"MI {rep.mi:.3f}, U {100 * rep.uncertainty:.2f}%, "
-          f"p {rep.p_value:.5f}")
-    for name, path in sorted(out.files.items()):
+        return _fail(exc, args.command, out_dir)
+    _clear_stale_error(out_dir)
+    for line in lines:
+        print(line)
+    for name, path in sorted(files.items()):
         print(f"  {name}: {path}")
     return 0
+
+
+def cmd_estimate(args) -> int:
+    def run(config):
+        out = run_estimate(config)
+        rep = out.report
+        line = (f"{rep.language}: H(W) {rep.h_w.bits_per_phone:.3f} "
+                f"bits/phone, MI {rep.mi:.3f}, "
+                f"U {100 * rep.uncertainty:.2f}%, p {rep.p_value:.5f}")
+        return [line], out.files
+    return _run_config_command(args, run)
+
+
+def cmd_phonesthemes(args) -> int:
+    def run(config):
+        candidates, files = run_phonesthemes(config)
+        significant = [c for c in candidates if c.bh_significant]
+        lines = [f"{c.affix_string()}\tcount {c.count}\t"
+                 f"adjusted p {c.p_adjusted:.5f}" for c in significant]
+        lines.append(f"{len(significant)} significant of {len(candidates)} "
+                     "candidates")
+        return lines, files
+    return _run_config_command(args, run)
+
+
+def cmd_hyperopt(args) -> int:
+    def run(config):
+        best_by_kind, files = run_hyperopt(config)
+        return [f"{kind}: {json.dumps(best, sort_keys=True)}"
+                for kind, best in best_by_kind.items()], files
+    return _run_config_command(args, run)
 
 
 def cmd_batch(args) -> int:
     out_dir = args.out
     try:
-        if not args.config:
-            raise ValueError("batch needs --config with a languages list")
-        doc = read_json(args.config)
-        overrides = _resolve_overrides(args)
-        out_dir = overrides.pop("out_dir") or doc.get("out_dir") or "."
-        threads = overrides.pop("threads")
-        if threads is None:
-            threads = doc.get("threads", 1)
-            _require_int("batch threads", threads)
-        configs = []
-        for i, entry in enumerate(doc["languages"]):
-            entry = dict(entry)
-            if overrides["seed"] is not None:
-                entry["seed"] = overrides["seed"]
-            try:
-                configs.append(RunConfig.from_dict(entry))
-            except (ValueError, TypeError) as exc:
-                name = entry.get("language") or f"languages[{i}]"
-                raise type(exc)(f"{name}: {exc}") from exc
+        configs, out_dir, threads = load_batch(
+            _config_path(args, "a batch document"), **_resolve_overrides(args))
         out = run_batch(configs, out_dir, threads=threads)
     except Exception as exc:
-        return _fail(exc, "batch", out_dir)
+        return _fail(exc, "batch", getattr(exc, "out_dir", out_dir))
     _clear_stale_error(out_dir)
     for rep in out.reports:
         flags = out.significant[rep.language]
@@ -125,41 +138,6 @@ def cmd_batch(args) -> int:
     print(f"mean U {100 * agg['u_mean']:.2f}% over {agg['n_languages']} "
           f"languages, {agg['n_significant']} significant, "
           f"{agg['n_failed']} failed")
-    return 0
-
-
-def cmd_phonesthemes(args) -> int:
-    config = None
-    try:
-        config = _load_run_config(args)
-        candidates, files = run_phonesthemes(config)
-    except Exception as exc:
-        return _fail(exc, "phonesthemes",
-                     config.out_dir if config else args.out)
-    _clear_stale_error(config.out_dir)
-    significant = [c for c in candidates if c.bh_significant]
-    for cand in significant:
-        print(f"{cand.affix_string()}\tcount {cand.count}\t"
-              f"adjusted p {cand.p_adjusted:.5f}")
-    print(f"{len(significant)} significant of {len(candidates)} candidates")
-    for name, path in sorted(files.items()):
-        print(f"  {name}: {path}")
-    return 0
-
-
-def cmd_hyperopt(args) -> int:
-    config = None
-    try:
-        config = _load_run_config(args)
-        best_by_kind, files = run_hyperopt(config)
-    except Exception as exc:
-        return _fail(exc, "hyperopt",
-                     config.out_dir if config else args.out)
-    _clear_stale_error(config.out_dir)
-    for kind, best in best_by_kind.items():
-        print(f"{kind}: {json.dumps(best, sort_keys=True)}")
-    for name, path in sorted(files.items()):
-        print(f"  {name}: {path}")
     return 0
 
 
@@ -197,10 +175,7 @@ def cmd_validate(args) -> int:
 def cmd_report(args) -> int:
     """Re-render the display CSV from a stored unrounded JSON report."""
     try:
-        if not args.config:
-            raise ValueError("report needs --config pointing at a "
-                             "report.json file")
-        payload = read_json(args.config)
+        payload = read_json(_config_path(args, "a report.json file"))
         rows = payload.get("reports") or [payload["report"]]
         out_dir = args.out or os.path.dirname(os.path.abspath(args.config))
         os.makedirs(out_dir, exist_ok=True)

@@ -72,11 +72,14 @@ def _require_ints(settings, names) -> None:
 
 def _require_reals(settings, names) -> None:
     """Raise ValueError for the first of settings' fields names that is not
-    a real number; a bool is refused, as in _require_ints."""
+    a finite real number; a bool is refused, as in _require_ints."""
     for name in names:
         value = getattr(settings, name)
         if not isinstance(value, numbers.Real) or isinstance(value, bool):
             raise ValueError(f"{name} must be a real number, got {value!r}")
+        # A comparison, not math.isfinite, so a huge int cannot overflow.
+        if not -math.inf < value < math.inf:
+            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)

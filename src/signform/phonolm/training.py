@@ -81,9 +81,6 @@ class OptSettings:
             raise ValueError("beta1 and beta2 must be in [0, 1)")
         if self.clip_norm is not None and not self.clip_norm > 0:
             raise ValueError("clip_norm must be None or > 0")
-        # Epoch 0 must count as an improvement on no epoch at all.
-        if not np.isfinite(self.min_delta):
-            raise ValueError("min_delta must be finite")
 
 
 @dataclass

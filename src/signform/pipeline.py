@@ -19,7 +19,6 @@ import hashlib
 import json
 import logging
 import os
-import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -45,9 +44,10 @@ from .phonolm import (
     save_model,
     train_on_indices,
 )
-from .phonolm.model import _require_ints
+from .phonolm.model import _require_int, _require_ints
 from .reports import (
     appendix_row,
+    read_json,
     report_json_payload,
     write_appendix_tsv,
     write_density_csv,
@@ -110,6 +110,10 @@ class RunConfig:
         unknown = set(self.model_kinds) - set(MODEL_KINDS)
         if unknown:
             raise ValueError(f"unknown model kinds: {sorted(unknown)}")
+        # report.json records the kinds as given: refuse a repeat, not drop it.
+        repeated = _repeats(self.model_kinds)
+        if repeated:
+            raise ValueError(f"model_kinds repeats {', '.join(repeated)}")
         if self.schema_version != SCHEMA_VERSION:
             raise ValueError(
                 f"config schema {self.schema_version} not supported")
@@ -200,6 +204,11 @@ class RunConfig:
             raise FileNotFoundError(self.embeddings_path)
 
 
+def _repeats(names) -> list:
+    """The names that occur more than once, sorted."""
+    return sorted({n for n in names if names.count(n) > 1})
+
+
 def _check_section(section: str, settings_type, given: dict) -> None:
     """Raise ValueError, naming the section, unless settings_type(**given)
     loads."""
@@ -217,6 +226,35 @@ def load_config(path, **overrides) -> RunConfig:
         d = json.load(fh)
     d.update({k: v for k, v in overrides.items() if v is not None})
     return RunConfig.from_dict(d)
+
+
+def load_batch(path, *, seed=None, out_dir=None, threads=None):
+    """Read a batch document; returns (configs, out_dir, threads).
+
+    A given seed replaces every language's, and a given out_dir or threads
+    the document's (default "." and 1). A refused language is named, or
+    given by its index in languages. An error in the document carries the
+    resolved out_dir as exc.out_dir, where its error.json belongs.
+    """
+    doc = read_json(path)
+    out_dir = out_dir or doc.get("out_dir") or "."
+    try:
+        if threads is None:
+            threads = doc.get("threads", 1)
+            _require_int("batch threads", threads)
+        configs = []
+        for i, entry in enumerate(doc["languages"]):
+            if seed is not None:
+                entry = dict(entry, seed=seed)
+            try:
+                configs.append(RunConfig.from_dict(entry))
+            except (ValueError, TypeError) as exc:
+                name = entry.get("language") or f"languages[{i}]"
+                raise type(exc)(f"{name}: {exc}") from exc
+    except Exception as exc:
+        exc.out_dir = out_dir
+        raise
+    return configs, out_dir, threads
 
 
 def resolve_lexicon(config: RunConfig) -> Lexicon:
@@ -323,8 +361,7 @@ def _search_space(kind: str, meaning_dim: int) -> SearchSpace:
 def search_lm(lex: Lexicon, folds, rotation: int, kind: str,
               config: RunConfig):
     """Hyperparameter search for one kind; returns (best lm dict, trials)."""
-    meaning_dim = lex.signs[0].meaning.shape[0]
-    space = _search_space(kind, meaning_dim)
+    space = _search_space(kind, lex.meaning_dim)
     opt = OptSettings(**config.opt)
     seed = seed_for(config.seed, "search", kind)
 
@@ -357,13 +394,24 @@ def fit_units(lex: Lexicon, folds, rotation: int, opt: OptSettings, units,
     when None); returns the units' LossTables in plan order.
 
     The units share one PCA per pca_d, and reversed units one reversed
-    lexicon, which keeps every sign's meaning in order.
+    lexicon, which keeps every sign's meaning in order. Every pca_d is
+    checked before the first fit makes an archive directory.
     """
+    n_train = len(folds.roles(rotation)[0])
+    for unit in units:
+        cfg = make_lm_config(unit.kind, unit.lm)
+        if cfg.uses_meaning and cfg.pca_d > min(lex.meaning_dim, n_train):
+            raise ValueError(
+                f"lm pca_d must be at most the meaning dimension "
+                f"({lex.meaning_dim}) and the training rows ({n_train}), "
+                f"got {cfg.pca_d}")
     rev = reverse_forms(lex) if any(u.reverse for u in units) else None
     idx = np.arange(len(lex.signs)) if score_idx is None else score_idx
     projections = {}
     tables = []
     for unit in units:
+        if unit.path is not None:
+            os.makedirs(os.path.dirname(unit.path), exist_ok=True)
         forms = rev if unit.reverse else lex
         cfg, params, _, v_all, _ = fit_model(
             forms, folds, rotation, unit.kind, unit.lm, opt, unit.seed,
@@ -386,7 +434,6 @@ def _prepare(config: RunConfig, lex: Lexicon | None):
 class EstimateOutput:
     report: MIReport
     kind_results: dict  # kind -> that model's test-fold LossTable
-    out_dir: str
     files: dict
 
 
@@ -421,13 +468,11 @@ def run_estimate(config: RunConfig, lex: Lexicon | None = None,
     """
     lex, folds, opt = _prepare(config, lex)
     models_dir = os.path.join(config.out_dir, "models")
-    if write:
-        os.makedirs(models_dir, exist_ok=True)
-
     files = {}
     lms = dict.fromkeys(config.model_kinds, config.lm)
     if config.hyperopt_budget > 0:
         if write:
+            os.makedirs(config.out_dir, exist_ok=True)
             files["search_log"] = os.path.join(config.out_dir, "search.jsonl")
         lms = _search_kinds(lex, folds, config, files.get("search_log"))
     units = [FitUnit(kind, lms[kind], seed_for(config.seed, "train", kind),
@@ -464,8 +509,7 @@ def run_estimate(config: RunConfig, lex: Lexicon | None = None,
                    "folds": seed_for(config.seed, "folds"),
                    "permutation": seed_for(config.seed, "perm", "plain")}))
         files.update(report_csv=csv_path, report_json=json_path)
-    return EstimateOutput(report=report, kind_results=tables,
-                          out_dir=config.out_dir, files=files)
+    return EstimateOutput(report=report, kind_results=tables, files=files)
 
 
 def run_hyperopt(config: RunConfig, lex: Lexicon | None = None):
@@ -494,6 +538,17 @@ class BatchOutput:
     files: dict
 
 
+def error_record(exc: Exception, stage: str) -> dict:
+    """What a failed stage prints and stores: no traceback, so the record
+    depends only on the config and the input files."""
+    return {"error": type(exc).__name__, "message": str(exc), "stage": stage}
+
+
+def write_error(out_dir: str, record: dict) -> None:
+    os.makedirs(out_dir, exist_ok=True)
+    write_json(os.path.join(out_dir, "error.json"), record)
+
+
 def _clear_stale_error(out_dir: str) -> None:
     try:
         os.remove(os.path.join(out_dir, "error.json"))
@@ -501,25 +556,20 @@ def _clear_stale_error(out_dir: str) -> None:
         pass
 
 
-def _error_record(exc: Exception) -> dict:
-    return {"error": type(exc).__name__, "message": str(exc),
-            "trace": traceback.format_exc()}
-
-
 def run_batch(configs, out_dir: str, threads: int = 1) -> BatchOutput:
     """Estimate every language, then correct and aggregate across them.
 
     Each language writes into out_dir/<language>/; a failure there is
-    captured into that directory's error.json and the batch carries on,
-    and a success removes an error.json an earlier failure left there.
+    recorded in that directory's error.json, its traceback logged as a
+    warning, and the batch carries on; a success removes an error.json an
+    earlier failure left there.
     Repeated language names are rejected with SchemaError before any run.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     if not configs:
         raise ValueError("batch needs at least one language config")
-    names = [c.language for c in configs]
-    duplicates = sorted({n for n in names if names.count(n) > 1})
+    duplicates = _repeats([c.language for c in configs])
     if duplicates:
         raise SchemaError("batch repeats language names, which would share "
                           f"one output directory: {', '.join(duplicates)}")
@@ -529,14 +579,14 @@ def run_batch(configs, out_dir: str, threads: int = 1) -> BatchOutput:
         config = dataclasses.replace(
             config, out_dir=os.path.join(out_dir, config.language))
         try:
-            output = run_estimate(config)
+            report = run_estimate(config).report
         except Exception as exc:
-            os.makedirs(config.out_dir, exist_ok=True)
-            record = _error_record(exc)
-            write_json(os.path.join(config.out_dir, "error.json"), record)
+            logger.warning("%s failed", config.language, exc_info=True)
+            record = error_record(exc, "estimate")
+            write_error(config.out_dir, record)
             return config.language, None, record
         _clear_stale_error(config.out_dir)
-        return config.language, output, None
+        return config.language, report, None
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -544,13 +594,8 @@ def run_batch(configs, out_dir: str, threads: int = 1) -> BatchOutput:
     else:
         outcomes = [job(c) for c in configs]
 
-    reports = []
-    failures = {}
-    for language, output, err in outcomes:
-        if err is None:
-            reports.append(output.report)
-        else:
-            failures[language] = err
+    reports = [rep for _, rep, err in outcomes if err is None]
+    failures = {name: err for name, _, err in outcomes if err is not None}
     if not reports:
         raise SignformError("every language in the batch failed")
 
@@ -631,7 +676,6 @@ def run_phonesthemes(config: RunConfig, lex: Lexicon | None = None):
     """
     lex, folds, opt = _prepare(config, lex)
     models_dir = os.path.join(config.out_dir, "models")
-    os.makedirs(models_dir, exist_ok=True)
     fwd_u, fwd_m, rev_u, rev_m = fit_units(lex, folds, config.rotation, opt, [
         FitUnit(kind, config.lm,
                 seed_for(seed_for(config.seed, tag), "train", kind),
@@ -672,9 +716,8 @@ def write_lexicon_tsv(path, lex: Lexicon, concepts=None) -> None:
 
 
 def write_embeddings(path, lex: Lexicon) -> None:
-    dim = lex.signs[0].meaning.shape[0]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{len(lex.signs)} {dim}\n")
+        fh.write(f"{len(lex.signs)} {lex.meaning_dim}\n")
         for sign in lex.signs:
             coords = " ".join(repr(float(x)) for x in sign.meaning)
             fh.write(f"{sign.lemma} {coords}\n")

@@ -64,11 +64,7 @@ def write_report_csv(path, reports) -> None:
 
 
 def write_report_csv_rows(path, report_dicts) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(REPORT_COLUMNS)
-        for d in report_dicts:
-            writer.writerow(report_csv_row(d))
+    _write_table(path, REPORT_COLUMNS, map(report_csv_row, report_dicts))
 
 
 def report_json_payload(report: MIReport, config: dict | None = None,
@@ -80,6 +76,14 @@ def report_json_payload(report: MIReport, config: dict | None = None,
         "config": config or {},
         "seeds": seeds or {},
     }
+
+
+def _write_table(path, header, rows, delimiter=",") -> None:
+    """Write a header row, then rows, one line each, split by delimiter."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, delimiter=delimiter)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_json(path, payload) -> None:
@@ -109,11 +113,7 @@ def appendix_row(report: MIReport, significant: bool,
 
 def write_appendix_tsv(path, rows) -> None:
     """Per-language summary table; rows come from appendix_row."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, delimiter="\t")
-        writer.writerow(APPENDIX_COLUMNS)
-        for row in rows:
-            writer.writerow(row)
+    _write_table(path, APPENDIX_COLUMNS, rows, "\t")
 
 
 def write_phonesthemes_tsv(path, candidates) -> None:
@@ -122,47 +122,25 @@ def write_phonesthemes_tsv(path, candidates) -> None:
     Only candidates that survive the multiple-test correction appear here;
     the full candidate list goes to the detail table.
     """
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, delimiter="\t")
-        writer.writerow(PHONESTHEME_COLUMNS)
-        for cand in candidates:
-            if not cand.bh_significant:
-                continue
-            writer.writerow([
-                cand.affix_string(),
-                cand.count,
-                ", ".join(cand.example_lemmata),
-                fmt_p(cand.p_value),
-            ])
+    _write_table(path, PHONESTHEME_COLUMNS, (
+        [cand.affix_string(), cand.count, ", ".join(cand.example_lemmata),
+         fmt_p(cand.p_value)]
+        for cand in candidates if cand.bh_significant), "\t")
 
 
 def write_phonestheme_detail_tsv(path, language: str, candidates) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, delimiter="\t")
-        writer.writerow(PHONESTHEME_DETAIL_COLUMNS)
-        for cand in candidates:
-            writer.writerow([
-                language,
-                cand.side,
-                "".join(cand.phones),
-                cand.count,
-                repr(cand.avg_pmi),
-                repr(cand.p_value),
-                repr(cand.p_adjusted),
-                int(cand.bh_significant),
-                ", ".join(cand.example_lemmata),
-            ])
+    _write_table(path, PHONESTHEME_DETAIL_COLUMNS, (
+        [language, cand.side, "".join(cand.phones), cand.count,
+         repr(cand.avg_pmi), repr(cand.p_value), repr(cand.p_adjusted),
+         int(cand.bh_significant), ", ".join(cand.example_lemmata)]
+        for cand in candidates), "\t")
 
 
 def write_density_csv(path, curves: dict[str, KDECurve]) -> None:
     """Long-format table of every curve: series, x, density."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["series", "x", "density"])
-        for name in sorted(curves):
-            curve = curves[name]
-            for x, d in zip(curve.x, curve.density):
-                writer.writerow([name, repr(float(x)), repr(float(d))])
+    _write_table(path, ["series", "x", "density"], (
+        [name, repr(float(x)), repr(float(d))] for name in sorted(curves)
+        for x, d in zip(curves[name].x, curves[name].density)))
 
 
 _SVG_COLORS = ("#1f6fb2", "#c23b22", "#2e8b57", "#8a2be2", "#b8860b")

@@ -45,7 +45,14 @@ from .phonolm import (
     loss_and_grads,
 )
 from .phonolm.model import _pad
-from .pipeline import RunConfig, fit_model, run_batch, run_estimate, seed_for
+from .pipeline import (
+    RunConfig,
+    fit_model,
+    load_batch,
+    run_batch,
+    run_estimate,
+    seed_for,
+)
 from .reports import (
     write_appendix_tsv,
     write_phonesthemes_tsv,
@@ -476,12 +483,8 @@ def c11_full_scale(hooks) -> tuple[bool, str]:
     if not config_path:
         raise _Skip("no full-scale dataset configured "
                     "(set SIGNFORM_FULLSCALE_CONFIG); informational only")
-    with open(config_path) as fh:
-        doc = json.load(fh)
-    configs = [RunConfig.from_dict(d) for d in doc["languages"]]
-    out_dir = doc.get("out_dir") or tempfile.mkdtemp(
-        prefix="signform_fullscale_")
-    batch = run_batch(configs, out_dir, threads=int(doc.get("threads", 1)))
+    # The document is loaded and run as `signform batch` would.
+    batch = run_batch(*load_batch(config_path))
     us = [r.uncertainty for r in batch.reports]
     inside = sum(1 for u in us if -0.05 <= u <= 0.12)
     frac = inside / len(us)

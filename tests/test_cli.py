@@ -92,22 +92,33 @@ class TestEstimateCommand:
         assert record["stage"] == "estimate"
 
     @pytest.mark.parametrize("command", ["estimate", "phonesthemes",
-                                         "hyperopt"])
+                                         "hyperopt", "batch"])
     @pytest.mark.parametrize("via_flag", [True, False])
     def test_bad_path_writes_error_json(self, tmp_path, capsys, command,
                                         via_flag):
         # Without --out, the record goes to the config's out_dir.
         cfg = tmp_path / "bad.json"
         out = tmp_path / "failed"
-        write_config(cfg, str(tmp_path / "nowhere"), hyperopt_budget=1,
-                     **({} if via_flag else {"out_dir": str(out)}))
+        where = {} if via_flag else {"out_dir": str(out)}
+        doc = write_config(cfg, str(tmp_path / "nowhere"), hyperopt_budget=1,
+                           **({} if command == "batch" else where))
+        if command == "batch":
+            cfg.write_text(json.dumps(dict(where, languages=[doc])))
         flags = ["--out", str(out)] if via_flag else []
         rc = main(["--config", str(cfg)] + flags + [command])
         assert rc == 1
         record = json.loads(capsys.readouterr().out.splitlines()[0])
-        assert record["error"] == "FileNotFoundError"
-        on_disk = read_json(out / "error.json")
-        assert on_disk["message"] == record["message"]
+        assert read_json(out / "error.json") == record
+        records = [record]
+        if command == "batch":
+            # The only language failed, so the batch did too.
+            assert record["error"] == "SignformError"
+            records.append(read_json(out / "toy" / "error.json"))
+        assert records[-1]["error"] == "FileNotFoundError"
+        assert records[-1]["stage"] == ("estimate" if command == "batch"
+                                        else command)
+        for rec in records:
+            assert sorted(rec) == ["error", "message", "stage"]
 
     def test_wrong_field_type_rejected_before_parsing(self, tmp_path,
                                                      capsys):
@@ -227,7 +238,10 @@ class TestBatchCommand:
         assert "! broken: FileNotFoundError" in stdout
         assert "1 failed" in stdout
         assert (out / "appendix.tsv").exists()
-        assert (out / "broken" / "error.json").exists()
+        record = read_json(out / "broken" / "error.json")
+        assert read_json(out / "aggregate.json")["failures"] == {
+            "broken": record}
+        assert sorted(record) == ["error", "message", "stage"]
 
     def test_duplicate_languages_rejected_before_training(self, corpus,
                                                           tmp_path, capsys):
@@ -321,6 +335,62 @@ class TestBatchCommand:
         assert record["error"] == "SignformError"
 
 
+class TestRejectedBeforeTraining:
+    """Each case exits 1 with one JSON line and trains nothing."""
+
+    @pytest.mark.parametrize("command", ["estimate", "phonesthemes",
+                                         "hyperopt", "batch"])
+    @pytest.mark.parametrize("fields,message", [
+        ({"opt": dict(FAST_OPT, eps=float("inf"))},
+         "opt eps must be finite, got inf"),
+        ({"opt": dict(FAST_OPT, lr=float("nan"))},
+         "opt lr must be finite, got nan"),
+        ({"model_kinds": ["uncond", "meaning", "meaning"]},
+         "model_kinds repeats meaning")],
+        ids=["infinite-eps", "nan-lr", "repeated-kind"])
+    def test_bad_values_rejected_at_load(self, corpus, tmp_path, capsys,
+                                         command, fields, message):
+        cfg = tmp_path / "bad.json"
+        out = tmp_path / "failed"
+        doc = write_config(cfg, corpus, hyperopt_budget=1, **fields)
+        if command == "batch":
+            cfg.write_text(json.dumps({"languages": [doc]}))
+            message = f"toy: {message}"
+        rc = main(["--config", str(cfg), "--out", str(out), command])
+        assert rc == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {
+            "error": "ValueError", "message": message, "stage": command}
+        assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+
+    @pytest.mark.parametrize("command", ["estimate", "phonesthemes",
+                                         "batch"])
+    def test_pca_d_checked_before_any_fit(self, corpus, tmp_path, capsys,
+                                          command):
+        # The corpus has 8-d meanings; a search sets its own pca_d.
+        cfg = tmp_path / "bad.json"
+        out = tmp_path / "failed"
+        doc = write_config(cfg, corpus, lm=dict(FAST_LM, pca_d=9))
+        if command == "batch":
+            cfg.write_text(json.dumps({"languages": [doc]}))
+        rc = main(["--config", str(cfg), "--out", str(out), command])
+        assert rc == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        record = json.loads(lines[0])
+        if command == "batch":
+            assert sorted(p.name for p in out.iterdir()) == ["error.json",
+                                                             "toy"]
+            out = out / "toy"
+            record = read_json(out / "error.json")
+        assert record["error"] == "ValueError"
+        assert record["message"] == (
+            "lm pca_d must be at most the meaning dimension (8) and the "
+            "training rows (180), got 9")
+        assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+
+
 class TestHyperoptCommand:
     def test_writes_search_log_and_best(self, corpus, tmp_path, capsys):
         cfg = tmp_path / "hyp.json"
@@ -381,6 +451,16 @@ class TestValidateCommand:
         rc = main(["validate", "--only", "c01", "--inject-gradient-fault"])
         assert rc == 1
         assert "FAIL c01" in capsys.readouterr().out
+
+    def test_full_scale_document_loaded_as_batch(self, tmp_path, capsys):
+        doc = tmp_path / "batch.json"
+        doc.write_text(json.dumps({"threads": "2", "languages": []}))
+        rc = main(["--config", str(doc), "validate", "--only", "c11"])
+        assert rc == 1
+        line = capsys.readouterr().out.strip()
+        assert line.startswith("FAIL c11")
+        assert line.endswith(
+            "crashed: ValueError: batch threads must be an integer, got '2'")
 
     def test_unknown_id(self, capsys):
         rc = main(["validate", "--only", "zzz"])

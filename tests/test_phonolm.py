@@ -1035,7 +1035,9 @@ class TestOptSettings:
         {"lr": 0.0}, {"lr": -1e-3}, {"eps": 0.0}, {"beta1": 1.0},
         {"beta1": -0.1}, {"beta2": 1.0}, {"clip_norm": 0.0},
         {"clip_norm": -5.0}, {"min_delta": float("inf")},
-        {"min_delta": float("nan")}])
+        {"min_delta": float("nan")}, {"lr": float("inf")},
+        {"eps": float("inf")}, {"clip_norm": float("inf")},
+        {"beta1": float("-inf")}, {"beta2": float("nan")}])
     def test_rejects_out_of_range(self, bad):
         with pytest.raises(ValueError):
             OptSettings(**bad)

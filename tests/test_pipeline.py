@@ -204,7 +204,16 @@ class TestRunConfig:
         ({"phonesthemes": {"k_range": None}}, "^phonesthemes k_range must "
                                               "be a list, got None$"),
         ({"phonesthemes": {"k_range": [2, "3"]}}, r"^phonesthemes "
-         r"k_range\[1\] must be an integer, got '3'$")])
+         r"k_range\[1\] must be an integer, got '3'$"),
+        ({"opt": {"eps": float("inf")}}, "^opt eps must be finite, got inf$"),
+        ({"opt": {"lr": float("-inf")}}, "^opt lr must be finite"),
+        ({"opt": {"clip_norm": float("nan")}}, "^opt clip_norm must be "
+                                               "finite, got nan$"),
+        ({"lm": {"dropout": float("nan")}}, "^lm dropout must be finite"),
+        ({"phonesthemes": {"alpha": float("inf")}}, "^phonesthemes alpha "
+                                                    "must be finite"),
+        ({"model_kinds": ["uncond", "meaning", "uncond", "meaning"]},
+         "^model_kinds repeats meaning, uncond$")])
     def test_wrong_field_types_rejected_at_load(self, fields, match):
         with pytest.raises(ValueError, match=match):
             RunConfig.from_dict({"language": "xx", **fields})
@@ -352,6 +361,23 @@ class TestFitUnits:
         np.testing.assert_array_equal(tables[0].bits, alone.bits)
         every = fit_units(lex, folds, 0, opt, units[1:])[0]
         assert every.keys == tuple(s.key for s in lex.signs)
+
+    def test_pca_d_checked_before_the_first_fit(self, two_cluster_files,
+                                                tmp_path, monkeypatch):
+        _, files = two_cluster_files
+        lex = resolve_lexicon(fast_config(str(tmp_path), files))
+        folds = split_folds(lex, 5, seed_for(3, "folds"))
+        calls = counting(monkeypatch, "train_on_indices")
+        models = tmp_path / "models"
+        units = [FitUnit("uncond", FAST_LM, 4, str(models / "u.archive")),
+                 FitUnit("meaning", dict(FAST_LM, pca_d=9), 5,
+                         str(models / "m.archive"))]
+        with pytest.raises(ValueError, match=(
+                r"^lm pca_d must be at most the meaning dimension \(8\) and "
+                r"the training rows \(240\), got 9$")):
+            fit_units(lex, folds, 0, OptSettings(max_epochs=1), units)
+        assert calls == []
+        assert not models.exists()
 
 
 def counting(monkeypatch, name):
