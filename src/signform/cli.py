@@ -1,11 +1,12 @@
 """Command-line front end.
 
 Every command reads one JSON config document, honors the global overrides
-(--seed, --threads, --out, then SIGNFORM_SEED / SIGNFORM_THREADS), prints a
-short human summary to stdout, and on failure emits one machine-readable
-JSON error line, writes it to error.json in the output directory and exits
-nonzero. A successful estimate, batch, phonesthemes or hyperopt removes the
-error.json an earlier failure left in its output directory.
+(--seed, then SIGNFORM_SEED, and --out), prints a short human summary to
+stdout, and on failure emits one machine-readable JSON error line, writes it
+to error.json in the output directory and exits nonzero. A successful
+estimate, batch, phonesthemes or hyperopt removes the error.json an earlier
+failure left in its output directory. A batch runs its languages one at a
+time, in document order.
 """
 
 from __future__ import annotations
@@ -31,22 +32,15 @@ from .reports import read_json, write_report_csv_rows
 from .validate import CRITERIA, battery_passed, run_battery
 
 
-def _env_int(name: str):
-    raw = os.environ.get(name)
-    if raw is None or raw == "":
-        return None
+def _seed(args):
+    """--seed beats SIGNFORM_SEED beats the config file (None)."""
+    if args.seed is not None:
+        return args.seed
+    raw = os.environ.get("SIGNFORM_SEED", "")
     try:
-        return int(raw)
+        return int(raw) if raw else None
     except ValueError:
-        raise SystemExit(f"{name} must be an integer, got {raw!r}")
-
-
-def _resolve_overrides(args) -> dict:
-    """CLI flag beats environment variable beats config file."""
-    seed = args.seed if args.seed is not None else _env_int("SIGNFORM_SEED")
-    threads = (args.threads if args.threads is not None
-               else _env_int("SIGNFORM_THREADS"))
-    return {"seed": seed, "threads": threads, "out_dir": args.out}
+        raise SystemExit(f"SIGNFORM_SEED must be an integer, got {raw!r}")
 
 
 def _config_path(args, what: str) -> str:
@@ -71,14 +65,12 @@ def _run_config_command(args, run) -> int:
     print both, or on error print and store the error record."""
     out_dir = args.out
     try:
-        path = _config_path(args, "a JSON config document")
-        # SIGNFORM_THREADS is checked, though only batch uses it.
-        overrides = _resolve_overrides(args)
-        config = load_config(path, seed=overrides["seed"], out_dir=args.out)
+        config = load_config(_config_path(args, "a JSON config document"),
+                             seed=_seed(args), out_dir=args.out)
         out_dir = config.out_dir
         lines, files = run(config)
     except Exception as exc:
-        return _fail(exc, args.command, out_dir)
+        return _fail(exc, args.command, getattr(exc, "out_dir", out_dir))
     _clear_stale_error(out_dir)
     for line in lines:
         print(line)
@@ -121,9 +113,9 @@ def cmd_hyperopt(args) -> int:
 def cmd_batch(args) -> int:
     out_dir = args.out
     try:
-        configs, out_dir, threads = load_batch(
-            _config_path(args, "a batch document"), **_resolve_overrides(args))
-        out = run_batch(configs, out_dir, threads=threads)
+        configs, out_dir = load_batch(_config_path(args, "a batch document"),
+                                      seed=_seed(args), out_dir=args.out)
+        out = run_batch(configs, out_dir)
     except Exception as exc:
         return _fail(exc, "batch", getattr(exc, "out_dir", out_dir))
     _clear_stale_error(out_dir)
@@ -142,8 +134,7 @@ def cmd_batch(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    seed = args.seed if args.seed is not None else (
-        _env_int("SIGNFORM_SEED") or 0)
+    seed = _seed(args) or 0
     out_dir = args.out or "."
     try:
         files = run_synth(args.spec, args.n_words, seed, out_dir)
@@ -196,10 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="JSON config document")
     parser.add_argument("--seed", type=int, metavar="N",
                         help="master seed override (beats SIGNFORM_SEED)")
-    parser.add_argument("--threads", type=int, metavar="N",
-                        help="languages a batch runs at once (beats "
-                             "SIGNFORM_THREADS); single-language commands "
-                             "ignore it")
     parser.add_argument("--out", metavar="DIR", help="output directory")
     sub = parser.add_subparsers(dest="command", required=True)
 

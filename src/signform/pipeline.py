@@ -4,8 +4,8 @@ One run estimates a language's form entropy and form-meaning MI: parse the
 lexicon, attach embeddings, split folds, optionally search hyperparameters,
 train one model per enabled kind, score the held-out test fold, difference
 the cross-entropies, and attach sign-flip permutation p-values. Batch mode
-repeats this per language in a bounded worker pool with per-language crash
-isolation, then corrects significance across languages and aggregates.
+repeats this per language, in order, with per-language crash isolation,
+then corrects significance across languages and aggregates.
 
 Both commands that train models state them as a fit plan, a list of
 FitUnits that fit_units trains or reuses and scores: estimate one unit per
@@ -19,7 +19,6 @@ import hashlib
 import json
 import logging
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,7 +43,7 @@ from .phonolm import (
     save_model,
     train_on_indices,
 )
-from .phonolm.model import _require_int, _require_ints
+from .phonolm.model import _require_ints
 from .reports import (
     appendix_row,
     read_json,
@@ -221,29 +220,49 @@ def _check_section(section: str, settings_type, given: dict) -> None:
         raise ValueError(f"{section} {exc}") from exc
 
 
+def _require_object(what: str, value) -> dict:
+    if not isinstance(value, dict):
+        raise SchemaError(f"{what} must be a JSON object, got "
+                          f"{type(value).__name__}")
+    return value
+
+
 def load_config(path, **overrides) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        d = json.load(fh)
+    """Read a config document; an override that is not None replaces its
+    field. An error in the document carries its out_dir, if a string, as
+    exc.out_dir, where its error.json belongs."""
+    d = _require_object("a config document", read_json(path))
     d.update({k: v for k, v in overrides.items() if v is not None})
-    return RunConfig.from_dict(d)
-
-
-def load_batch(path, *, seed=None, out_dir=None, threads=None):
-    """Read a batch document; returns (configs, out_dir, threads).
-
-    A given seed replaces every language's, and a given out_dir or threads
-    the document's (default "." and 1). A refused language is named, or
-    given by its index in languages. An error in the document carries the
-    resolved out_dir as exc.out_dir, where its error.json belongs.
-    """
-    doc = read_json(path)
-    out_dir = out_dir or doc.get("out_dir") or "."
     try:
-        if threads is None:
-            threads = doc.get("threads", 1)
-            _require_int("batch threads", threads)
+        return RunConfig.from_dict(d)
+    except Exception as exc:
+        if isinstance(d.get("out_dir"), str):
+            exc.out_dir = d["out_dir"]
+        raise
+
+
+def load_batch(path, *, seed=None, out_dir=None):
+    """Read a batch document, {"out_dir", "languages"} and no other key;
+    returns (configs, out_dir). A given seed replaces every language's, and
+    a given out_dir the document's (default "."). A refused language is
+    named, or given by its index in languages. An error in the document
+    carries the resolved out_dir as exc.out_dir, where its error.json
+    belongs."""
+    doc = _require_object("a batch document", read_json(path))
+    out_dir = out_dir or doc.get("out_dir") or "."
+    if not isinstance(out_dir, str):
+        raise ValueError(f"batch out_dir must be a string, got {out_dir!r}")
+    try:
+        unknown = sorted(set(doc) - {"out_dir", "languages"})
+        if unknown:
+            raise SchemaError(f"unknown batch keys: {unknown} (a batch "
+                              "document holds out_dir and languages)")
+        if not isinstance(doc.get("languages"), list):
+            raise SchemaError("a batch document needs languages, a list of "
+                              "language configs")
         configs = []
         for i, entry in enumerate(doc["languages"]):
+            entry = _require_object(f"languages[{i}]", entry)
             if seed is not None:
                 entry = dict(entry, seed=seed)
             try:
@@ -254,7 +273,7 @@ def load_batch(path, *, seed=None, out_dir=None, threads=None):
     except Exception as exc:
         exc.out_dir = out_dir
         raise
-    return configs, out_dir, threads
+    return configs, out_dir
 
 
 def resolve_lexicon(config: RunConfig) -> Lexicon:
@@ -557,7 +576,7 @@ def _clear_stale_error(out_dir: str) -> None:
 
 
 def run_batch(configs, out_dir: str, threads: int = 1) -> BatchOutput:
-    """Estimate every language, then correct and aggregate across them.
+    """Estimate every language in order, then correct and aggregate them.
 
     Each language writes into out_dir/<language>/; a failure there is
     recorded in that directory's error.json, its traceback logged as a
@@ -565,8 +584,9 @@ def run_batch(configs, out_dir: str, threads: int = 1) -> BatchOutput:
     earlier failure left there.
     Repeated language names are rejected with SchemaError before any run.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+    # threads=1 is accepted only because perfbench's Batch.run passes it.
+    if threads != 1:
+        raise ValueError(f"threads must be 1 (serial batch), got {threads!r}")
     if not configs:
         raise ValueError("batch needs at least one language config")
     duplicates = _repeats([c.language for c in configs])
@@ -575,27 +595,18 @@ def run_batch(configs, out_dir: str, threads: int = 1) -> BatchOutput:
                           f"one output directory: {', '.join(duplicates)}")
     os.makedirs(out_dir, exist_ok=True)
 
-    def job(config: RunConfig):
+    reports, failures = [], {}
+    for config in configs:
         config = dataclasses.replace(
             config, out_dir=os.path.join(out_dir, config.language))
         try:
-            report = run_estimate(config).report
+            reports.append(run_estimate(config).report)
         except Exception as exc:
             logger.warning("%s failed", config.language, exc_info=True)
-            record = error_record(exc, "estimate")
-            write_error(config.out_dir, record)
-            return config.language, None, record
-        _clear_stale_error(config.out_dir)
-        return config.language, report, None
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(job, configs))
-    else:
-        outcomes = [job(c) for c in configs]
-
-    reports = [rep for _, rep, err in outcomes if err is None]
-    failures = {name: err for name, _, err in outcomes if err is not None}
+            failures[config.language] = error_record(exc, "estimate")
+            write_error(config.out_dir, failures[config.language])
+        else:
+            _clear_stale_error(config.out_dir)
     if not reports:
         raise SignformError("every language in the batch failed")
 

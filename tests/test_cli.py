@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from signform.cli import main
+from signform.cli import build_parser, main
 from signform.pipeline import RunConfig, run_estimate, run_synth
 from signform.reports import read_json
 
@@ -135,6 +135,24 @@ class TestEstimateCommand:
             "message": "folds must be an integer, got '10'"}
         assert sorted(p.name for p in out.iterdir()) == ["error.json"]
 
+    @pytest.mark.parametrize("command", ["estimate", "phonesthemes",
+                                         "hyperopt"])
+    def test_load_error_written_to_document_out_dir(self, tmp_path, capsys,
+                                                    command):
+        cfg = tmp_path / "bad.json"
+        out = tmp_path / "docout"
+        cfg.write_text(json.dumps({"language": "x", "out_dir": str(out),
+                                   "folds": "10"}))
+        rc = main(["--config", str(cfg), command])
+        assert rc == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        record = json.loads(lines[0])
+        assert record == {"error": "ValueError", "stage": command,
+                          "message": "folds must be an integer, got '10'"}
+        assert read_json(out / "error.json") == record
+        assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+
     def test_wrong_mining_field_rejected_before_parsing(self, tmp_path,
                                                        capsys):
         cfg = tmp_path / "bad.json"
@@ -175,14 +193,6 @@ class TestEstimateCommand:
         assert (batch / "toy" / "report.json").exists()
         assert not (batch / "error.json").exists()
         assert not (batch / "toy" / "error.json").exists()
-
-    def test_env_threads_must_be_int(self, corpus, tmp_path, monkeypatch):
-        monkeypatch.setenv("SIGNFORM_THREADS", "many")
-        cfg = tmp_path / "est.json"
-        write_config(cfg, corpus)
-        with pytest.raises(SystemExit):
-            main(["--config", str(cfg), "--out", str(tmp_path / "x"),
-                  "estimate"])
 
 
 class TestReportCommand:
@@ -297,31 +307,33 @@ class TestBatchCommand:
         assert record["error"] == "TypeError"
         assert record["message"].startswith("languages[1]: ")
 
-    @pytest.mark.parametrize("flag,env", [("0", None), ("-1", None),
-                                          (None, "0")])
-    def test_threads_below_one_rejected(self, corpus, tmp_path, capsys,
-                                        monkeypatch, flag, env):
-        # The document's threads must not stand in for a flag or env of 0.
-        lang = write_config(tmp_path / "unused.json", corpus,
-                            language="alpha")
-        if env is not None:
-            monkeypatch.setenv("SIGNFORM_THREADS", env)
-        record = batch_rejected_before_training(
-            tmp_path, capsys, [lang],
-            argv=["--threads", flag] if flag is not None else [], threads=2)
-        assert record["error"] == "ValueError"
-        assert "threads" in record["message"]
-
-    @pytest.mark.parametrize("threads", [2.5, True, "2"])
-    def test_document_threads_must_be_an_integer(self, corpus, tmp_path,
-                                                 capsys, threads):
+    def test_document_threads_refused(self, corpus, tmp_path, capsys):
         lang = write_config(tmp_path / "unused.json", corpus,
                             language="alpha")
         record = batch_rejected_before_training(tmp_path, capsys, [lang],
-                                                threads=threads)
-        assert record["error"] == "ValueError"
-        assert record["message"] == (
-            f"batch threads must be an integer, got {threads!r}")
+                                                threads=1)
+        assert record == {
+            "error": "SchemaError", "stage": "batch",
+            "message": "unknown batch keys: ['threads'] (a batch document "
+                       "holds out_dir and languages)"}
+
+    def test_threads_flag_is_gone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(tmp_path / "batch.json"), "--threads", "2",
+                  "batch"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: signform")
+        assert "threads" not in build_parser().format_help()
+
+    def test_document_out_dir_must_be_a_string(self, tmp_path, capsys):
+        cfg = tmp_path / "batch.json"
+        cfg.write_text(json.dumps({"out_dir": 5, "languages": []}))
+        rc = main(["--config", str(cfg), "batch"])
+        assert rc == 1
+        assert json.loads(capsys.readouterr().out) == {
+            "error": "ValueError", "stage": "batch",
+            "message": "batch out_dir must be a string, got 5"}
+        assert [p.name for p in tmp_path.iterdir()] == ["batch.json"]
 
     def test_all_failed_is_an_error(self, tmp_path, capsys):
         bad = {"language": "x", "lexicon_path": str(tmp_path / "no.tsv"),
@@ -362,6 +374,34 @@ class TestRejectedBeforeTraining:
         assert len(lines) == 1
         assert json.loads(lines[0]) == {
             "error": "ValueError", "message": message, "stage": command}
+        assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+
+    @pytest.mark.parametrize("command,doc,message", [
+        ("estimate", [], "a config document must be a JSON object, got list"),
+        ("phonesthemes", "toy",
+         "a config document must be a JSON object, got str"),
+        ("hyperopt", None,
+         "a config document must be a JSON object, got NoneType"),
+        ("batch", [], "a batch document must be a JSON object, got list"),
+        ("batch", {},
+         "a batch document needs languages, a list of language configs"),
+        ("batch", {"languages": {"toy": {}}},
+         "a batch document needs languages, a list of language configs"),
+        ("batch", {"languages": [["toy"]]},
+         "languages[0] must be a JSON object, got list")],
+        ids=["config-list", "config-string", "config-null", "batch-list",
+             "no-languages", "languages-object", "language-list"])
+    def test_malformed_document_rejected(self, tmp_path, capsys, command,
+                                         doc, message):
+        cfg = tmp_path / "bad.json"
+        out = tmp_path / "failed"
+        cfg.write_text(json.dumps(doc))
+        rc = main(["--config", str(cfg), "--out", str(out), command])
+        assert rc == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {
+            "error": "SchemaError", "message": message, "stage": command}
         assert sorted(p.name for p in out.iterdir()) == ["error.json"]
 
     @pytest.mark.parametrize("command", ["estimate", "phonesthemes",
@@ -460,7 +500,8 @@ class TestValidateCommand:
         line = capsys.readouterr().out.strip()
         assert line.startswith("FAIL c11")
         assert line.endswith(
-            "crashed: ValueError: batch threads must be an integer, got '2'")
+            "crashed: SchemaError: unknown batch keys: ['threads'] (a batch "
+            "document holds out_dir and languages)")
 
     def test_unknown_id(self, capsys):
         rc = main(["validate", "--only", "zzz"])

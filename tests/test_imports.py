@@ -1,5 +1,6 @@
 """Import graph: estimate, phonesthemes, batch and a search that stays in
-its Latin-hypercube phase run on numpy alone; scipy loads only for the GP."""
+its Latin-hypercube phase run on numpy alone; scipy loads only for the GP,
+and concurrent.futures never loads."""
 
 import json
 
@@ -26,13 +27,15 @@ run_estimate(RunConfig(out_dir=os.path.join(tmp, "estimate"), **config))
 run_phonesthemes(RunConfig(out_dir=os.path.join(tmp, "mine"), **config))
 run_batch([RunConfig(**dict(config, language=name)) for name in ("a", "b")],
           os.path.join(tmp, "batch"))
+futures_loaded = "concurrent.futures" in sys.modules
 space = SearchSpace((Dimension("x", "continuous", 0.0, 1.0),))
 search = run_search(lambda native: (native["x"] - 0.3) ** 2, space,
                     budget=5, n_init=5)
 before_gp = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 proposal = propose_next(search.trials, space, n_init=5)
 print(json.dumps({"scipy_before_gp": before_gp, "proposal": proposal,
-                  "scipy_after_gp": "scipy.optimize" in sys.modules}))
+                  "scipy_after_gp": "scipy.optimize" in sys.modules,
+                  "futures_loaded": futures_loaded}))
 """
 
 
@@ -41,3 +44,5 @@ def test_only_the_gp_step_imports_scipy(tmp_path):
     assert result["scipy_before_gp"] == []
     assert 0.0 <= result["proposal"]["x"] <= 1.0
     assert result["scipy_after_gp"]
+    # A batch runs serially; no executor module is loaded for it.
+    assert not result["futures_loaded"]

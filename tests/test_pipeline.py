@@ -660,12 +660,20 @@ class TestBatch:
         good = fast_config(str(tmp_path), files, language="alpha")
         bad = fast_config(str(tmp_path), files, language="beta",
                           lexicon_path=str(tmp_path / "missing.tsv"))
-        out = run_batch([good, bad], str(tmp_path / "batch"), threads=2)
+        out = run_batch([good, bad], str(tmp_path / "batch"))
         assert [r.language for r in out.reports] == ["alpha"]
         assert set(out.failures) == {"beta"}
         err = json.load(open(tmp_path / "batch" / "beta" / "error.json"))
         assert err["error"] == "FileNotFoundError"
         assert out.aggregate["n_failed"] == 1
+
+    def test_more_than_one_thread_refused_before_any_run(
+            self, two_cluster_files, tmp_path):
+        tmp, files = two_cluster_files
+        cfg = fast_config(str(tmp_path), files, language="alpha")
+        with pytest.raises(ValueError, match="threads must be 1"):
+            run_batch([cfg], str(tmp_path / "batch"), threads=2)
+        assert not (tmp_path / "batch").exists()
 
     def test_single_language_aggregate_equals_row(self, two_cluster_files,
                                                   tmp_path):
@@ -685,7 +693,7 @@ class TestBatch:
         tmp, files = two_cluster_files
         configs = [fast_config(str(tmp_path), files, language="l1", seed=3),
                    fast_config(str(tmp_path), files, language="l2", seed=4)]
-        out = run_batch(configs, str(tmp_path / "batch"), threads=2)
+        out = run_batch(configs, str(tmp_path / "batch"))
         assert os.path.exists(out.files["density_csv"])
         assert os.path.exists(out.files["density_svg"])
         appendix = open(out.files["appendix"]).read().splitlines()
