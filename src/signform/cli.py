@@ -16,8 +16,10 @@ import json
 import os
 import sys
 
+from .errors import SchemaError
 from .pipeline import (
     _clear_stale_error,
+    _require_object,
     error_record,
     load_batch,
     load_config,
@@ -166,12 +168,16 @@ def cmd_validate(args) -> int:
 def cmd_report(args) -> int:
     """Re-render the display CSV from a stored unrounded JSON report."""
     try:
-        payload = read_json(_config_path(args, "a report.json file"))
-        rows = payload.get("reports") or [payload["report"]]
+        payload = _require_object(
+            "a report document",
+            read_json(_config_path(args, "a report.json file")))
+        if not isinstance(payload.get("report"), dict):
+            raise SchemaError("a report document needs a report object, "
+                              "as report.json holds")
         out_dir = args.out or os.path.dirname(os.path.abspath(args.config))
         os.makedirs(out_dir, exist_ok=True)
         csv_path = os.path.join(out_dir, "report.csv")
-        write_report_csv_rows(csv_path, rows)
+        write_report_csv_rows(csv_path, [payload["report"]])
     except Exception as exc:
         return _fail(exc, "report", args.out)
     print(f"  report_csv: {csv_path}")

@@ -8,7 +8,7 @@ proposal is turned back into native units.
 
 Only the GP step needs scipy (L-BFGS-B and the normal CDF), so `gp_fit`,
 `expected_improvement` and `propose_next` import it when they run: the
-first n_init proposals, which come from a Latin hypercube, and importing
+first N_INIT proposals, which come from a Latin hypercube, and importing
 this module need numpy alone.
 """
 
@@ -28,9 +28,10 @@ from .errors import (
 from .seeding import derive_rng
 
 DIMENSION_KINDS = ("integer", "continuous")
-# Marginal-likelihood starts per GP fit, and random EI candidates per
-# proposal.
+# Marginal-likelihood starts per GP fit, Latin-hypercube proposals before
+# the first GP step, and random EI candidates per proposal.
 GP_STARTS = 4
+N_INIT = 5
 N_CANDIDATES = 4096
 
 
@@ -258,30 +259,28 @@ def expected_improvement(posterior: GPPosterior, best_so_far: float,
     return out
 
 
-def _lhs_point(space: SearchSpace, seed: int, index: int,
-               n_init: int) -> np.ndarray:
-    """Row `index` of a seed-determined Latin hypercube with n_init rows."""
+def _lhs_point(space: SearchSpace, seed: int, index: int) -> np.ndarray:
+    """Row `index` of a seed-determined Latin hypercube with N_INIT rows."""
     rng = derive_rng(seed, "hyperopt", "lhs")
-    strata = np.column_stack([rng.permutation(n_init)
+    strata = np.column_stack([rng.permutation(N_INIT)
                               for _ in range(space.d)])
-    offsets = rng.random((n_init, space.d))
-    cube = (strata + offsets) / n_init
-    return cube[index % n_init]
+    offsets = rng.random((N_INIT, space.d))
+    cube = (strata + offsets) / N_INIT
+    return cube[index % N_INIT]
 
 
-def propose_next(trials, space: SearchSpace, seed: int = 0, *,
-                 n_init: int = 5) -> dict:
+def propose_next(trials, space: SearchSpace, seed: int = 0) -> dict:
     """Next configuration to evaluate, in native units.
 
-    The first n_init proposals fill the cube from a seeded Latin hypercube;
+    The first N_INIT proposals fill the cube from a seeded Latin hypercube;
     later ones maximize expected improvement over N_CANDIDATES fresh random
     points with local gradient refinement from the best candidate. Integer
     dimensions round at the very end. Deterministic in (trials, seed).
     """
     t = len(trials)
     ok = [tr for tr in trials if tr.status == "ok"]
-    if t < n_init or not ok:
-        return space.from_unit(_lhs_point(space, seed, t, n_init))
+    if t < N_INIT or not ok:
+        return space.from_unit(_lhs_point(space, seed, t))
 
     from scipy.optimize import minimize
 
@@ -306,8 +305,8 @@ class SearchResult:
     trials: list[Trial]
 
 
-def run_search(evaluate, space: SearchSpace, budget: int = 50,
-               seed: int = 0, *, n_init: int = 5) -> SearchResult:
+def run_search(evaluate, space: SearchSpace, budget: int,
+               seed: int = 0) -> SearchResult:
     """Bayesian-optimization loop; returns the lowest-objective trial.
 
     evaluate(native) returns validation bits/phone; a raised training
@@ -319,7 +318,7 @@ def run_search(evaluate, space: SearchSpace, budget: int = 50,
         raise ValueError("budget must be >= 1")
     trials: list[Trial] = []
     for _ in range(budget):
-        native = propose_next(trials, space, seed, n_init=n_init)
+        native = propose_next(trials, space, seed)
         try:
             value = float(evaluate(native))
             status = "ok" if math.isfinite(value) else "diverged"

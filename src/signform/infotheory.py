@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SignSetMismatchError, ZeroVarianceError
+from .errors import ZeroVarianceError
 from .phonolm import LossTable
 
 
@@ -57,7 +57,6 @@ class MIEstimate:
     uncond: EntropyEstimate
     cond: EntropyEstimate
     deltas: np.ndarray
-    keys: tuple
 
     def __post_init__(self):
         expected = self.uncond.bits_per_phone - self.cond.bits_per_phone
@@ -65,42 +64,22 @@ class MIEstimate:
             raise ValueError("mi does not match entropy difference")
 
 
-def _align(uncond: LossTable, cond: LossTable) -> np.ndarray:
-    """The row of cond holding each of uncond's signs, in uncond's order."""
-    if len(uncond.keys) != len(cond.keys):
-        raise SignSetMismatchError(
-            f"{len(uncond.keys)} vs {len(cond.keys)} signs in the two tables")
-    row_of = {key: i for i, key in enumerate(cond.keys)}
-    try:
-        rows = np.array([row_of[key] for key in uncond.keys], dtype=np.int64)
-    except KeyError as exc:
-        raise SignSetMismatchError(
-            f"sign {exc.args[0]!r} missing from table") from None
-    differ = np.flatnonzero(cond.token_count[rows] != uncond.token_count)
-    if differ.size:
-        raise SignSetMismatchError(
-            f"token count differs for {uncond.keys[differ[0]]!r}")
-    return rows
-
-
 def mi_estimate(unconditional: LossTable,
                 conditional: LossTable) -> MIEstimate:
-    """MI(W;V) in bits/phone from matched loss tables, with per-word deltas.
+    """MI(W;V) in bits/phone from paired loss tables, with per-word deltas.
 
-    Tables are matched by sign identity (lemma, form, class); order need
-    not agree. Raises SignSetMismatchError when they cover different signs.
-    Applied to the class-conditioned pair of tables, the same arithmetic
-    gives MI(W;V|C).
+    Both tables must hold the same signs in the same order; otherwise
+    SignSetMismatchError. Applied to the class-conditioned pair of tables,
+    the same arithmetic gives MI(W;V|C).
     """
-    rows = _align(unconditional, conditional)
+    unconditional.require_same_signs(conditional)
     tokens = unconditional.token_count
-    cond_bits = conditional.total_bits[rows]
     h_u = _entropy(unconditional.total_bits, tokens)
-    h_c = _entropy(cond_bits, tokens)
+    h_c = _entropy(conditional.total_bits, tokens)
     return MIEstimate(mi=h_u.bits_per_phone - h_c.bits_per_phone,
                       uncond=h_u, cond=h_c,
-                      deltas=(unconditional.total_bits - cond_bits) / tokens,
-                      keys=unconditional.keys)
+                      deltas=(unconditional.total_bits
+                              - conditional.total_bits) / tokens)
 
 
 def uncertainty_coefficient(mi: float, h: float) -> float:
@@ -166,15 +145,11 @@ class MIReport:
 def build_report(language: str, plain: MIEstimate,
                  classed: MIEstimate | None = None,
                  p_value: float | None = None,
-                 p_value_given_pos: float | None = None,
-                 d: float | None = None,
-                 d_given_pos: float | None = None) -> MIReport:
+                 p_value_given_pos: float | None = None) -> MIReport:
     """Assemble an MIReport from the two MI estimates and test results.
 
-    Effect sizes default to Cohen's d of the respective delta vectors.
+    Effect sizes are Cohen's d of the respective delta vectors.
     """
-    if d is None:
-        d = cohens_d(plain.deltas)
     kwargs = {}
     if classed is not None:
         kwargs = {
@@ -183,8 +158,7 @@ def build_report(language: str, plain: MIEstimate,
             "mi_given_pos": classed.mi,
             "uncertainty_given_pos": uncertainty_coefficient(
                 classed.mi, classed.uncond.bits_per_phone),
-            "cohens_d_given_pos": (cohens_d(classed.deltas)
-                                   if d_given_pos is None else d_given_pos),
+            "cohens_d_given_pos": cohens_d(classed.deltas),
             "p_value_given_pos": p_value_given_pos,
         }
     return MIReport(
@@ -195,7 +169,7 @@ def build_report(language: str, plain: MIEstimate,
         mi=plain.mi,
         uncertainty=uncertainty_coefficient(plain.mi,
                                             plain.uncond.bits_per_phone),
-        cohens_d=d,
+        cohens_d=cohens_d(plain.deltas),
         p_value=p_value,
         **kwargs,
     )

@@ -125,7 +125,7 @@ def pointwise_mi_table(lex: Lexicon, uncond: LossTable, cond: LossTable,
 
 
 def enumerate_candidates(lex: Lexicon, k_range,
-                         min_count: int = 20) -> list[AffixCandidate]:
+                         min_count: int) -> list[AffixCandidate]:
     """All distinct k-initial sequences held by >= min_count signs, for each
     k in k_range. Words shorter than k never contribute. Suffixes are the
     prefixes of reverse_forms(lex)."""
@@ -261,40 +261,33 @@ def reverse_forms(lex: Lexicon) -> Lexicon:
                    signs=signs, classes=lex.classes, stats=lex.stats)
 
 
-def mine(lex: Lexicon, uncond, cond, *, k_range=(1, 2, 3), min_count: int = 20,
-         alpha: float = 0.05, n_samples: int = 100_000, seed: int = 0,
-         reversed_lex: Lexicon | None = None, reversed_uncond=None,
-         reversed_cond=None) -> list[AffixCandidate]:
+def mine(lex: Lexicon, forward, settings: MiningSettings, seed: int,
+         reverse=None) -> list[AffixCandidate]:
     """Full mining pass: enumerate, test, BH-correct, rank.
 
-    uncond and cond are loss tables aligned with lex.signs. When the
-    reversed trio is supplied, suffixes are mined as prefixes of the
-    reversed forms and reported in surface orientation. All candidates from
-    both sides share one BH correction; the result is sorted by adjusted
-    then raw p-value, with up to five example lemmata per candidate (the
-    earliest signs carrying the affix).
+    forward is the (uncond, cond) pair of loss tables over lex.signs in
+    order. reverse, when given, is the pair from models trained on
+    reversed forms, over reverse_forms(lex).signs in order: suffixes are
+    mined as prefixes of the reversed forms and reported in surface
+    orientation. All candidates from both sides share one BH correction;
+    the result is sorted by adjusted then raw p-value, with up to five
+    example lemmata per candidate (the earliest signs carrying the affix).
     """
-    jobs = [(lex, uncond, cond, "prefix")]
-    if reversed_lex is not None:
-        if reversed_uncond is None or reversed_cond is None:
-            raise ValueError("suffix mining needs reversed loss tables")
-        if len(reversed_lex.signs) != len(lex.signs) or any(
-                r.lemma != s.lemma or r.form != tuple(reversed(s.form))
-                for r, s in zip(reversed_lex.signs, lex.signs)):
-            raise SignSetMismatchError(
-                "reversed_lex is not the sign-for-sign reversal of lex")
-        jobs.append((reversed_lex, reversed_uncond, reversed_cond, "suffix"))
+    jobs = [(lex, *forward, "prefix")]
+    if reverse is not None:
+        jobs.append((reverse_forms(lex), *reverse, "suffix"))
 
-    ks = sorted(set(int(k) for k in k_range))
+    ks = sorted(set(settings.k_range))
     tables = [{k: pointwise_mi_table(job_lex, job_u, job_c, k) for k in ks}
               for job_lex, job_u, job_c, _ in jobs]
-    stubs = [enumerate_candidates(job_lex, ks, min_count)
+    stubs = [enumerate_candidates(job_lex, ks, settings.min_count)
              for job_lex, _, _, _ in jobs]
     candidates: list[AffixCandidate] = []
     for k in ks:
         batch = [(row, cand) for row, side_stubs in enumerate(stubs)
                  for cand in side_stubs if cand.k == k]
-        results = _test_k([t[k] for t in tables], batch, k, n_samples, seed)
+        results = _test_k([t[k] for t in tables], batch, k,
+                          settings.n_samples, seed)
         for (row, cand), (p, observed) in zip(batch, results):
             job_lex, _, _, side = jobs[row]
             surface = (cand.phones if side == "prefix"
@@ -309,7 +302,7 @@ def mine(lex: Lexicon, uncond, cond, *, k_range=(1, 2, 3), min_count: int = 20,
 
     if candidates:
         reject, adjusted = bh_correct([c.p_value for c in candidates],
-                                      alpha=alpha)
+                                      alpha=settings.alpha)
         for cand, r, a in zip(candidates, reject, adjusted):
             cand.p_adjusted = float(a)
             cand.bh_significant = bool(r)

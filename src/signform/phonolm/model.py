@@ -582,7 +582,7 @@ class LossTable:
     Row i is the sign keys[i]: its bits over phones + end marker are
     bits[offsets[i]:offsets[i + 1]], token_count[i] of them, summing to
     total_bits[i]. Every row holds at least one position, and keys are
-    unique, so two tables over the same signs can be matched by key.
+    unique.
     """
 
     keys: tuple
@@ -625,6 +625,17 @@ class LossTable:
         offsets = np.cumsum([0] + [r.size for r in rows])
         return cls(keys=keys, bits=np.concatenate([np.zeros(0)] + rows),
                    offsets=offsets)
+
+    def require_same_signs(self, other: "LossTable") -> None:
+        """Raise SignSetMismatchError unless other holds the same signs, in
+        the same order, with the same token counts."""
+        if other.keys != self.keys:
+            raise SignSetMismatchError(
+                "the two loss tables do not hold the same signs in order")
+        differ = np.flatnonzero(other.token_count != self.token_count)
+        if differ.size:
+            raise SignSetMismatchError(
+                f"token count differs for {self.keys[differ[0]]!r}")
 
 
 def encode_signs(signs, inventory: PhoneInventory) -> list[np.ndarray]:
@@ -700,12 +711,15 @@ def evaluate(params: LMParameters, cfg: LMConfig, signs,
         rows = by_length[lo:lo + batch_size]
         inputs, targets, row_lengths = _take(padded, rows)
         pk = _pack(row_lengths, inputs.shape[1])
-        top, _ = _lstm_forward(
+        # Keep only the top layer's outputs and free them with logp2, so
+        # one batch's arrays are alive at a time.
+        top = _lstm_forward(
             params, cfg, inputs, pk, None if v is None else v[rows],
-            None if cidx_all is None else cidx_all[rows], None)
+            None if cidx_all is None else cidx_all[rows], None)[0]
         logp2 = log_softmax2(_logits(params, top))
         row, t = np.divmod(pk.cells, inputs.shape[1])
         bits[offsets[rows[row]] + t] = -logp2[np.arange(pk.cells.size),
                                               targets.ravel()[pk.cells]]
+        del top, logp2
     return LossTable(keys=tuple(s.key for s in signs), bits=bits,
                      offsets=offsets)

@@ -367,11 +367,13 @@ def fit_model(lex: Lexicon, folds, rotation: int, kind: str, lm: dict,
     return cfg, result.params, pca, v_all, result.best_val
 
 
-def _search_space(kind: str, meaning_dim: int) -> SearchSpace:
+def _search_space(kind: str, meaning_dim: int, n_train: int) -> SearchSpace:
+    """The search box of one kind; a PCA fit on n_train rows keeps at most
+    n_train of the meaning dimensions."""
     dims = [Dimension("layers", "integer", 1, 3),
             Dimension("hidden_size", "integer", 32, 512),
             Dimension("dropout", "continuous", 0.0, 0.5)]
-    upper = min(300, meaning_dim)
+    upper = min(300, meaning_dim, n_train)
     if KIND_CONDITION[kind] in ("meaning", "meaning_and_class") and upper > 2:
         dims.append(Dimension("pca_d", "integer", 2, upper))
     return SearchSpace(dimensions=tuple(dims))
@@ -380,7 +382,8 @@ def _search_space(kind: str, meaning_dim: int) -> SearchSpace:
 def search_lm(lex: Lexicon, folds, rotation: int, kind: str,
               config: RunConfig):
     """Hyperparameter search for one kind; returns (best lm dict, trials)."""
-    space = _search_space(kind, lex.meaning_dim)
+    space = _search_space(kind, lex.meaning_dim,
+                          len(folds.roles(rotation)[0]))
     opt = OptSettings(**config.opt)
     seed = seed_for(config.seed, "search", kind)
 
@@ -693,14 +696,9 @@ def run_phonesthemes(config: RunConfig, lex: Lexicon | None = None):
                 os.path.join(models_dir, f"{kind}_{tag}.archive"),
                 reverse=tag == "rev")
         for tag in ("fwd", "rev") for kind in ("uncond", "meaning")])
-    mining = MiningSettings(**config.phonesthemes)
-    candidates = mine(
-        lex, fwd_u, fwd_m,
-        k_range=mining.k_range, min_count=mining.min_count,
-        alpha=mining.alpha, n_samples=mining.n_samples,
-        seed=seed_for(config.seed, "phonesthemes"),
-        reversed_lex=reverse_forms(lex), reversed_uncond=rev_u,
-        reversed_cond=rev_m)
+    candidates = mine(lex, (fwd_u, fwd_m),
+                      MiningSettings(**config.phonesthemes),
+                      seed_for(config.seed, "phonesthemes"), (rev_u, rev_m))
     table = os.path.join(config.out_dir, "phonesthemes.tsv")
     detail = os.path.join(config.out_dir, "phonesthemes_detail.tsv")
     write_phonesthemes_tsv(table, candidates)

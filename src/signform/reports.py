@@ -147,12 +147,12 @@ _SVG_COLORS = ("#1f6fb2", "#c23b22", "#2e8b57", "#8a2be2", "#b8860b")
 
 
 def write_density_svg(path, curves: dict[str, KDECurve],
-                      title: str = "density",
-                      width: int = 640, height: int = 400) -> None:
-    """Self-contained line chart of the curves with a simple legend."""
+                      title: str = "density") -> None:
+    """Self-contained 640 x 400 line chart of the curves with a simple
+    legend."""
     if not curves:
         raise ValueError("no curves to plot")
-    margin = 50
+    width, height, margin = 640, 400, 50
     xs = np.concatenate([c.x for c in curves.values()])
     ys = np.concatenate([c.density for c in curves.values()])
     x_lo, x_hi = float(xs.min()), float(xs.max())

@@ -224,12 +224,13 @@ class KDECurve:
         return float(_trapezoid(self.density, self.x))
 
 
-def kde(values, bandwidth="auto", grid_points: int = 512) -> KDECurve:
+def kde(values, bandwidth="auto") -> KDECurve:
     """Gaussian kernel density estimate on a regular grid.
 
     "auto" bandwidth is Silverman's rule, 1.06 * sample std * n^(-1/5).
-    The grid spans the data plus four bandwidths on each side, wide and
-    dense enough that the trapezoid integral is 1 within 1e-3.
+    The grid spans the data plus four bandwidths on each side, with at
+    least 512 points and dense enough that the trapezoid integral is 1
+    within 1e-3.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.size < 2:
@@ -248,7 +249,7 @@ def kde(values, bandwidth="auto", grid_points: int = 512) -> KDECurve:
     # Keep grid spacing well under one bandwidth so the trapezoid integral
     # stays within 1e-3 even for widely spread data.
     needed = int(np.ceil((hi - lo) * 3 / bw)) + 1
-    points = min(max(grid_points, needed), 1 << 17)
+    points = min(max(512, needed), 1 << 17)
     x = np.linspace(lo, hi, points)
     z = (x[:, None] - values[None, :]) / bw
     dens = np.exp(-0.5 * z * z).sum(axis=1) / (

@@ -34,7 +34,7 @@ from .hyperopt import (
 )
 from .infotheory import build_report, entropy_estimate, mi_estimate
 from .lexicon import Lexicon, Phone, PhoneInventory, Sign, split_folds
-from .phonesthemes import mine, reverse_forms
+from .phonesthemes import MiningSettings, mine, reverse_forms
 from .phonolm import (
     LMConfig,
     LossTable,
@@ -304,27 +304,26 @@ def c07_phonestheme_mining(hooks) -> tuple[bool, str]:
     uncond, cond = _loss_tables(spec, lex, labels)
     rev = reverse_forms(lex)
     rev_u, rev_c = _reverse_tables(rev, uncond), _reverse_tables(rev, cond)
-    found = mine(lex, uncond, cond, k_range=(1, 2, 3), min_count=10,
-                 n_samples=20_000, seed=7, reversed_lex=rev,
-                 reversed_uncond=rev_u, reversed_cond=rev_c)
+    found = mine(
+        lex, (uncond, cond),
+        MiningSettings(k_range=(1, 2, 3), min_count=10, n_samples=20_000), 7,
+        (rev_u, rev_c))
     planted = next(c for c in found
                    if c.side == "prefix" and c.phones == ("g", "l"))
     part_a = planted.bh_significant and planted.p_adjusted <= 0.01
 
     null_cond = _noise_tables(uncond, seed=11)
-    null_found = mine(lex, uncond, null_cond, k_range=(1, 2, 3),
-                      min_count=10, n_samples=2000, seed=8,
-                      reversed_lex=rev, reversed_uncond=rev_u,
-                      reversed_cond=_reverse_tables(rev, null_cond))
+    null_found = mine(
+        lex, (uncond, null_cond),
+        MiningSettings(k_range=(1, 2, 3), min_count=10, n_samples=2000), 8,
+        (rev_u, _reverse_tables(rev, null_cond)))
     n_null = len(null_found)
     fp_rate = sum(c.bh_significant for c in null_found) / n_null
     part_b = n_null >= 50 and fp_rate <= 0.05 + 0.05
 
-    forward_run = mine(lex, uncond, cond, k_range=(1, 2), min_count=10,
-                       n_samples=2000, seed=9, reversed_lex=rev,
-                       reversed_uncond=rev_u, reversed_cond=rev_c)
-    mirrored = mine(rev, rev_u, rev_c, k_range=(1, 2), min_count=10,
-                    n_samples=2000, seed=9)
+    small = MiningSettings(k_range=(1, 2), min_count=10, n_samples=2000)
+    forward_run = mine(lex, (uncond, cond), small, 9, (rev_u, rev_c))
+    mirrored = mine(rev, (rev_u, rev_c), small, 9)
     suffixes = {c.phones: c for c in forward_run if c.side == "suffix"}
     prefixes = {tuple(reversed(c.phones)): c for c in mirrored}
     part_c = set(suffixes) == set(prefixes) and all(

@@ -388,9 +388,14 @@ class TestRejectedBeforeTraining:
         ("batch", {"languages": {"toy": {}}},
          "a batch document needs languages, a list of language configs"),
         ("batch", {"languages": [["toy"]]},
-         "languages[0] must be a JSON object, got list")],
+         "languages[0] must be a JSON object, got list"),
+        ("report", [], "a report document must be a JSON object, got list"),
+        ("report", {"aggregate": {"n_languages": 2}, "significance": {},
+                    "failures": {}},
+         "a report document needs a report object, as report.json holds")],
         ids=["config-list", "config-string", "config-null", "batch-list",
-             "no-languages", "languages-object", "language-list"])
+             "no-languages", "languages-object", "language-list",
+             "report-list", "report-aggregate"])
     def test_malformed_document_rejected(self, tmp_path, capsys, command,
                                          doc, message):
         cfg = tmp_path / "bad.json"

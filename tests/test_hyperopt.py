@@ -67,8 +67,9 @@ class TestDimension:
 
 
 def lm_space():
-    """The search space of a meaning model over 300-d embeddings."""
-    return _search_space("meaning", 300)
+    """The search space of a meaning model over 300-d embeddings, with
+    more training rows than dimensions."""
+    return _search_space("meaning", 300, 1000)
 
 
 class TestSearchSpace:
@@ -80,10 +81,14 @@ class TestSearchSpace:
                 names["hidden_size"].upper) == (32, 512)
         assert (names["pca_d"].lower, names["pca_d"].upper) == (2, 300)
         assert (names["dropout"].lower, names["dropout"].upper) == (0.0, 0.5)
-        narrow = {d.name: d for d in _search_space("meaning", 50).dimensions}
+        narrow = {d.name: d for d in
+                  _search_space("meaning", 50, 1000).dimensions}
         assert narrow["pca_d"].upper == 50
+        few_rows = {d.name: d for d in
+                    _search_space("meaning", 300, 36).dimensions}
+        assert few_rows["pca_d"].upper == 36
         assert "pca_d" not in {d.name for d in
-                               _search_space("uncond", 300).dimensions}
+                               _search_space("uncond", 300, 1000).dimensions}
 
     def test_roundtrip_and_validation(self):
         space = lm_space()
@@ -220,7 +225,7 @@ class TestProposeNext:
         trials = []
         units = []
         for _ in range(5):
-            native = propose_next(trials, space, seed=5, n_init=5)
+            native = propose_next(trials, space, seed=5)
             u = space.to_unit(native)
             units.append(u)
             trials.append(Trial(native=native, unit=u, objective=1.0))

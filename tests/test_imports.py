@@ -30,9 +30,9 @@ run_batch([RunConfig(**dict(config, language=name)) for name in ("a", "b")],
 futures_loaded = "concurrent.futures" in sys.modules
 space = SearchSpace((Dimension("x", "continuous", 0.0, 1.0),))
 search = run_search(lambda native: (native["x"] - 0.3) ** 2, space,
-                    budget=5, n_init=5)
+                    budget=5)
 before_gp = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-proposal = propose_next(search.trials, space, n_init=5)
+proposal = propose_next(search.trials, space)
 print(json.dumps({"scipy_before_gp": before_gp, "proposal": proposal,
                   "scipy_after_gp": "scipy.optimize" in sys.modules,
                   "futures_loaded": futures_loaded}))

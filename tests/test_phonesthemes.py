@@ -8,6 +8,7 @@ from signform.errors import SignSetMismatchError
 from signform.lexicon import Lexicon, Phone, PhoneInventory, Sign
 from signform.phonesthemes import (
     AffixCandidate,
+    MiningSettings,
     _permutation_sums,
     _test_k,
     enumerate_candidates,
@@ -457,8 +458,8 @@ class TestMine:
 
     def test_degenerate_identical_models(self):
         lex, u, _, _, _, _ = self.small_setup()
-        res = mine(lex, u, u, k_range=(1, 2), min_count=2, n_samples=200,
-                   seed=0)
+        res = mine(lex, (u, u), MiningSettings(k_range=(1, 2), min_count=2,
+                                               n_samples=200), 0)
         assert res
         assert all(c.p_value == 1.0 for c in res)
         assert all(not c.bh_significant for c in res)
@@ -466,11 +467,9 @@ class TestMine:
 
     def test_suffix_equals_reversed_prefix(self):
         lex, u, c, rev, ru, rc = self.small_setup()
-        both = mine(lex, u, c, k_range=(1, 2), min_count=3, n_samples=500,
-                    seed=7, reversed_lex=rev, reversed_uncond=ru,
-                    reversed_cond=rc)
-        direct = mine(rev, ru, rc, k_range=(1, 2), min_count=3,
-                      n_samples=500, seed=7)
+        settings = MiningSettings(k_range=(1, 2), min_count=3, n_samples=500)
+        both = mine(lex, (u, c), settings, 7, (ru, rc))
+        direct = mine(rev, (ru, rc), settings, 7)
         suffixes = {(c.k, c.phones): c for c in both if c.side == "suffix"}
         prefixes = {(c.k, c.phones): c for c in direct}
         assert suffixes
@@ -488,9 +487,8 @@ class TestMine:
         # Sharing a k's stream among candidates and both sides leaves each
         # candidate's p what it would be if tested alone.
         lex, u, c, rev, ru, rc = self.small_setup(seed=26)
-        res = mine(lex, u, c, k_range=(1, 2), min_count=3, n_samples=400,
-                   seed=6, reversed_lex=rev, reversed_uncond=ru,
-                   reversed_cond=rc)
+        res = mine(lex, (u, c), MiningSettings(k_range=(1, 2), min_count=3,
+                                               n_samples=400), 6, (ru, rc))
         assert {x.side for x in res} == {"prefix", "suffix"}
         for cand in res:
             eval_lex, eu, ec = ((lex, u, c) if cand.side == "prefix"
@@ -503,10 +501,9 @@ class TestMine:
             assert alone == (cand.p_value, cand.avg_pmi)
 
     def test_bh_is_joint_and_sorted(self):
-        lex, u, c, rev, ru, rc = self.small_setup(seed=21)
-        res = mine(lex, u, c, k_range=(1, 2), min_count=3, n_samples=300,
-                   seed=2, reversed_lex=rev, reversed_uncond=ru,
-                   reversed_cond=rc)
+        lex, u, c, _, ru, rc = self.small_setup(seed=21)
+        res = mine(lex, (u, c), MiningSettings(k_range=(1, 2), min_count=3,
+                                               n_samples=300), 2, (ru, rc))
         assert any(c.side == "prefix" for c in res)
         assert any(c.side == "suffix" for c in res)
         reject, adjusted = bh_correct([c.p_value for c in res], alpha=0.05)
@@ -517,8 +514,8 @@ class TestMine:
 
     def test_examples_and_counts(self):
         lex, u, c, _, _, _ = self.small_setup(seed=22, n=60)
-        res = mine(lex, u, c, k_range=(1,), min_count=4, n_samples=200,
-                   seed=3)
+        res = mine(lex, (u, c), MiningSettings(k_range=(1,), min_count=4,
+                                               n_samples=200), 3)
         for cand in res:
             assert cand.count >= 4
             assert 1 <= len(cand.example_lemmata) <= 5
@@ -527,25 +524,27 @@ class TestMine:
 
     def test_deterministic(self):
         lex, u, c, _, _, _ = self.small_setup(seed=23)
-        a = mine(lex, u, c, k_range=(1, 2), min_count=3, n_samples=300,
-                 seed=4)
-        b = mine(lex, u, c, k_range=(1, 2), min_count=3, n_samples=300,
-                 seed=4)
+        settings = MiningSettings(k_range=(1, 2), min_count=3, n_samples=300)
+        a = mine(lex, (u, c), settings, 4)
+        b = mine(lex, (u, c), settings, 4)
         assert [(x.phones, x.p_value, x.avg_pmi) for x in a] == \
             [(x.phones, x.p_value, x.avg_pmi) for x in b]
 
     def test_reversed_lexicon_validated(self):
-        lex, u, c, rev, ru, rc = self.small_setup(seed=24)
-        with pytest.raises(ValueError):
-            mine(lex, u, c, reversed_lex=rev)
-        with pytest.raises(SignSetMismatchError):
-            mine(lex, u, c, reversed_lex=lex, reversed_uncond=u,
-                 reversed_cond=c)
+        # The reverse pair must hold reverse_forms(lex)'s signs in order:
+        # the forward pair, or the reverse pair reordered, is refused.
+        lex, u, c, _, ru, rc = self.small_setup(seed=24)
+        settings = MiningSettings(k_range=(1, 2), min_count=3, n_samples=50)
+        assert mine(lex, (u, c), settings, 0, (ru, rc))
+        rows = np.arange(len(lex.signs))[::-1]
+        for reverse in ((u, c), (take_rows(ru, rows), take_rows(rc, rows))):
+            with pytest.raises(SignSetMismatchError):
+                mine(lex, (u, c), settings, 0, reverse)
 
     def test_partition_identity(self):
         lex, u, c, _, _, _ = self.small_setup(seed=25, n=50)
-        res = mine(lex, u, c, k_range=(2,), min_count=1, n_samples=50,
-                   seed=5)
+        res = mine(lex, (u, c), MiningSettings(k_range=(2,), min_count=1,
+                                               n_samples=50), 5)
         table = pointwise_mi_table(lex, u, c, k=2)
         eligible = table[~np.isnan(table)]
         weighted = sum(x.count * x.avg_pmi for x in res)
@@ -559,8 +558,9 @@ class TestPlantedPrefixOracle:
         spec = planted_prefix_spec()
         lex, labels = generate(spec, 900, seed=5)
         uncond, cond = oracle_loss_tables(spec, lex, labels)
-        res = mine(lex, uncond, cond, k_range=(1, 2), min_count=15,
-                   alpha=0.05, n_samples=4000, seed=9)
+        res = mine(lex, (uncond, cond),
+                   MiningSettings(k_range=(1, 2), min_count=15, alpha=0.05,
+                                  n_samples=4000), 9)
         assert res
         planted = [c for c in res
                    if c.phones == (Phone("g"), Phone("l"))]
@@ -577,8 +577,9 @@ class TestPlantedPrefixOracle:
         lex, labels = generate(spec, 400, seed=6)
         uncond, cond = oracle_loss_tables(spec, lex, labels,
                                           conditional="mixture")
-        res = mine(lex, uncond, cond, k_range=(1, 2), min_count=15,
-                   n_samples=500, seed=10)
+        res = mine(lex, (uncond, cond),
+                   MiningSettings(k_range=(1, 2), min_count=15,
+                                  n_samples=500), 10)
         assert res
         assert all(c.p_value == 1.0 for c in res)
         assert not any(c.bh_significant for c in res)

@@ -57,6 +57,7 @@ from signform.phonolm.training import (
     _sum_sq,
 )
 from signform.seeding import derive_rng
+from signform.synthbench import generate, planted_prefix_spec
 
 
 ALPHABET = ("a", "k", "m", "s", "t")
@@ -521,6 +522,19 @@ class TestEvaluate:
                 np.testing.assert_allclose(bits, base_bits[j],
                                            rtol=0, atol=1e-12)
 
+    def test_one_batch_alive_at_a_time(self):
+        # Scoring twice the words in twice the 256-word batches must not
+        # hold the previous batch's arrays while the next one runs.
+        lex, _ = generate(planted_prefix_spec(), 512, seed=3)
+        cfg = LMConfig(hidden_size=32)
+        params = init_params(cfg, len(lex.inventory), DTYPE,
+                             rng=np.random.default_rng(0))
+        half, _ = traced_peak(evaluate, params, cfg, lex.signs[:256],
+                              lex.inventory)
+        full, _ = traced_peak(evaluate, params, cfg, lex.signs,
+                              lex.inventory)
+        assert full < 1.5 * half
+
 
 class TestLossTable:
     def test_columns_from_rows(self):
@@ -568,6 +582,17 @@ class TestLossTable:
     def test_duplicate_keys_rejected(self):
         with pytest.raises(SignSetMismatchError):
             LossTable.from_rows(["a", "b", "a"], [[1.0], [2.0], [3.0]])
+
+    def test_require_same_signs(self):
+        t = LossTable.from_rows(["a", "b"], [[1.0, 2.0], [3.0]])
+        t.require_same_signs(LossTable.from_rows(["a", "b"],
+                                                 [[0.5, 0.5], [9.0]]))
+        for keys, rows in ((["b", "a"], [[3.0], [1.0, 2.0]]),
+                           (["a"], [[1.0, 2.0]]),
+                           (["a", "c"], [[1.0, 2.0], [3.0]]),
+                           (["a", "b"], [[1.0], [3.0]])):
+            with pytest.raises(SignSetMismatchError):
+                t.require_same_signs(LossTable.from_rows(keys, rows))
 
     def test_empty_table(self):
         t = LossTable.from_rows([], [])

@@ -653,6 +653,25 @@ class TestEstimate:
         assert "pca_d" not in uncond_dims
         assert "pca_d" in meaning_dims
 
+    def test_search_bounds_pca_d_by_training_rows(self, tmp_path):
+        # 60 words in 5 folds leave 36 training rows for a PCA of 300-d
+        # meanings, so no proposal may keep more than 36 components.
+        lex, _ = generate(planted_prefix_spec(meaning_dim=300), 60, seed=0)
+        cfg = RunConfig(language="wide", out_dir=str(tmp_path), folds=5,
+                        seed=0, hyperopt_budget=3,
+                        opt=dict(FAST_OPT, max_epochs=1))
+        n_train = len(split_folds(lex, 5, seed_for(0, "folds")).roles(
+            cfg.rotation)[0])
+        assert n_train == 36
+        best, files = run_hyperopt(cfg, lex)
+        with open(files["search_log"]) as fh:
+            records = [json.loads(line) for line in fh]
+        pca_ds = [r["native"]["pca_d"] for r in records
+                  if r["kind"] == "meaning"]
+        assert len(pca_ds) == 3
+        assert all(2 <= d <= n_train for d in pca_ds)
+        assert best["meaning"]["pca_d"] in pca_ds
+
 
 class TestBatch:
     def test_failure_is_isolated(self, two_cluster_files, tmp_path):

@@ -167,8 +167,8 @@ class TestDensity:
 
     def test_svg_has_one_polyline_per_curve(self, tmp_path):
         rng = np.random.default_rng(1)
-        curves = {"mi": kde(rng.normal(size=30), grid_points=32),
-                  "u": kde(rng.normal(size=30), grid_points=32)}
+        curves = {"mi": kde(rng.normal(size=30)),
+                  "u": kde(rng.normal(size=30))}
         path = tmp_path / "density.svg"
         write_density_svg(path, curves, title="densities")
         text = path.read_text()
