@@ -392,8 +392,13 @@ def search_lm(lex: Lexicon, folds, rotation: int, kind: str,
         lm.update(native)
         return fit_model(lex, folds, rotation, kind, lm, opt, seed)[4]
 
+    def cost(native: dict) -> int:
+        # An LSTM step's multiply-adds grow as layers x hidden_size^2.
+        return native["layers"] * native["hidden_size"] ** 2
+
     result = run_search(objective, space, budget=config.hyperopt_budget,
-                        seed=seed_for(config.seed, "hyperopt", kind))
+                        seed=seed_for(config.seed, "hyperopt", kind),
+                        cost=cost)
     best = dict(config.lm)
     best.update(result.best.native)
     return best, result.trials

@@ -16,12 +16,15 @@ import os
 
 import numpy as np
 
+from .errors import SchemaError
 from .infotheory import MIReport
 from .stats import KDECurve
 
 REPORT_COLUMNS = ("language", "h_w", "mi_w_v", "u_w_v", "cohens_d",
                   "mi_w_v_given_pos", "u_w_v_given_pos", "cohens_d_given_pos")
 APPENDIX_COLUMNS = ("language", "h_w", "u_w_v", "u_w_v_given_pos")
+# The keys of a report dict that every report row needs.
+_REPORT_KEYS = ("language", "h_w", "mi", "uncertainty", "cohens_d")
 PHONESTHEME_COLUMNS = ("phonestheme", "count", "examples", "p_value")
 PHONESTHEME_DETAIL_COLUMNS = ("language", "side", "affix", "count",
                               "avg_pmi", "p", "p_adjusted", "significant",
@@ -46,6 +49,10 @@ def fmt_p(p) -> str:
 
 def report_csv_row(d: dict) -> list[str]:
     """Display row for one language from an unrounded report dict."""
+    missing = [key for key in _REPORT_KEYS if key not in d]
+    if missing:
+        raise SchemaError(f"a report needs {', '.join(_REPORT_KEYS)}; "
+                          f"missing {', '.join(missing)}")
     return [
         d["language"],
         fmt_bits(d["h_w"]),
@@ -79,7 +86,10 @@ def report_json_payload(report: MIReport, config: dict | None = None,
 
 
 def _write_table(path, header, rows, delimiter=",") -> None:
-    """Write a header row, then rows, one line each, split by delimiter."""
+    """Write a header row, then rows, one line each, split by delimiter.
+    The rows are built before the file is opened, so a row that cannot be
+    built leaves no file."""
+    rows = list(rows)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, delimiter=delimiter)
         writer.writerow(header)

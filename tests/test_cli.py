@@ -392,10 +392,13 @@ class TestRejectedBeforeTraining:
         ("report", [], "a report document must be a JSON object, got list"),
         ("report", {"aggregate": {"n_languages": 2}, "significance": {},
                     "failures": {}},
-         "a report document needs a report object, as report.json holds")],
+         "a report document needs a report object, as report.json holds"),
+        ("report", {"report": {"mi": 0.1}},
+         "a report needs language, h_w, mi, uncertainty, cohens_d; missing "
+         "language, h_w, uncertainty, cohens_d")],
         ids=["config-list", "config-string", "config-null", "batch-list",
              "no-languages", "languages-object", "language-list",
-             "report-list", "report-aggregate"])
+             "report-list", "report-aggregate", "report-missing-keys"])
     def test_malformed_document_rejected(self, tmp_path, capsys, command,
                                          doc, message):
         cfg = tmp_path / "bad.json"

@@ -1,12 +1,18 @@
 import json
 import math
+import multiprocessing
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
 
+from signform import hyperopt
 from signform.errors import AllTrialsDivergedError, TrainingDivergedError
 from signform.hyperopt import (
     N_CANDIDATES,
+    N_INIT,
     Dimension,
     GPPosterior,
     SearchSpace,
@@ -18,6 +24,7 @@ from signform.hyperopt import (
 )
 from signform.pipeline import _search_space
 from signform.seeding import derive_rng
+from signform.validate import run_python
 
 
 def trial_at(space, unit, objective, status="ok"):
@@ -329,3 +336,148 @@ class TestRunSearch:
 
         with pytest.raises(AllTrialsDivergedError):
             run_search(always_bad, space, budget=3, seed=5)
+
+    def test_all_diverged_fits_each_point_once(self, monkeypatch):
+        # Past N_INIT, a search with no finite trial proposes its Latin-
+        # hypercube points again; their stored outcomes are reused.
+        with_cpus(monkeypatch, 1)
+        calls = []
+
+        def always_bad(native):
+            calls.append(native["x"])
+            raise TrainingDivergedError("no luck")
+
+        with pytest.raises(AllTrialsDivergedError,
+                           match="^all 12 trials diverged$"):
+            run_search(always_bad, line_space(), budget=12, seed=5)
+        assert len(calls) == len(set(calls)) == N_INIT
+
+
+def with_cpus(monkeypatch, n):
+    monkeypatch.setattr(hyperopt, "_usable_cpus", lambda: n)
+
+
+def trial_fields(result):
+    return [(t.native, t.unit.tolist(), t.objective, t.status)
+            for t in result.trials]
+
+
+def diverges_below_04(native):
+    if native["x"] < 0.4:
+        raise TrainingDivergedError("loss blew up")
+    return quadratic(native)
+
+
+class TestForkedInitialDesign:
+    """The Latin-hypercube trials, shared between the parent and forked
+    workers. Seed 0's points on the line are 0.546, 0.104, 0.218, 0.801 and
+    0.725; with equal costs the parent takes points 0, 2 and 4."""
+
+    def test_shares_largest_first(self):
+        assert hyperopt._shares([5, 1, 4, 2, 3], 2) == [[0, 3, 1], [2, 4]]
+        assert hyperopt._shares([1] * 5, 2) == [[0, 2, 4], [1, 3]]
+        assert hyperopt._shares([1] * 3, 3) == [[0], [1], [2]]
+
+    @pytest.mark.parametrize("cpus,in_worker", [
+        (1, [0.0] * 5), (2, [0.0, 1.0, 0.0, 1.0, 0.0])])
+    def test_worker_evaluates_its_share(self, monkeypatch, cpus, in_worker):
+        parent = os.getpid()
+        with_cpus(monkeypatch, cpus)
+        result = run_search(lambda native: float(os.getpid() != parent),
+                            line_space(), budget=5, seed=0)
+        assert [t.objective for t in result.trials] == in_worker
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("budget", [3, 7])
+    def test_same_trials_with_one_and_two_cpus(self, monkeypatch, budget):
+        runs = []
+        for cpus in (1, 2):
+            with_cpus(monkeypatch, cpus)
+            runs.append(trial_fields(run_search(
+                diverges_below_04, line_space(), budget=budget, seed=0)))
+        assert runs[0] == runs[1]
+        # Point 1 diverged in the worker, point 2 in the parent.
+        assert [status for *_, status in runs[0][:3]] == [
+            "ok", "diverged", "diverged"]
+
+    def test_worker_error_reraised(self, monkeypatch):
+        parent = os.getpid()
+
+        def fails_in_worker(native):
+            if os.getpid() != parent:
+                raise KeyError("worker only")
+            return quadratic(native)
+
+        with_cpus(monkeypatch, 2)
+        with pytest.raises(KeyError, match="worker only"):
+            run_search(fails_in_worker, line_space(), budget=5, seed=0)
+        assert multiprocessing.active_children() == []
+
+    def test_lost_worker_is_an_error(self, monkeypatch):
+        parent = os.getpid()
+
+        def exits_in_worker(native):
+            if os.getpid() != parent:
+                os._exit(3)
+            return quadratic(native)
+
+        with_cpus(monkeypatch, 2)
+        with pytest.raises(RuntimeError, match="exited with code 3"):
+            run_search(exits_in_worker, line_space(), budget=5, seed=0)
+        assert multiprocessing.active_children() == []
+
+    def test_parent_error_stops_the_worker(self, monkeypatch):
+        parent = os.getpid()
+
+        def fails_in_parent(native):
+            if os.getpid() == parent:
+                raise KeyError("parent only")
+            time.sleep(20)
+            return quadratic(native)
+
+        with_cpus(monkeypatch, 2)
+        start = time.monotonic()
+        with pytest.raises(KeyError, match="parent only"):
+            run_search(fails_in_parent, line_space(), budget=5, seed=0)
+        assert time.monotonic() - start < 10
+        assert multiprocessing.active_children() == []
+
+    def test_another_thread_keeps_the_search_serial(self):
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            assert hyperopt._usable_cpus() == 1
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
+                        reason="needs sched_getaffinity")
+    def test_single_threaded_process_forks_per_cpu(self, monkeypatch):
+        # With BLAS pinned to one thread nothing else runs, so every
+        # usable CPU takes a share.
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                     "MKL_NUM_THREADS"):
+            monkeypatch.setenv(name, "1")
+        result = json.loads(run_python(FORK_SCRIPT))
+        assert result["cpus"] == result["affinity"]
+        assert (max(result["in_worker"]) > 0) == (result["affinity"] > 1)
+        assert result["children_after"] == 0
+
+
+FORK_SCRIPT = """
+import json, multiprocessing, os
+from signform import hyperopt
+from signform.hyperopt import Dimension, SearchSpace, run_search
+
+parent = os.getpid()
+space = SearchSpace((Dimension("x", "continuous", 0.0, 1.0),))
+result = run_search(lambda native: float(os.getpid() != parent), space,
+                    budget=5)
+print(json.dumps({"cpus": hyperopt._usable_cpus(),
+                  "affinity": len(os.sched_getaffinity(0)),
+                  "in_worker": [t.objective for t in result.trials],
+                  "children_after": len(multiprocessing.active_children())}))
+"""

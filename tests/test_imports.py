@@ -1,6 +1,7 @@
 """Import graph: estimate, phonesthemes, batch and a search that stays in
 its Latin-hypercube phase run on numpy alone; scipy loads only for the GP,
-and concurrent.futures never loads."""
+concurrent.futures never loads, and multiprocessing loads only for a search
+that can share its Latin-hypercube trials with a worker."""
 
 import json
 
@@ -28,14 +29,19 @@ run_phonesthemes(RunConfig(out_dir=os.path.join(tmp, "mine"), **config))
 run_batch([RunConfig(**dict(config, language=name)) for name in ("a", "b")],
           os.path.join(tmp, "batch"))
 futures_loaded = "concurrent.futures" in sys.modules
+mp_after_runs = "multiprocessing" in sys.modules
 space = SearchSpace((Dimension("x", "continuous", 0.0, 1.0),))
+run_search(lambda native: (native["x"] - 0.3) ** 2, space, budget=1)
+mp_after_one_trial = "multiprocessing" in sys.modules
 search = run_search(lambda native: (native["x"] - 0.3) ** 2, space,
                     budget=5)
 before_gp = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 proposal = propose_next(search.trials, space)
 print(json.dumps({"scipy_before_gp": before_gp, "proposal": proposal,
                   "scipy_after_gp": "scipy.optimize" in sys.modules,
-                  "futures_loaded": futures_loaded}))
+                  "futures_loaded": futures_loaded,
+                  "mp_after_runs": mp_after_runs,
+                  "mp_after_one_trial": mp_after_one_trial}))
 """
 
 
@@ -46,3 +52,8 @@ def test_only_the_gp_step_imports_scipy(tmp_path):
     assert result["scipy_after_gp"]
     # A batch runs serially; no executor module is loaded for it.
     assert not result["futures_loaded"]
+    # Only a search of two or more trials may fork workers, so estimate,
+    # phonesthemes, batch and a one-trial search never load multiprocessing
+    # (and so start no process).
+    assert not result["mp_after_runs"]
+    assert not result["mp_after_one_trial"]

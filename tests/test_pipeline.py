@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from oracle_utils import traced_peak
 
-from signform import pipeline
+from signform import hyperopt, pipeline
 from signform.errors import ArchiveFormatError
 from signform.lexicon import load_embeddings, split_folds
 from signform.phonolm import DTYPE, LMConfig, OptSettings, evaluate, load_model
@@ -671,6 +671,22 @@ class TestEstimate:
         assert len(pca_ds) == 3
         assert all(2 <= d <= n_train for d in pca_ds)
         assert best["meaning"]["pca_d"] in pca_ds
+
+    def test_search_outputs_same_with_one_and_two_cpus(self, tmp_path,
+                                                       monkeypatch):
+        # A budget above N_INIT: forked Latin-hypercube trials, then GP ones.
+        lex, _ = generate(planted_prefix_spec(meaning_dim=16), 60, seed=0)
+        written = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(hyperopt, "_usable_cpus", lambda n=cpus: n)
+            cfg = RunConfig(language="tiny", out_dir=str(tmp_path / str(cpus)),
+                            folds=5, seed=0, hyperopt_budget=6,
+                            opt=dict(FAST_OPT, max_epochs=1))
+            _, files = run_hyperopt(cfg, lex)
+            written.append([open(files[name], "rb").read()
+                            for name in ("search_log", "best")])
+        assert written[0] == written[1]
+        assert written[0][0].count(b"\n") == 12
 
 
 class TestBatch:
