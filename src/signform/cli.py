@@ -18,6 +18,7 @@ import sys
 
 from .errors import SchemaError
 from .pipeline import (
+    SYNTH_SPECS,
     _clear_stale_error,
     _require_object,
     error_record,
@@ -203,9 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="hyperparameter search only, write search.jsonl")
 
     synth = sub.add_parser("synth", help="write a synthetic benchmark corpus")
-    synth.add_argument("--spec", required=True,
-                       choices=("two_cluster", "independent",
-                                "planted_prefix"))
+    synth.add_argument("--spec", required=True, choices=SYNTH_SPECS)
     synth.add_argument("--n-words", type=int, default=1000)
 
     validate = sub.add_parser("validate",

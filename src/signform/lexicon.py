@@ -206,9 +206,6 @@ class Lexicon:
     def meaning_dim(self) -> int:
         return int(self.signs[0].meaning.shape[0])
 
-    def meanings(self) -> np.ndarray:
-        return np.stack([s.meaning for s in self.signs])
-
     @classmethod
     def from_signs(cls, language: str, signs, stats=None) -> "Lexicon":
         signs = list(signs)

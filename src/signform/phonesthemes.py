@@ -29,10 +29,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checks import check_fields
 from .errors import SignSetMismatchError
 from .lexicon import Lexicon, Phone, Sign
 from .phonolm import LossTable
-from .phonolm.model import _require_int, _require_ints, _require_reals
 from .seeding import derive_rng
 from .stats import bh_correct
 
@@ -52,13 +52,7 @@ class MiningSettings:
     n_samples: int = 100_000
 
     def __post_init__(self):
-        if not isinstance(self.k_range, (list, tuple)):
-            raise ValueError(f"k_range must be a list, got {self.k_range!r}")
-        for i, k in enumerate(self.k_range):
-            _require_int(f"k_range[{i}]", k)
-        object.__setattr__(self, "k_range", tuple(self.k_range))
-        _require_ints(self, ("min_count", "n_samples"))
-        _require_reals(self, ("alpha",))
+        check_fields(self)
         if not self.k_range or min(self.k_range) < 1:
             raise ValueError("k_range must be non-empty, every k >= 1")
         if self.min_count < 1:

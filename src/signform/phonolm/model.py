@@ -34,11 +34,11 @@ Everything here is deterministic given the parameter values; all sampling
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ..checks import check_fields
 from ..errors import (
     DimensionMismatchError,
     OddHiddenSplitError,
@@ -55,31 +55,8 @@ CONDITION_MODES = ("nothing", "meaning", "class", "meaning_and_class")
 # Values init_params draws at a time: its float64 scratch takes 256 KiB.
 _INIT_BLOCK = 1 << 15
 
-
-def _require_int(name: str, value) -> None:
-    """Raise ValueError, naming value name, unless value is an int. JSON
-    true and false load as bools, which are ints to isinstance, so a bool
-    is refused too."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
-def _require_ints(settings, names) -> None:
-    """_require_int on each of settings' fields names, in order."""
-    for name in names:
-        _require_int(name, getattr(settings, name))
-
-
-def _require_reals(settings, names) -> None:
-    """Raise ValueError for the first of settings' fields names that is not
-    a finite real number; a bool is refused, as in _require_ints."""
-    for name in names:
-        value = getattr(settings, name)
-        if not isinstance(value, numbers.Real) or isinstance(value, bool):
-            raise ValueError(f"{name} must be a real number, got {value!r}")
-        # A comparison, not math.isfinite, so a huge int cannot overflow.
-        if not -math.inf < value < math.inf:
-            raise ValueError(f"{name} must be finite, got {value!r}")
+# Rows evaluate scores at a time; its code lengths do not depend on it.
+EVAL_BATCH = 256
 
 
 @dataclass(frozen=True)
@@ -94,9 +71,7 @@ class LMConfig:
     condition_on: str = "nothing"
 
     def __post_init__(self):
-        _require_ints(self, ("layers", "hidden_size", "phone_embed_size",
-                             "pca_d"))
-        _require_reals(self, ("dropout",))
+        check_fields(self)
         if self.layers < 1 or self.hidden_size < 1 or self.phone_embed_size < 1:
             raise ValueError("layer and size fields must be >= 1")
         if self.pca_d < 1:
@@ -680,7 +655,7 @@ def _take(padded, rows):
 
 def evaluate(params: LMParameters, cfg: LMConfig, signs,
              inventory: PhoneInventory, v: np.ndarray | None = None,
-             batch_size: int = 256, padded=None) -> LossTable:
+             padded=None) -> LossTable:
     """Per-word code lengths in evaluation mode (no dropout).
 
     v is an (n, pca_d) array aligned with signs when the model conditions
@@ -707,8 +682,8 @@ def evaluate(params: LMParameters, cfg: LMConfig, signs,
     offsets = np.concatenate([[0], np.cumsum(lengths)])
     bits = np.empty(offsets[-1])
     by_length = np.argsort(-lengths, kind="stable")
-    for lo in range(0, len(signs), batch_size):
-        rows = by_length[lo:lo + batch_size]
+    for lo in range(0, len(signs), EVAL_BATCH):
+        rows = by_length[lo:lo + EVAL_BATCH]
         inputs, targets, row_lengths = _take(padded, rows)
         pk = _pack(row_lengths, inputs.shape[1])
         # Keep only the top layer's outputs and free them with logp2, so

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..checks import check_fields
 from ..errors import DimensionMismatchError, TrainingDivergedError
 from ..lexicon import Lexicon
 from ..seeding import derive_rng
@@ -30,8 +31,6 @@ from .model import (
     LMConfig,
     LMParameters,
     _pad,
-    _require_ints,
-    _require_reals,
     _take,
     encode_signs,
     evaluate,
@@ -67,10 +66,7 @@ class OptSettings:
     min_delta: float = 1e-6
 
     def __post_init__(self):
-        _require_ints(self, ("batch_size", "max_epochs", "patience"))
-        _require_reals(self, ("lr", "beta1", "beta2", "eps", "min_delta"))
-        if self.clip_norm is not None:
-            _require_reals(self, ("clip_norm",))
+        check_fields(self)
         if self.batch_size < 1 or self.max_epochs < 1:
             raise ValueError("batch_size and max_epochs must be >= 1")
         if self.patience < 0:

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checks import check_fields
 from .errors import SchemaError, SignformError
 from .hyperopt import Dimension, SearchSpace, run_search
 from .infotheory import MIReport, build_report, mi_estimate
@@ -43,7 +44,6 @@ from .phonolm import (
     save_model,
     train_on_indices,
 )
-from .phonolm.model import _require_ints
 from .reports import (
     appendix_row,
     read_json,
@@ -104,8 +104,14 @@ class RunConfig:
     schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self):
-        self._check_types()
-        self.model_kinds = tuple(self.model_kinds)
+        check_fields(self)
+        columns = self.columns or {}
+        if not all(isinstance(x, str) for x in [*columns, *columns.values()]):
+            raise ValueError("columns must map names to names, got "
+                             f"{self.columns!r}")
+        if not all(isinstance(kind, str) for kind in self.model_kinds):
+            raise ValueError("model_kinds must hold names, got "
+                             f"{self.model_kinds!r}")
         unknown = set(self.model_kinds) - set(MODEL_KINDS)
         if unknown:
             raise ValueError(f"unknown model kinds: {sorted(unknown)}")
@@ -141,39 +147,8 @@ class RunConfig:
         if unknown:
             raise ValueError(f"unknown lm keys: {sorted(unknown)} (the model "
                              "kind sets condition_on)")
-        for kind in self.model_kinds:
-            try:
-                make_lm_config(kind, self.lm)
-            except ValueError as exc:
-                raise ValueError(f"lm {exc}") from exc
+        _check_section("lm", LMConfig, self.lm)
         _check_section("phonesthemes", MiningSettings, self.phonesthemes)
-
-    def _check_types(self) -> None:
-        """Raise ValueError for the first top-level field of a wrong type."""
-        _require_ints(self, ("folds", "rotation", "seed", "permutations",
-                             "hyperopt_budget", "schema_version"))
-        for name, kinds, what in (
-                ("language", str, "a string"),
-                ("lexicon_path", (str, type(None)), "a string or null"),
-                ("embeddings_path", (str, type(None)), "a string or null"),
-                ("out_dir", str, "a string"),
-                ("columns", (dict, type(None)), "an object or null"),
-                ("pretokenized", bool, "true or false"),
-                ("strip_marks", bool, "true or false"),
-                ("model_kinds", (list, tuple), "a list"),
-                ("lm", dict, "an object"),
-                ("opt", dict, "an object"),
-                ("phonesthemes", dict, "an object")):
-            value = getattr(self, name)
-            if not isinstance(value, kinds):
-                raise ValueError(f"{name} must be {what}, got {value!r}")
-        columns = self.columns or {}
-        if not all(isinstance(x, str) for x in [*columns, *columns.values()]):
-            raise ValueError("columns must map names to names, got "
-                             f"{self.columns!r}")
-        if not all(isinstance(kind, str) for kind in self.model_kinds):
-            raise ValueError("model_kinds must hold names, got "
-                             f"{self.model_kinds!r}")
 
     @property
     def with_pos_control(self) -> bool:
@@ -590,7 +565,8 @@ def run_batch(configs, out_dir: str, threads: int = 1) -> BatchOutput:
     recorded in that directory's error.json, its traceback logged as a
     warning, and the batch carries on; a success removes an error.json an
     earlier failure left there.
-    Repeated language names are rejected with SchemaError before any run.
+    Repeated language names, and names that are not one plain path
+    component, are rejected with SchemaError before any run.
     """
     # threads=1 is accepted only because perfbench's Batch.run passes it.
     if threads != 1:
@@ -601,6 +577,16 @@ def run_batch(configs, out_dir: str, threads: int = 1) -> BatchOutput:
     if duplicates:
         raise SchemaError("batch repeats language names, which would share "
                           f"one output directory: {', '.join(duplicates)}")
+    # A name such as "", ".", ".." or "a/b" would write outside its own
+    # directory, or share one with a name that spells it differently; the
+    # operating system refuses a path holding a NUL.
+    unplain = [c.language for c in configs if c.language in ("", ".", "..")
+               or os.path.basename(c.language) != c.language
+               or "\0" in c.language]
+    if unplain:
+        raise SchemaError("batch language names must each be one plain "
+                          "directory name, which these are not: "
+                          f"{', '.join(map(repr, unplain))}")
     os.makedirs(out_dir, exist_ok=True)
 
     reports, failures = [], {}

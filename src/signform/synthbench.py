@@ -132,24 +132,6 @@ class SyntheticSpec:
             "language": self.language,
         }
 
-    @classmethod
-    def from_dict(cls, cfg: dict) -> "SyntheticSpec":
-        planted = cfg.get("planted")
-        return cls(
-            alphabet=tuple(cfg["alphabet"]),
-            prior=np.asarray(cfg["prior"]),
-            chains=tuple(ClusterChain(np.asarray(c["start"]),
-                                      np.asarray(c["trans"]),
-                                      np.asarray(c["stop"]))
-                         for c in cfg["chains"]),
-            centroids=np.asarray(cfg["centroids"]),
-            noise_scale=float(cfg["noise_scale"]),
-            max_len=int(cfg["max_len"]),
-            planted=None if planted is None
-            else (int(planted[0]), tuple(int(p) for p in planted[1])),
-            language=cfg.get("language", "synth"),
-        )
-
 
 def _cdf(p: np.ndarray) -> list[float]:
     """p's CDF as rng.choice(len(p), p=p) computes it: a cumsum divided by

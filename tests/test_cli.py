@@ -271,6 +271,29 @@ class TestBatchCommand:
         assert not (out / "alpha").exists()
         assert read_json(out / "error.json") == record
 
+    @pytest.mark.parametrize("names", [
+        [""], ["."], [".."], ["elsewhere"], ["alpha", "./alpha"], ["a\0b"]])
+    def test_unplain_language_names_rejected_before_training(
+            self, corpus, tmp_path, capsys, names):
+        # "elsewhere" stands for an absolute path, one outside the batch.
+        names = [str(tmp_path / n) if n == "elsewhere" else n for n in names]
+        lang = write_config(tmp_path / "unused.json", corpus)
+        out = tmp_path / "runs" / "batchout"
+        batch_cfg = tmp_path / "batch.json"
+        batch_cfg.write_text(json.dumps(
+            {"out_dir": str(out),
+             "languages": [dict(lang, language=n) for n in names]}))
+        before = set(tmp_path.rglob("*"))
+        rc = main(["--config", str(batch_cfg), "batch"])
+        assert rc == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        record = json.loads(lines[0])
+        assert record["error"] == "SchemaError"
+        assert repr(names[-1]) in record["message"]
+        assert set(tmp_path.rglob("*")) - before == {
+            out.parent, out, out / "error.json"}
+
     @pytest.mark.parametrize("opt", [{"max_epoch": 5}, {"batch_size": 0}])
     def test_bad_opt_rejected_before_training(self, corpus, tmp_path, capsys,
                                               opt):

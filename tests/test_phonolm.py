@@ -39,6 +39,7 @@ from signform.phonolm import (
     save_model,
     train_on_indices,
 )
+from signform.phonolm import model
 from signform.phonolm.archive import FORMAT_VERSION
 from signform.phonolm.model import (
     _INIT_BLOCK,
@@ -498,7 +499,7 @@ class TestEvaluate:
         assert entropy_estimate(losses).bits_per_phone == pytest.approx(
             manual)
 
-    def test_batch_boundaries_do_not_matter(self):
+    def test_batch_boundaries_do_not_matter(self, monkeypatch):
         lex = make_lexicon(["kat", "sam", "ta", "maks", "mm", "s", "takma",
                             "a", "sk"], pos=list("NVNVNVNVN"))
         cfg = LMConfig(hidden_size=8, phone_embed_size=4, pca_d=3, layers=2,
@@ -509,9 +510,11 @@ class TestEvaluate:
         v = np.random.default_rng(11).normal(size=(len(lex.signs), 3))
         base = evaluate(params, cfg, lex.signs, lex.inventory, v=v)
         perm = np.random.default_rng(12).permutation(len(lex.signs))
-        runs = [(np.arange(len(lex.signs)), evaluate(
-                    params, cfg, lex.signs, lex.inventory, v=v,
-                    batch_size=size)) for size in (1, 3, 256)]
+        runs = []
+        for size in (1, 3, 256):
+            monkeypatch.setattr(model, "EVAL_BATCH", size)
+            runs.append((np.arange(len(lex.signs)), evaluate(
+                params, cfg, lex.signs, lex.inventory, v=v)))
         runs.append((perm, evaluate(params, cfg,
                                     [lex.signs[j] for j in perm],
                                     lex.inventory, v=v[perm])))

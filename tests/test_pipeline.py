@@ -1,5 +1,6 @@
 """End-to-end pipeline tests on synthetic corpora kept deliberately small."""
 
+import dataclasses
 import json
 import logging
 import os
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from oracle_utils import traced_peak
 
-from signform import hyperopt, pipeline
+from signform import checks, hyperopt, pipeline
 from signform.errors import ArchiveFormatError
 from signform.lexicon import load_embeddings, split_folds
 from signform.phonolm import DTYPE, LMConfig, OptSettings, evaluate, load_model
@@ -265,6 +266,33 @@ class TestRunConfig:
                         embeddings_path=str(tmp_path / "absent.vec"))
         with pytest.raises(FileNotFoundError):
             cfg.validate_paths()
+
+
+# One value of the wrong type for each annotation checks.check_fields knows.
+WRONG_TYPE = {"int": 1.5, "float": True, "float | None": "0.5", "str": 5,
+              "str | None": 5, "bool": 1, "dict": [], "dict | None": [],
+              "tuple": "uncond", "tuple[int, ...]": [1, 2.0]}
+SETTINGS_FIELDS = [(cls, f) for cls in (RunConfig, LMConfig, OptSettings,
+                                        MiningSettings)
+                   for f in dataclasses.fields(cls)]
+
+
+class TestSettingsTypes:
+    def test_every_annotation_known(self):
+        assert set(WRONG_TYPE) == checks.ANNOTATIONS
+        unknown = {f"{cls.__name__}.{f.name}: {f.type}"
+                   for cls, f in SETTINGS_FIELDS
+                   if f.type not in checks.ANNOTATIONS}
+        assert not unknown
+
+    @pytest.mark.parametrize(
+        "cls,f", SETTINGS_FIELDS,
+        ids=[f"{cls.__name__}.{f.name}" for cls, f in SETTINGS_FIELDS])
+    def test_wrong_type_refused_naming_the_field(self, cls, f):
+        given = {"language": "xx"} if cls is RunConfig else {}
+        given[f.name] = WRONG_TYPE[f.type]
+        with pytest.raises(ValueError, match=f"^{f.name}"):
+            cls(**given)
 
 
 class TestFitModel:

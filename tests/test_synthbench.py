@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -201,7 +204,8 @@ class TestGenerate:
         ref_clusters, ref_meanings, ref_forms = reference_forms(spec, 1500,
                                                                 seed)
         assert clusters.tobytes() == ref_clusters.tobytes()
-        assert lex.meanings().tobytes() == ref_meanings.tobytes()
+        meanings = np.stack([s.meaning for s in lex.signs])
+        assert meanings.tobytes() == ref_meanings.tobytes()
         assert [s.form for s in lex.signs] == ref_forms
 
     def test_deterministic_given_seed(self):
@@ -211,7 +215,8 @@ class TestGenerate:
         lex3, _ = generate(spec, 50, seed=6)
         assert [s.form for s in lex1.signs] == [s.form for s in lex2.signs]
         np.testing.assert_array_equal(lab1, lab2)
-        np.testing.assert_allclose(lex1.meanings(), lex2.meanings())
+        np.testing.assert_array_equal([s.meaning for s in lex1.signs],
+                                      [s.meaning for s in lex2.signs])
         assert [s.form for s in lex1.signs] != [s.form for s in lex3.signs]
 
     def test_zero_noise_identifies_cluster(self):
@@ -346,10 +351,10 @@ class TestSpecValidation:
             planted_prefix_spec(prefix=("g",) * 9, max_len=6)
 
     def test_roundtrip_dict(self):
+        # synth writes to_dict() into its JSON metadata.
         spec = planted_prefix_spec()
-        again = SyntheticSpec.from_dict(spec.to_dict())
-        assert again.alphabet == spec.alphabet
-        assert again.planted == spec.planted
-        np.testing.assert_allclose(again.prior, spec.prior)
-        np.testing.assert_allclose(again.chains[0].trans, spec.chains[0].trans)
-        assert exact_mi(again) == pytest.approx(exact_mi(spec), abs=1e-12)
+        d = spec.to_dict()
+        assert json.loads(json.dumps(d)) == d
+        assert set(d) == {f.name for f in dataclasses.fields(SyntheticSpec)}
+        assert d["planted"] == [spec.planted[0], list(spec.planted[1])]
+        assert d["alphabet"] == list(spec.alphabet)
