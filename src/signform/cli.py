@@ -5,8 +5,8 @@ Every command reads one JSON config document, honors the global overrides
 stdout, and on failure emits one machine-readable JSON error line, writes it
 to error.json in the output directory and exits nonzero. A successful
 estimate, batch, phonesthemes or hyperopt removes the error.json an earlier
-failure left in its output directory. A batch runs its languages one at a
-time, in document order.
+failure left in its output directory. A batch runs its languages on the
+usable CPUs (signform.forkrun) and writes its aggregates in document order.
 """
 
 from __future__ import annotations

@@ -9,16 +9,16 @@ proposal is turned back into native units.
 Only the GP step needs scipy (L-BFGS-B and the normal CDF), so `gp_fit`,
 `expected_improvement` and `propose_next` import it when they run: the
 first N_INIT proposals, which come from a Latin hypercube, and importing
-this module need numpy alone. multiprocessing is imported only by a search
-that shares those N_INIT points with forked workers.
+this module need numpy alone. Those N_INIT trials are independent, so
+they go to `forkrun.run_indexed` together.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .errors import (
     SingularKernelError,
     TrainingDivergedError,
 )
+from .forkrun import run_indexed
 from .seeding import derive_rng
 
 DIMENSION_KINDS = ("integer", "continuous")
@@ -307,102 +308,12 @@ class SearchResult:
     trials: list[Trial]
 
 
-def _usable_cpus() -> int:
-    """How many processes may evaluate points at once: the CPUs this process
-    may run on, or 1 while it runs another thread. A forked child gets only
-    a copy of another thread's locks, and a BLAS thread pool (present unless
-    OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is 1) already uses the other
-    CPUs: forked pools would compete for them."""
-    try:
-        if len(os.listdir("/proc/self/task")) > 1:
-            return 1
-        return len(os.sched_getaffinity(0))
-    except (OSError, AttributeError):  # no /proc or no sched_getaffinity
-        return 1
-
-
-def _fork_context():
-    """The fork start method, or None where the platform has none or this
-    process is daemonic (and so may start none)."""
-    import multiprocessing
-
-    if ("fork" not in multiprocessing.get_all_start_methods()
-            or multiprocessing.current_process().daemon):
-        return None
-    return multiprocessing.get_context("fork")
-
-
 def _outcome(evaluate, native) -> float:
     """evaluate(native), or nan when the training diverges."""
     try:
         return float(evaluate(native))
     except TrainingDivergedError:
         return math.nan
-
-
-def _shares(costs, n: int) -> list[list[int]]:
-    """Indices split into n shares: largest cost first, each to the share
-    with the least cost so far (ties to the earlier index and share)."""
-    shares = [[] for _ in range(n)]
-    loads = [0] * n
-    for i in sorted(range(len(costs)), key=lambda i: -costs[i]):
-        s = loads.index(min(loads))
-        shares[s].append(i)
-        loads[s] += costs[i]
-    return shares
-
-
-def _run_share(evaluate, points, share, conn) -> None:
-    """A forked worker's share: send its outcomes, or the error that
-    stopped it, back to the parent."""
-    try:
-        conn.send([_outcome(evaluate, points[i]) for i in share])
-    except Exception as exc:
-        conn.send(exc)
-    finally:
-        conn.close()
-
-
-def _evaluate_all(evaluate, points, cost) -> list[float]:
-    """Outcomes of independent points, in order. With k > 1 usable CPUs
-    and fork, the parent evaluates one share and one forked worker per
-    other CPU (up to one per point) evaluates each of the rest; otherwise
-    the points run here in order and no process starts."""
-    n = min(_usable_cpus(), len(points))
-    ctx = _fork_context() if n > 1 else None
-    if ctx is None:
-        return [_outcome(evaluate, p) for p in points]
-    shares = _shares([1 if cost is None else cost(p) for p in points], n)
-    workers = []
-    try:
-        for share in shares[1:]:
-            reader, writer = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_run_share,
-                               args=(evaluate, points, share, writer))
-            proc.start()
-            workers.append((share, proc, reader))
-            writer.close()
-        values = {i: _outcome(evaluate, points[i]) for i in shares[0]}
-        for share, proc, reader in workers:
-            try:
-                got = reader.recv()
-            except EOFError:
-                proc.join()
-                raise RuntimeError(
-                    f"a search worker exited with code {proc.exitcode} "
-                    f"before sending its trials") from None
-            if isinstance(got, Exception):
-                raise got
-            values.update(zip(share, got))
-    except BaseException:
-        for _, proc, _ in workers:
-            proc.terminate()
-        raise
-    finally:
-        for _, proc, reader in workers:
-            proc.join()
-            reader.close()
-    return [values[i] for i in range(len(points))]
 
 
 def _record(trials: list, space: SearchSpace, native: dict,
@@ -427,9 +338,10 @@ def run_search(evaluate, space: SearchSpace, budget: int, seed: int = 0,
     any) so the surrogate avoids the region.
 
     The first min(budget, N_INIT) points are the Latin hypercube's rows,
-    which depend only on their index, so they are evaluated together: on a
-    machine with several usable CPUs, a share of them runs in forked worker
-    processes, split largest-first by cost(native) (equal costs when None).
+    which depend only on their index, so forkrun.run_indexed evaluates them
+    together: on a machine with several usable CPUs, a share of them runs in
+    forked worker processes, split largest-first by cost(native) (equal
+    costs when None).
     evaluate must therefore be a pure function of its point: a worker's side
     effects never reach this process. The trials, and so the result, are the
     same with any number of CPUs. The GP steps that follow run here, one at
@@ -439,7 +351,7 @@ def run_search(evaluate, space: SearchSpace, budget: int, seed: int = 0,
         raise ValueError("budget must be >= 1")
     points = [space.from_unit(_lhs_point(space, seed, t))
               for t in range(min(budget, N_INIT))]
-    outcomes = _evaluate_all(evaluate, points, cost)
+    outcomes = run_indexed(partial(_outcome, evaluate), points, cost)
     trials: list[Trial] = []
     for native, value in zip(points, outcomes):
         _record(trials, space, native, value)

@@ -4,8 +4,8 @@ One run estimates a language's form entropy and form-meaning MI: parse the
 lexicon, attach embeddings, split folds, optionally search hyperparameters,
 train one model per enabled kind, score the held-out test fold, difference
 the cross-entropies, and attach sign-flip permutation p-values. Batch mode
-repeats this per language, in order, with per-language crash isolation,
-then corrects significance across languages and aggregates.
+repeats this per language, on the usable CPUs, with per-language crash
+isolation, then corrects significance across languages and aggregates.
 
 Both commands that train models state them as a fit plan, a list of
 FitUnits that fit_units trains or reuses and scores: estimate one unit per
@@ -25,6 +25,7 @@ import numpy as np
 
 from .checks import check_fields
 from .errors import SchemaError, SignformError
+from .forkrun import run_indexed
 from .hyperopt import Dimension, SearchSpace, run_search
 from .infotheory import MIReport, build_report, mi_estimate
 from .lexicon import (
@@ -558,13 +559,39 @@ def _clear_stale_error(out_dir: str) -> None:
         pass
 
 
-def run_batch(configs, out_dir: str, threads: int = 1) -> BatchOutput:
-    """Estimate every language in order, then correct and aggregate them.
+def _estimate_language(config: RunConfig) -> tuple:
+    """One batch language: (language, its MIReport or None, its error
+    record or None).
 
-    Each language writes into out_dir/<language>/; a failure there is
-    recorded in that directory's error.json, its traceback logged as a
-    warning, and the batch carries on; a success removes an error.json an
+    A failure is recorded in the language's error.json, its traceback
+    logged as a warning; when that error.json cannot be written, the record
+    goes to aggregate.json alone. A success removes an error.json an
     earlier failure left there.
+    """
+    try:
+        report = run_estimate(config).report
+    except Exception as exc:
+        logger.warning("%s failed", config.language, exc_info=True)
+        record = error_record(exc, "estimate")
+        try:
+            write_error(config.out_dir, record)
+        except OSError as write_exc:
+            logger.warning("%s: error.json not written: %s",
+                           config.language, write_exc)
+        return config.language, None, record
+    _clear_stale_error(config.out_dir)
+    return config.language, report, None
+
+
+def run_batch(configs, out_dir: str, threads: int = 1) -> BatchOutput:
+    """Estimate every language, then correct and aggregate them.
+
+    Each language writes into out_dir/<language>/ and is one task of
+    forkrun.run_indexed, so with several usable CPUs the languages run in
+    this process and forked workers; a failing language is recorded (see
+    _estimate_language) and the batch carries on. Correction, aggregates
+    and plots are made here, in document order, so every output is the
+    same with any number of CPUs.
     Repeated language names, and names that are not one plain path
     component, are rejected with SchemaError before any run.
     """
@@ -589,18 +616,12 @@ def run_batch(configs, out_dir: str, threads: int = 1) -> BatchOutput:
                           f"{', '.join(map(repr, unplain))}")
     os.makedirs(out_dir, exist_ok=True)
 
-    reports, failures = [], {}
-    for config in configs:
-        config = dataclasses.replace(
-            config, out_dir=os.path.join(out_dir, config.language))
-        try:
-            reports.append(run_estimate(config).report)
-        except Exception as exc:
-            logger.warning("%s failed", config.language, exc_info=True)
-            failures[config.language] = error_record(exc, "estimate")
-            write_error(config.out_dir, failures[config.language])
-        else:
-            _clear_stale_error(config.out_dir)
+    outcomes = run_indexed(_estimate_language, [
+        dataclasses.replace(c, out_dir=os.path.join(out_dir, c.language))
+        for c in configs])
+    reports = [report for _, report, _ in outcomes if report is not None]
+    failures = {language: record for language, _, record in outcomes
+                if record is not None}
     if not reports:
         raise SignformError("every language in the batch failed")
 

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from signform import hyperopt
+from signform import forkrun
 from signform.errors import AllTrialsDivergedError, TrainingDivergedError
 from signform.hyperopt import (
     N_CANDIDATES,
@@ -354,7 +354,7 @@ class TestRunSearch:
 
 
 def with_cpus(monkeypatch, n):
-    monkeypatch.setattr(hyperopt, "_usable_cpus", lambda: n)
+    monkeypatch.setattr(forkrun, "_usable_cpus", lambda: n)
 
 
 def trial_fields(result):
@@ -374,9 +374,9 @@ class TestForkedInitialDesign:
     0.725; with equal costs the parent takes points 0, 2 and 4."""
 
     def test_shares_largest_first(self):
-        assert hyperopt._shares([5, 1, 4, 2, 3], 2) == [[0, 3, 1], [2, 4]]
-        assert hyperopt._shares([1] * 5, 2) == [[0, 2, 4], [1, 3]]
-        assert hyperopt._shares([1] * 3, 3) == [[0], [1], [2]]
+        assert forkrun._shares([5, 1, 4, 2, 3], 2) == [[0, 3, 1], [2, 4]]
+        assert forkrun._shares([1] * 5, 2) == [[0, 2, 4], [1, 3]]
+        assert forkrun._shares([1] * 3, 3) == [[0], [1], [2]]
 
     @pytest.mark.parametrize("cpus,in_worker", [
         (1, [0.0] * 5), (2, [0.0, 1.0, 0.0, 1.0, 0.0])])
@@ -447,7 +447,7 @@ class TestForkedInitialDesign:
         thread = threading.Thread(target=stop.wait)
         thread.start()
         try:
-            assert hyperopt._usable_cpus() == 1
+            assert forkrun._usable_cpus() == 1
         finally:
             stop.set()
             thread.join(timeout=10)
@@ -469,14 +469,14 @@ class TestForkedInitialDesign:
 
 FORK_SCRIPT = """
 import json, multiprocessing, os
-from signform import hyperopt
+from signform import forkrun
 from signform.hyperopt import Dimension, SearchSpace, run_search
 
 parent = os.getpid()
 space = SearchSpace((Dimension("x", "continuous", 0.0, 1.0),))
 result = run_search(lambda native: float(os.getpid() != parent), space,
                     budget=5)
-print(json.dumps({"cpus": hyperopt._usable_cpus(),
+print(json.dumps({"cpus": forkrun._usable_cpus(),
                   "affinity": len(os.sched_getaffinity(0)),
                   "in_worker": [t.objective for t in result.trials],
                   "children_after": len(multiprocessing.active_children())}))

@@ -1,7 +1,7 @@
 """Import graph: estimate, phonesthemes, batch and a search that stays in
 its Latin-hypercube phase run on numpy alone; scipy loads only for the GP,
-concurrent.futures never loads, and multiprocessing loads only for a search
-that can share its Latin-hypercube trials with a worker."""
+concurrent.futures never loads, and multiprocessing loads only for a batch
+or search that may fork a worker."""
 
 import json
 
@@ -11,11 +11,14 @@ SCRIPT = """
 import json, os, sys
 
 import signform.cli
+from signform import forkrun
 from signform.hyperopt import Dimension, SearchSpace, propose_next, run_search
 from signform.pipeline import (
     RunConfig, run_batch, run_estimate, run_phonesthemes, run_synth)
 
 tmp = sys.argv[1]
+# The CPUs the runner may use, whatever this machine has.
+forkrun._usable_cpus = lambda: int(sys.argv[2])
 files = run_synth("planted_prefix", 120, 1, os.path.join(tmp, "synth"))
 config = dict(language="tiny", lexicon_path=files["lexicon"],
               embeddings_path=files["embeddings"], pretokenized=True,
@@ -26,13 +29,15 @@ config = dict(language="tiny", lexicon_path=files["lexicon"],
                             "n_samples": 200})
 run_estimate(RunConfig(out_dir=os.path.join(tmp, "estimate"), **config))
 run_phonesthemes(RunConfig(out_dir=os.path.join(tmp, "mine"), **config))
-run_batch([RunConfig(**dict(config, language=name)) for name in ("a", "b")],
-          os.path.join(tmp, "batch"))
-futures_loaded = "concurrent.futures" in sys.modules
+run_batch([RunConfig(**dict(config, language="a"))], os.path.join(tmp, "one"))
 mp_after_runs = "multiprocessing" in sys.modules
 space = SearchSpace((Dimension("x", "continuous", 0.0, 1.0),))
 run_search(lambda native: (native["x"] - 0.3) ** 2, space, budget=1)
 mp_after_one_trial = "multiprocessing" in sys.modules
+run_batch([RunConfig(**dict(config, language=name)) for name in ("a", "b")],
+          os.path.join(tmp, "two"))
+futures_loaded = "concurrent.futures" in sys.modules
+mp_after_two_languages = "multiprocessing" in sys.modules
 search = run_search(lambda native: (native["x"] - 0.3) ** 2, space,
                     budget=5)
 before_gp = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
@@ -41,19 +46,32 @@ print(json.dumps({"scipy_before_gp": before_gp, "proposal": proposal,
                   "scipy_after_gp": "scipy.optimize" in sys.modules,
                   "futures_loaded": futures_loaded,
                   "mp_after_runs": mp_after_runs,
-                  "mp_after_one_trial": mp_after_one_trial}))
+                  "mp_after_one_trial": mp_after_one_trial,
+                  "mp_after_two_languages": mp_after_two_languages}))
 """
 
 
+def imports_after_runs(tmp_path, cpus: int) -> dict:
+    return json.loads(run_python(SCRIPT, str(tmp_path), str(cpus)))
+
+
 def test_only_the_gp_step_imports_scipy(tmp_path):
-    result = json.loads(run_python(SCRIPT, str(tmp_path)))
+    result = imports_after_runs(tmp_path, 2)
     assert result["scipy_before_gp"] == []
     assert 0.0 <= result["proposal"]["x"] <= 1.0
     assert result["scipy_after_gp"]
-    # A batch runs serially; no executor module is loaded for it.
+    # No executor module is loaded, for a batch or anything else.
     assert not result["futures_loaded"]
-    # Only a search of two or more trials may fork workers, so estimate,
-    # phonesthemes, batch and a one-trial search never load multiprocessing
-    # (and so start no process).
+    # Only a search of two or more trials or a batch of two or more
+    # languages may fork workers, so estimate, phonesthemes, a one-language
+    # batch and a one-trial search never load multiprocessing (and so start
+    # no process), even with CPUs to spare.
     assert not result["mp_after_runs"]
     assert not result["mp_after_one_trial"]
+    assert result["mp_after_two_languages"]
+
+
+def test_batch_on_one_cpu_never_loads_multiprocessing(tmp_path):
+    result = imports_after_runs(tmp_path, 1)
+    assert not result["mp_after_runs"]
+    assert not result["mp_after_two_languages"]

@@ -5,12 +5,13 @@ import json
 import logging
 import os
 import shutil
+from multiprocessing.context import ForkProcess
 
 import numpy as np
 import pytest
 from oracle_utils import traced_peak
 
-from signform import checks, hyperopt, pipeline
+from signform import checks, forkrun, pipeline
 from signform.errors import ArchiveFormatError
 from signform.lexicon import load_embeddings, split_folds
 from signform.phonolm import DTYPE, LMConfig, OptSettings, evaluate, load_model
@@ -443,6 +444,9 @@ class TestCallCounts:
     def test_batch_estimates_once_per_language(self, two_cluster_files,
                                                tmp_path, monkeypatch):
         _, files = two_cluster_files
+        # A forked worker's calls are counted in its own copy of the list,
+        # so the languages must all run in this process.
+        monkeypatch.setattr(forkrun, "_usable_cpus", lambda: 1)
         calls = counting(monkeypatch, "run_estimate")
         configs = [fast_config(str(tmp_path), files, language=name,
                                opt=dict(FAST_OPT, max_epochs=1))
@@ -706,7 +710,7 @@ class TestEstimate:
         lex, _ = generate(planted_prefix_spec(meaning_dim=16), 60, seed=0)
         written = []
         for cpus in (1, 2):
-            monkeypatch.setattr(hyperopt, "_usable_cpus", lambda n=cpus: n)
+            monkeypatch.setattr(forkrun, "_usable_cpus", lambda n=cpus: n)
             cfg = RunConfig(language="tiny", out_dir=str(tmp_path / str(cpus)),
                             folds=5, seed=0, hyperopt_budget=6,
                             opt=dict(FAST_OPT, max_epochs=1))
@@ -774,6 +778,76 @@ class TestBatch:
     def test_empty_batch_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             run_batch([], str(tmp_path))
+
+    def test_same_bytes_with_one_and_two_cpus(self, two_cluster_files,
+                                              tmp_path, monkeypatch):
+        # The second language fails; with two CPUs it runs in the worker.
+        _, files = two_cluster_files
+        configs = [fast_config(str(tmp_path), files, language=name, seed=seed,
+                               opt=dict(FAST_OPT, max_epochs=1))
+                   for name, seed in (("l1", 3), ("l2", 4), ("l3", 5))]
+        configs[1] = dataclasses.replace(
+            configs[1], lexicon_path=str(tmp_path / "missing.tsv"))
+        runs = [batch_bytes(monkeypatch, cpus, configs, tmp_path / "batch")
+                for cpus in (1, 2)]
+        assert runs[0] == runs[1]
+        assert "l2/error.json" in runs[0]
+        assert "l3/models/meaning.archive" in runs[0]
+
+    def test_nested_search_does_not_fork_again(self, two_cluster_files,
+                                             tmp_path, monkeypatch):
+        # Each language searches; inside the batch's runner those searches
+        # run serially, so two CPUs start exactly one process in all.
+        _, files = two_cluster_files
+        configs = [fast_config(str(tmp_path), files, language=name, seed=seed,
+                               hyperopt_budget=3,
+                               opt=dict(FAST_OPT, max_epochs=1))
+                   for name, seed in (("l1", 3), ("l2", 4))]
+        starts = tmp_path / "starts.log"
+        real_start = ForkProcess.start
+
+        def logged_start(proc):
+            with open(starts, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            real_start(proc)
+
+        monkeypatch.setattr(ForkProcess, "start", logged_start)
+        runs = [batch_bytes(monkeypatch, cpus, configs, tmp_path / "batch")
+                for cpus in (1, 2)]
+        assert starts.read_text() == f"{os.getpid()}\n"
+        assert runs[0] == runs[1]
+        assert runs[0]["l2/search.jsonl"].count(b"\n") == 6
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_unwritable_language_directory_does_not_stop_the_batch(
+            self, two_cluster_files, tmp_path, monkeypatch, cpus):
+        _, files = two_cluster_files
+        monkeypatch.setattr(forkrun, "_usable_cpus", lambda: cpus)
+        out_dir = tmp_path / "batch"
+        out_dir.mkdir()
+        (out_dir / "beta").write_text("not a directory")
+        configs = [fast_config(str(tmp_path), files, language=name,
+                               opt=dict(FAST_OPT, max_epochs=1))
+                   for name in ("alpha", "beta", "gamma")]
+        out = run_batch(configs, str(out_dir))
+        assert [r.language for r in out.reports] == ["alpha", "gamma"]
+        assert list(out.failures) == ["beta"]
+        doc = json.load(open(out_dir / "aggregate.json"))
+        assert doc["failures"]["beta"]["error"] in (
+            "FileExistsError", "NotADirectoryError")
+        assert (out_dir / "beta").read_text() == "not a directory"
+
+
+def batch_bytes(monkeypatch, cpus, configs, out_dir) -> dict:
+    """Every file a batch writes into out_dir with this many usable CPUs,
+    by relative path; out_dir is emptied first, so that every model trains
+    and every run writes the same out_dir into its reports."""
+    monkeypatch.setattr(forkrun, "_usable_cpus", lambda: cpus)
+    shutil.rmtree(out_dir, ignore_errors=True)
+    run_batch(configs, str(out_dir))
+    return {os.path.relpath(os.path.join(root, name), out_dir):
+            open(os.path.join(root, name), "rb").read()
+            for root, _, names in os.walk(out_dir) for name in names}
 
 
 class TestPhonesthemes:
