@@ -9,7 +9,10 @@ isolation, then corrects significance across languages and aggregates.
 
 Both commands that train models state them as a fit plan, a list of
 FitUnits that fit_units trains or reuses and scores: estimate one unit per
-kind, phonesthemes forward and reversed uncond + meaning pairs.
+kind, phonesthemes forward and reversed uncond + meaning pairs. The units
+share only the lexicon, the folds and the PCA, so with several usable CPUs
+a plan's fits run in this process and forked workers, like a batch's
+languages, with the same outputs and log lines as on one CPU.
 """
 
 from __future__ import annotations
@@ -293,6 +296,19 @@ def _fingerprint(lex: Lexicon, train_idx, val_idx, cfg: LMConfig,
     return digest.hexdigest()
 
 
+def _projection(lex: Lexicon, train_idx, cfg: LMConfig, projections: dict):
+    """(pca, v_all) for cfg's pca_d, fitted into projections on first use
+    from the training rows of the lexicon's own meaning vectors, without
+    stacking them first; (None, None) when cfg ignores meaning."""
+    if not cfg.uses_meaning:
+        return None, None
+    if cfg.pca_d not in projections:
+        meanings = [s.meaning for s in lex.signs]
+        pca = pca_fit([meanings[i] for i in train_idx], cfg.pca_d)
+        projections[cfg.pca_d] = pca, pca_transform(pca, meanings)
+    return projections[cfg.pca_d]
+
+
 def fit_model(lex: Lexicon, folds, rotation: int, kind: str, lm: dict,
               opt: OptSettings, seed: int, path: str | None = None,
               projections: dict | None = None):
@@ -303,25 +319,17 @@ def fit_model(lex: Lexicon, folds, rotation: int, kind: str, lm: dict,
     path is given, archived with the fingerprint. Returns
     (cfg, params, pca, v_all, val_bits): v_all is the projected meaning of
     every sign (None when the kind ignores meaning), so callers score
-    whichever signs they need. The PCA is fit on the training rows only,
-    from the lexicon's own meaning vectors, without stacking them first.
+    whichever signs they need. The PCA is fit on the training rows only.
 
     projections maps pca_d to a (pca, v_all) pair and is filled on first
-    use: fit_units passes one dict to every fit of a plan, which share the
-    meaning vectors (in order), the folds and the rotation, so that each
-    pca_d is fitted once.
+    use (see _projection): fit_units fills one dict for every fit of a
+    plan, which share the meaning vectors (in order), the folds and the
+    rotation, so that each pca_d is fitted once.
     """
     cfg = make_lm_config(kind, lm)
     train_idx, val_idx, _ = folds.roles(rotation)
-    pca = v_all = None
-    if cfg.uses_meaning:
-        if projections is None:
-            projections = {}
-        if cfg.pca_d not in projections:
-            meanings = [s.meaning for s in lex.signs]
-            pca = pca_fit([meanings[i] for i in train_idx], cfg.pca_d)
-            projections[cfg.pca_d] = pca, pca_transform(pca, meanings)
-        pca, v_all = projections[cfg.pca_d]
+    pca, v_all = _projection(lex, train_idx, cfg,
+                             {} if projections is None else projections)
     # Only an archived fit needs a fingerprint; search trials have no path.
     fingerprint = None if path is None else _fingerprint(
         lex, train_idx, val_idx, cfg, opt, seed, v_all)
@@ -341,6 +349,13 @@ def fit_model(lex: Lexicon, folds, rotation: int, kind: str, lm: dict,
                           "fingerprint": fingerprint,
                           "val_bits": result.best_val})
     return cfg, result.params, pca, v_all, result.best_val
+
+
+def _fit_cost(lm: dict) -> int:
+    """The cost by which run_indexed shares fits out: an LSTM step's
+    multiply-adds grow as layers x hidden_size^2."""
+    cfg = LMConfig(**lm)
+    return cfg.layers * cfg.hidden_size ** 2
 
 
 def _search_space(kind: str, meaning_dim: int, n_train: int) -> SearchSpace:
@@ -368,13 +383,9 @@ def search_lm(lex: Lexicon, folds, rotation: int, kind: str,
         lm.update(native)
         return fit_model(lex, folds, rotation, kind, lm, opt, seed)[4]
 
-    def cost(native: dict) -> int:
-        # An LSTM step's multiply-adds grow as layers x hidden_size^2.
-        return native["layers"] * native["hidden_size"] ** 2
-
     result = run_search(objective, space, budget=config.hyperopt_budget,
                         seed=seed_for(config.seed, "hyperopt", kind),
-                        cost=cost)
+                        cost=_fit_cost)
     best = dict(config.lm)
     best.update(result.best.native)
     return best, result.trials
@@ -396,33 +407,43 @@ def fit_units(lex: Lexicon, folds, rotation: int, opt: OptSettings, units,
     """Fit or reuse every unit, then score lex.signs[score_idx] (every sign
     when None); returns the units' LossTables in plan order.
 
-    The units share one PCA per pca_d, and reversed units one reversed
-    lexicon, which keeps every sign's meaning in order. Every pca_d is
-    checked before the first fit makes an archive directory.
+    This process does the work the units share: it checks every pca_d
+    before any archive directory is made, makes those directories, builds
+    the reversed lexicon (which keeps every sign's meaning in order) and
+    fits one PCA per pca_d. Each unit is then one task of
+    forkrun.run_indexed, shared out by _fit_cost, so with several usable
+    CPUs the fits run in this process and forked workers; the runner
+    handles each fit's logged decision here, in plan order, so the log and
+    every output are the same with any number of CPUs.
     """
-    n_train = len(folds.roles(rotation)[0])
-    for unit in units:
-        cfg = make_lm_config(unit.kind, unit.lm)
+    train_idx = folds.roles(rotation)[0]
+    n_train = len(train_idx)
+    cfgs = [make_lm_config(unit.kind, unit.lm) for unit in units]
+    for cfg in cfgs:
         if cfg.uses_meaning and cfg.pca_d > min(lex.meaning_dim, n_train):
             raise ValueError(
                 f"lm pca_d must be at most the meaning dimension "
                 f"({lex.meaning_dim}) and the training rows ({n_train}), "
                 f"got {cfg.pca_d}")
-    rev = reverse_forms(lex) if any(u.reverse for u in units) else None
-    idx = np.arange(len(lex.signs)) if score_idx is None else score_idx
-    projections = {}
-    tables = []
     for unit in units:
         if unit.path is not None:
             os.makedirs(os.path.dirname(unit.path), exist_ok=True)
+    rev = reverse_forms(lex) if any(u.reverse for u in units) else None
+    idx = np.arange(len(lex.signs)) if score_idx is None else score_idx
+    projections = {}
+    for cfg in cfgs:
+        _projection(lex, train_idx, cfg, projections)
+
+    def fit_and_score(unit: FitUnit):
         forms = rev if unit.reverse else lex
         cfg, params, _, v_all, _ = fit_model(
             forms, folds, rotation, unit.kind, unit.lm, opt, unit.seed,
             unit.path, projections)
-        tables.append(evaluate(
-            params, cfg, [forms.signs[i] for i in idx], forms.inventory,
-            v=None if v_all is None else v_all[idx]))
-    return tables
+        return evaluate(params, cfg, [forms.signs[i] for i in idx],
+                        forms.inventory,
+                        v=None if v_all is None else v_all[idx])
+
+    return run_indexed(fit_and_score, units, lambda u: _fit_cost(u.lm))
 
 
 def _prepare(config: RunConfig, lex: Lexicon | None):

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .forkrun import run_indexed
 from .hyperopt import (
     Dimension,
     GPPosterior,
@@ -230,13 +231,15 @@ def c03_mi_recovery(hooks) -> tuple[bool, str]:
     part_a = gap <= 0.05
 
     null_spec = _single_cluster_null_spec()
-    hits = 0
-    for seed in range(20):
+
+    def null_estimate(seed: int) -> tuple:
         nlex, _ = generate(null_spec, 4000, seed=1000 + seed)
-        nout = _fast_estimate(nlex, seed=seed, folds=4, permutations=2000,
-                              lm=dict(FAST_LM, dropout=0.2))
-        if abs(nout.report.mi) <= 0.03 and nout.report.p_value > 0.05:
-            hits += 1
+        report = _fast_estimate(nlex, seed=seed, folds=4, permutations=2000,
+                                lm=dict(FAST_LM, dropout=0.2)).report
+        return report.mi, report.p_value
+
+    hits = sum(abs(mi) <= 0.03 and p_value > 0.05
+               for mi, p_value in run_indexed(null_estimate, range(20)))
     part_b = hits >= 18
     return part_a and part_b, (
         f"two-cluster |est-exact|={gap:.4f} (tol 0.05); "
@@ -245,20 +248,25 @@ def c03_mi_recovery(hooks) -> tuple[bool, str]:
 
 def c04_conditioning_direction(hooks) -> tuple[bool, str]:
     """Conditioning lowers mean test entropy wherever true MI is material."""
+    specs = {name: maker() for name, maker in (
+        ("two_cluster", two_cluster_spec),
+        ("planted_prefix", planted_prefix_spec))}
+    runs = [(name, seed) for name, spec in specs.items()
+            if exact_mi(spec) > 0.05 for seed in range(3)]
+
+    def entropies(run: tuple) -> tuple:
+        name, seed = run
+        lex, _ = generate(specs[name], 1500, seed=300 + seed)
+        report = _fast_estimate(lex, seed=seed, folds=5).report
+        return report.h_w.bits_per_phone, report.h_w_given_v.bits_per_phone
+
+    by_spec = {}
+    for (name, _), bits in zip(runs, run_indexed(entropies, runs)):
+        by_spec.setdefault(name, []).append(bits)
     details = []
     ok = True
-    for name, maker in (("two_cluster", two_cluster_spec),
-                        ("planted_prefix", planted_prefix_spec)):
-        spec = maker()
-        true_mi = exact_mi(spec)
-        if true_mi <= 0.05:
-            continue
-        h_u, h_c = [], []
-        for seed in range(3):
-            lex, _ = generate(spec, 1500, seed=300 + seed)
-            out = _fast_estimate(lex, seed=seed, folds=5)
-            h_u.append(out.report.h_w.bits_per_phone)
-            h_c.append(out.report.h_w_given_v.bits_per_phone)
+    for name, bits in by_spec.items():
+        h_u, h_c = zip(*bits)
         drop = float(np.mean(h_u) - np.mean(h_c))
         ok = ok and drop >= 0.0
         details.append(f"{name}: mean drop {drop:+.3f} bits")

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from oracle_utils import traced_peak
 
-from signform import checks, forkrun, pipeline
+from signform import checks, cli, forkrun, pipeline
 from signform.errors import ArchiveFormatError
 from signform.lexicon import load_embeddings, split_folds
 from signform.phonolm import DTYPE, LMConfig, OptSettings, evaluate, load_model
@@ -425,6 +425,9 @@ class TestCallCounts:
     def test_estimate_trains_once_per_kind(self, two_cluster_files,
                                            tmp_path, monkeypatch):
         _, files = two_cluster_files
+        # A forked worker's calls are counted in its own copy of the list,
+        # so the fit plan must run in this process.
+        monkeypatch.setattr(forkrun, "_usable_cpus", lambda: 1)
         calls = counting(monkeypatch, "train_on_indices")
         run_estimate(fast_config(str(tmp_path), files,
                                  model_kinds=MODEL_KINDS,
@@ -434,6 +437,7 @@ class TestCallCounts:
     def test_phonesthemes_trains_four_models(self, planted_files, tmp_path,
                                              monkeypatch):
         _, files = planted_files
+        monkeypatch.setattr(forkrun, "_usable_cpus", lambda: 1)
         calls = counting(monkeypatch, "train_on_indices")
         run_phonesthemes(fast_config(
             str(tmp_path), files, opt=dict(FAST_OPT, max_epochs=1),
@@ -838,16 +842,119 @@ class TestBatch:
         assert (out_dir / "beta").read_text() == "not a directory"
 
 
-def batch_bytes(monkeypatch, cpus, configs, out_dir) -> dict:
-    """Every file a batch writes into out_dir with this many usable CPUs,
-    by relative path; out_dir is emptied first, so that every model trains
+def run_bytes(monkeypatch, cpus, run, out_dir) -> dict:
+    """Every file run() writes into out_dir with this many usable CPUs, by
+    relative path; out_dir is emptied first, so that every model trains
     and every run writes the same out_dir into its reports."""
     monkeypatch.setattr(forkrun, "_usable_cpus", lambda: cpus)
     shutil.rmtree(out_dir, ignore_errors=True)
-    run_batch(configs, str(out_dir))
+    run()
     return {os.path.relpath(os.path.join(root, name), out_dir):
             open(os.path.join(root, name), "rb").read()
             for root, _, names in os.walk(out_dir) for name in names}
+
+
+def batch_bytes(monkeypatch, cpus, configs, out_dir) -> dict:
+    return run_bytes(monkeypatch, cpus,
+                     lambda: run_batch(configs, str(out_dir)), out_dir)
+
+
+def counted_forks(monkeypatch) -> list:
+    """The pid of the process that starts each forked worker from now on."""
+    starts = []
+    real_start = ForkProcess.start
+
+    def logged_start(proc):
+        starts.append(os.getpid())
+        real_start(proc)
+
+    monkeypatch.setattr(ForkProcess, "start", logged_start)
+    return starts
+
+
+class TestFitPlanSameBytes:
+    """A fit plan's outputs, archives and logged decisions are the same
+    with one usable CPU and with two, where its fits run in this process
+    and a forked worker."""
+
+    @pytest.mark.parametrize("kinds", [("uncond", "meaning"), MODEL_KINDS])
+    def test_estimate_same_bytes_and_log(self, two_cluster_files, tmp_path,
+                                         monkeypatch, caplog, kinds):
+        _, files = two_cluster_files
+        cfg = fast_config(str(tmp_path), files, model_kinds=kinds,
+                          opt=dict(FAST_OPT, max_epochs=2))
+        caplog.set_level(logging.INFO, logger="signform.pipeline")
+        starts = counted_forks(monkeypatch)
+        runs, logs, forks = [], [], []
+        for cpus in (1, 2):
+            caplog.clear()
+            runs.append(run_bytes(monkeypatch, cpus,
+                                  lambda: run_estimate(cfg), cfg.out_dir))
+            logs.append([r.getMessage() for r in caplog.records])
+            forks.append(len(starts))
+        assert runs[0] == runs[1]
+        assert logs[0] == logs[1] == [f"trained {kind}: no archive"
+                                      for kind in kinds]
+        # Only the two-CPU run forks, once, from this process.
+        assert forks == [0, 1]
+        assert starts == [os.getpid()]
+        assert f"models/{kinds[-1]}.archive" in runs[0]
+
+    def test_searched_estimate_same_bytes(self, two_cluster_files, tmp_path,
+                                          monkeypatch):
+        _, files = two_cluster_files
+        cfg = fast_config(str(tmp_path), files, hyperopt_budget=3,
+                          opt=dict(FAST_OPT, max_epochs=1))
+        runs = [run_bytes(monkeypatch, cpus, lambda: run_estimate(cfg),
+                          cfg.out_dir) for cpus in (1, 2)]
+        assert runs[0] == runs[1]
+        assert runs[0]["search.jsonl"].count(b"\n") == 6
+
+    def test_phonesthemes_same_bytes(self, planted_files, tmp_path,
+                                     monkeypatch):
+        _, files = planted_files
+        cfg = fast_config(str(tmp_path), files, language="planted",
+                          opt=dict(FAST_OPT, max_epochs=2),
+                          phonesthemes={"k_range": [1], "min_count": 15,
+                                        "n_samples": 500})
+        runs = [run_bytes(monkeypatch, cpus, lambda: run_phonesthemes(cfg),
+                          cfg.out_dir) for cpus in (1, 2)]
+        assert runs[0] == runs[1]
+        assert sorted(name for name in runs[0]
+                      if name.startswith("models/")) == [
+            "models/meaning_fwd.archive", "models/meaning_rev.archive",
+            "models/uncond_fwd.archive", "models/uncond_rev.archive"]
+
+    def test_failing_second_unit_same_error_json(self, two_cluster_files,
+                                                 tmp_path, monkeypatch,
+                                                 caplog):
+        # The meaning archive is unreadable; with two CPUs its unit runs in
+        # the worker while this process trains the uncond model, whose
+        # decision is still logged, as by the serial loop.
+        _, files = two_cluster_files
+        caplog.set_level(logging.INFO, logger="signform.pipeline")
+        cfg = fast_config(str(tmp_path), files,
+                          opt=dict(FAST_OPT, max_epochs=1))
+        doc = tmp_path / "estimate.json"
+        doc.write_text(json.dumps(cfg.to_dict()))
+
+        def run():
+            os.makedirs(os.path.join(cfg.out_dir, "models"))
+            with open(os.path.join(cfg.out_dir, "models", "meaning.archive"),
+                      "wb") as fh:
+                fh.write(b"PK\x03\x04 truncated")
+            assert cli.main(["--config", str(doc), "estimate"]) == 1
+
+        runs, logs = [], []
+        for cpus in (1, 2):
+            caplog.clear()
+            runs.append(run_bytes(monkeypatch, cpus, run, cfg.out_dir))
+            logs.append([r.getMessage() for r in caplog.records
+                         if r.name == "signform.pipeline"])
+        assert runs[0] == runs[1]
+        assert json.loads(runs[0]["error.json"])["error"] == \
+            "ArchiveFormatError"
+        assert logs[0] == logs[1] == ["trained uncond: no archive"]
 
 
 class TestPhonesthemes:
@@ -939,3 +1046,31 @@ class TestPhonesthemes:
             for kind in ("uncond", "meaning") * 2]
         assert not any(r.getMessage().startswith("reused")
                        for r in caplog.records)
+
+
+class TestFitPlanOnOneAndTwoCPUs:
+    """The fit-plan tests that pin log lines and archive reuse, with one and
+    with two usable CPUs forced: an unpinned BLAS pool keeps run_indexed
+    serial, whatever this machine has."""
+
+    @pytest.fixture(autouse=True, params=[1, 2])
+    def cpus(self, request):
+        # Not the monkeypatch fixture: two of these tests undo its patches.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(forkrun, "_usable_cpus", lambda: request.param)
+            yield
+
+    test_identical_config_identical_bytes = \
+        TestEstimate.test_identical_config_identical_bytes
+    test_archives_reused_until_config_changes = \
+        TestEstimate.test_archives_reused_until_config_changes
+    test_archives_from_retired_config_keys_retrain_once = \
+        TestEstimate.test_archives_from_retired_config_keys_retrain_once
+    test_float64_archives_retrain_once = \
+        TestEstimate.test_float64_archives_retrain_once
+    _config = TestPhonesthemes._config
+    _rerun_matches_fresh = TestPhonesthemes._rerun_matches_fresh
+    test_estimate_and_phonesthemes_keep_own_archives = \
+        TestPhonesthemes.test_estimate_and_phonesthemes_keep_own_archives
+    test_other_lexicon_archives_retrained = \
+        TestPhonesthemes.test_other_lexicon_archives_retrained
