@@ -43,7 +43,8 @@ def _seed(args):
     try:
         return int(raw) if raw else None
     except ValueError:
-        raise SystemExit(f"SIGNFORM_SEED must be an integer, got {raw!r}")
+        raise ValueError(
+            f"SIGNFORM_SEED must be an integer, got {raw!r}") from None
 
 
 def _config_path(args, what: str) -> str:
@@ -137,10 +138,9 @@ def cmd_batch(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    seed = _seed(args) or 0
-    out_dir = args.out or "."
     try:
-        files = run_synth(args.spec, args.n_words, seed, out_dir)
+        files = run_synth(args.spec, args.n_words, _seed(args) or 0,
+                          args.out or ".")
     except Exception as exc:
         return _fail(exc, "synth", args.out)
     for name, path in sorted(files.items()):

@@ -6,11 +6,12 @@ length-scales, noise term) and the expected-improvement acquisition rule.
 Integer dimensions are relaxed to the unit interval and rounded only when a
 proposal is turned back into native units.
 
-Only the GP step needs scipy (L-BFGS-B and the normal CDF), so `gp_fit`,
-`expected_improvement` and `propose_next` import it when they run: the
-first N_INIT proposals, which come from a Latin hypercube, and importing
-this module need numpy alone. Those N_INIT trials are independent, so
-they go to `forkrun.run_indexed` together.
+A search evaluates up to N_INIT seeded Latin-hypercube points, which are
+independent and so go to `forkrun.run_indexed` together, then one GP step
+(`propose_next`) at a time. Only that step needs scipy (L-BFGS-B and the
+normal CDF), so `gp_fit`, `expected_improvement` and `propose_next` import
+it when they run; the hypercube phase and this module's import need numpy
+alone.
 """
 
 from __future__ import annotations
@@ -262,34 +263,31 @@ def expected_improvement(posterior: GPPosterior, best_so_far: float,
     return out
 
 
-def _lhs_point(space: SearchSpace, seed: int, index: int) -> np.ndarray:
-    """Row `index` of a seed-determined Latin hypercube with N_INIT rows."""
+def _latin_hypercube(space: SearchSpace, seed: int) -> np.ndarray:
+    """The seed-determined Latin hypercube of N_INIT rows in the unit cube."""
     rng = derive_rng(seed, "hyperopt", "lhs")
     strata = np.column_stack([rng.permutation(N_INIT)
                               for _ in range(space.d)])
     offsets = rng.random((N_INIT, space.d))
-    cube = (strata + offsets) / N_INIT
-    return cube[index % N_INIT]
+    return (strata + offsets) / N_INIT
 
 
 def propose_next(trials, space: SearchSpace, seed: int = 0) -> dict:
-    """Next configuration to evaluate, in native units.
+    """The GP step: the next configuration to evaluate, in native units.
 
-    The first N_INIT proposals fill the cube from a seeded Latin hypercube;
-    later ones maximize expected improvement over N_CANDIDATES fresh random
-    points with local gradient refinement from the best candidate. Integer
+    Maximizes expected improvement over N_CANDIDATES fresh random points
+    with local gradient refinement from the best candidate. Integer
     dimensions round at the very end. Deterministic in (trials, seed).
+    Raises ValueError when no trial is ok.
     """
-    t = len(trials)
     ok = [tr for tr in trials if tr.status == "ok"]
-    if t < N_INIT or not ok:
-        return space.from_unit(_lhs_point(space, seed, t))
-
+    if not ok:
+        raise ValueError("propose_next needs an ok trial")
     from scipy.optimize import minimize
 
     posterior = gp_fit(trials, seed=seed)
     incumbent = min(tr.objective for tr in ok)
-    rng = derive_rng(seed, "hyperopt", "grid", t)
+    rng = derive_rng(seed, "hyperopt", "grid", len(trials))
     grid = rng.random((N_CANDIDATES, space.d))
     ei = expected_improvement(posterior, incumbent, grid)
     start = grid[int(np.argmax(ei))]
@@ -344,30 +342,22 @@ def run_search(evaluate, space: SearchSpace, budget: int, seed: int = 0,
     costs when None).
     evaluate must therefore be a pure function of its point: a worker's side
     effects never reach this process. The trials, and so the result, are the
-    same with any number of CPUs. The GP steps that follow run here, one at
-    a time.
+    same with any number of CPUs. If none of them is ok, the search raises
+    AllTrialsDivergedError; otherwise the GP steps run here, one at a time.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    points = [space.from_unit(_lhs_point(space, seed, t))
-              for t in range(min(budget, N_INIT))]
+    points = [space.from_unit(u)
+              for u in _latin_hypercube(space, seed)[:min(budget, N_INIT)]]
     outcomes = run_indexed(partial(_outcome, evaluate), points, cost)
     trials: list[Trial] = []
     for native, value in zip(points, outcomes):
         _record(trials, space, native, value)
+    if not any(tr.status == "ok" for tr in trials):
+        raise AllTrialsDivergedError(f"all {budget} trials diverged")
     while len(trials) < budget:
-        if any(tr.status == "ok" for tr in trials):
-            native = propose_next(trials, space, seed)
-            value = _outcome(evaluate, native)
-        else:
-            # Every Latin-hypercube point diverged, so propose_next would
-            # return point t % N_INIT again: reuse its outcome, not a refit.
-            t = len(trials) % N_INIT
-            native, value = points[t], outcomes[t]
-        _record(trials, space, native, value)
-    ok = [tr for tr in trials if tr.status == "ok"]
-    if not ok:
-        raise AllTrialsDivergedError(
-            f"all {len(trials)} trials diverged")
-    best = min(ok, key=lambda tr: tr.objective)
+        native = propose_next(trials, space, seed)
+        _record(trials, space, native, _outcome(evaluate, native))
+    best = min((tr for tr in trials if tr.status == "ok"),
+               key=lambda tr: tr.objective)
     return SearchResult(best=best, trials=trials)

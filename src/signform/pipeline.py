@@ -309,53 +309,71 @@ def _projection(lex: Lexicon, train_idx, cfg: LMConfig, projections: dict):
     return projections[cfg.pca_d]
 
 
-def fit_model(lex: Lexicon, folds, rotation: int, kind: str, lm: dict,
-              opt: OptSettings, seed: int, path: str | None = None,
-              projections: dict | None = None):
-    """Train one model kind on a rotation's folds, or reuse its archive.
+@dataclass(frozen=True)
+class FitUnit:
+    """One model of a fit plan, its LMConfig resolved by make_lm_config;
+    path None means it is not archived."""
 
-    The archive at path is reused only when its fingerprint matches the
+    kind: str
+    cfg: LMConfig
+    seed: int
+    path: str | None
+    reverse: bool = False
+
+
+def fit_model(lex: Lexicon, folds, rotation: int, unit: FitUnit,
+              opt: OptSettings, projections: dict | None = None):
+    """Train one unit on a rotation's folds of lex, or reuse its archive.
+
+    The archive at unit.path is reused only when its fingerprint matches the
     inputs of this fit; otherwise the model is trained once and, when a
     path is given, archived with the fingerprint. Returns
-    (cfg, params, pca, v_all, val_bits): v_all is the projected meaning of
-    every sign (None when the kind ignores meaning), so callers score
-    whichever signs they need. The PCA is fit on the training rows only.
+    (params, v_all, val_bits): v_all is the projected meaning of every sign
+    (None when the unit ignores meaning), so callers score whichever signs
+    they need. The PCA is fit on the training rows only. A reversed unit
+    is fitted on the reversed lexicon its caller passes as lex.
 
     projections maps pca_d to a (pca, v_all) pair and is filled on first
     use (see _projection): fit_units fills one dict for every fit of a
     plan, which share the meaning vectors (in order), the folds and the
     rotation, so that each pca_d is fitted once.
     """
-    cfg = make_lm_config(kind, lm)
     train_idx, val_idx, _ = folds.roles(rotation)
-    pca, v_all = _projection(lex, train_idx, cfg,
+    pca, v_all = _projection(lex, train_idx, unit.cfg,
                              {} if projections is None else projections)
     # Only an archived fit needs a fingerprint; search trials have no path.
-    fingerprint = None if path is None else _fingerprint(
-        lex, train_idx, val_idx, cfg, opt, seed, v_all)
+    fingerprint = None if unit.path is None else _fingerprint(
+        lex, train_idx, val_idx, unit.cfg, opt, unit.seed, v_all)
     reason = "no archive"
-    if path is not None and os.path.exists(path):
-        archive = load_model(path)
+    if unit.path is not None and os.path.exists(unit.path):
+        archive = load_model(unit.path)
         if archive.extra.get("fingerprint") == fingerprint:
-            logger.info("reused %s", path)
-            return cfg, archive.params, pca, v_all, archive.extra["val_bits"]
+            logger.info("reused %s", unit.path)
+            return archive.params, v_all, archive.extra["val_bits"]
         reason = "fingerprint differs"
-    logger.info("trained %s: %s", kind, reason)
-    result = train_on_indices(lex, train_idx, val_idx, cfg, opt, seed,
-                              v=v_all)
-    if path is not None:
-        save_model(path, cfg, lex.inventory, result.params, pca=pca,
-                   extra={"kind": kind, "language": lex.language,
+    logger.info("trained %s: %s", unit.kind, reason)
+    result = train_on_indices(lex, train_idx, val_idx, unit.cfg, opt,
+                              unit.seed, v=v_all)
+    if unit.path is not None:
+        save_model(unit.path, unit.cfg, lex.inventory, result.params, pca=pca,
+                   extra={"kind": unit.kind, "language": lex.language,
                           "fingerprint": fingerprint,
                           "val_bits": result.best_val})
-    return cfg, result.params, pca, v_all, result.best_val
+    return result.params, v_all, result.best_val
 
 
-def _fit_cost(lm: dict) -> int:
+def _fit_cost(unit: FitUnit) -> int:
     """The cost by which run_indexed shares fits out: an LSTM step's
     multiply-adds grow as layers x hidden_size^2."""
-    cfg = LMConfig(**lm)
-    return cfg.layers * cfg.hidden_size ** 2
+    return unit.cfg.layers * unit.cfg.hidden_size ** 2
+
+
+def _check_pca_d(cfg: LMConfig, lex: Lexicon, n_train: int) -> None:
+    if cfg.uses_meaning and cfg.pca_d > min(lex.meaning_dim, n_train):
+        raise ValueError(
+            f"lm pca_d must be at most the meaning dimension "
+            f"({lex.meaning_dim}) and the training rows ({n_train}), "
+            f"got {cfg.pca_d}")
 
 
 def _search_space(kind: str, meaning_dim: int, n_train: int) -> SearchSpace:
@@ -378,28 +396,17 @@ def search_lm(lex: Lexicon, folds, rotation: int, kind: str,
     opt = OptSettings(**config.opt)
     seed = seed_for(config.seed, "search", kind)
 
-    def objective(native: dict) -> float:
-        lm = dict(config.lm)
-        lm.update(native)
-        return fit_model(lex, folds, rotation, kind, lm, opt, seed)[4]
+    def trial_unit(native: dict) -> FitUnit:
+        return FitUnit(kind, make_lm_config(kind, {**config.lm, **native}),
+                       seed, None)
 
-    result = run_search(objective, space, budget=config.hyperopt_budget,
-                        seed=seed_for(config.seed, "hyperopt", kind),
-                        cost=_fit_cost)
-    best = dict(config.lm)
-    best.update(result.best.native)
-    return best, result.trials
-
-
-@dataclass(frozen=True)
-class FitUnit:
-    """One model of a fit plan; path None means it is not archived."""
-
-    kind: str
-    lm: dict
-    seed: int
-    path: str | None
-    reverse: bool = False
+    result = run_search(
+        lambda native: fit_model(lex, folds, rotation, trial_unit(native),
+                                 opt)[2],
+        space, budget=config.hyperopt_budget,
+        seed=seed_for(config.seed, "hyperopt", kind),
+        cost=lambda native: _fit_cost(trial_unit(native)))
+    return {**config.lm, **result.best.native}, result.trials
 
 
 def fit_units(lex: Lexicon, folds, rotation: int, opt: OptSettings, units,
@@ -407,43 +414,35 @@ def fit_units(lex: Lexicon, folds, rotation: int, opt: OptSettings, units,
     """Fit or reuse every unit, then score lex.signs[score_idx] (every sign
     when None); returns the units' LossTables in plan order.
 
-    This process does the work the units share: it checks every pca_d
-    before any archive directory is made, makes those directories, builds
-    the reversed lexicon (which keeps every sign's meaning in order) and
-    fits one PCA per pca_d. Each unit is then one task of
+    This process does the work the units share: it checks every pca_d and
+    fits one PCA per pca_d before any archive directory is made, makes
+    those directories and builds the reversed lexicon (which keeps every
+    sign's meaning in order). Each unit is then one task of
     forkrun.run_indexed, shared out by _fit_cost, so with several usable
     CPUs the fits run in this process and forked workers; the runner
     handles each fit's logged decision here, in plan order, so the log and
     every output are the same with any number of CPUs.
     """
     train_idx = folds.roles(rotation)[0]
-    n_train = len(train_idx)
-    cfgs = [make_lm_config(unit.kind, unit.lm) for unit in units]
-    for cfg in cfgs:
-        if cfg.uses_meaning and cfg.pca_d > min(lex.meaning_dim, n_train):
-            raise ValueError(
-                f"lm pca_d must be at most the meaning dimension "
-                f"({lex.meaning_dim}) and the training rows ({n_train}), "
-                f"got {cfg.pca_d}")
+    projections = {}
+    for unit in units:
+        _check_pca_d(unit.cfg, lex, len(train_idx))
+        _projection(lex, train_idx, unit.cfg, projections)
     for unit in units:
         if unit.path is not None:
             os.makedirs(os.path.dirname(unit.path), exist_ok=True)
     rev = reverse_forms(lex) if any(u.reverse for u in units) else None
     idx = np.arange(len(lex.signs)) if score_idx is None else score_idx
-    projections = {}
-    for cfg in cfgs:
-        _projection(lex, train_idx, cfg, projections)
 
     def fit_and_score(unit: FitUnit):
         forms = rev if unit.reverse else lex
-        cfg, params, _, v_all, _ = fit_model(
-            forms, folds, rotation, unit.kind, unit.lm, opt, unit.seed,
-            unit.path, projections)
-        return evaluate(params, cfg, [forms.signs[i] for i in idx],
+        params, v_all, _ = fit_model(forms, folds, rotation, unit, opt,
+                                     projections)
+        return evaluate(params, unit.cfg, [forms.signs[i] for i in idx],
                         forms.inventory,
                         v=None if v_all is None else v_all[idx])
 
-    return run_indexed(fit_and_score, units, lambda u: _fit_cost(u.lm))
+    return run_indexed(fit_and_score, units, _fit_cost)
 
 
 def _prepare(config: RunConfig, lex: Lexicon | None):
@@ -465,9 +464,15 @@ def _search_kinds(lex: Lexicon, folds, config: RunConfig,
                   log_path: str | None) -> dict:
     """Search every configured kind; returns kind -> best lm dict.
 
-    With log_path, every trial is written there as one JSON line tagged
-    with its model kind.
+    A kind whose search leaves pca_d as configured has it checked before
+    the first trial. With log_path, every trial is written there as one
+    JSON line tagged with its model kind.
     """
+    n_train = len(folds.roles(config.rotation)[0])
+    for kind in config.model_kinds:
+        space = _search_space(kind, lex.meaning_dim, n_train)
+        if "pca_d" not in {dim.name for dim in space.dimensions}:
+            _check_pca_d(make_lm_config(kind, config.lm), lex, n_train)
     best_by_kind = {}
     trials_by_kind = {}
     for kind in config.model_kinds:
@@ -499,7 +504,8 @@ def run_estimate(config: RunConfig, lex: Lexicon | None = None,
             os.makedirs(config.out_dir, exist_ok=True)
             files["search_log"] = os.path.join(config.out_dir, "search.jsonl")
         lms = _search_kinds(lex, folds, config, files.get("search_log"))
-    units = [FitUnit(kind, lms[kind], seed_for(config.seed, "train", kind),
+    units = [FitUnit(kind, make_lm_config(kind, lms[kind]),
+                     seed_for(config.seed, "train", kind),
                      os.path.join(models_dir, f"{kind}.archive")
                      if write else None)
              for kind in config.model_kinds]
@@ -724,7 +730,7 @@ def run_phonesthemes(config: RunConfig, lex: Lexicon | None = None):
     lex, folds, opt = _prepare(config, lex)
     models_dir = os.path.join(config.out_dir, "models")
     fwd_u, fwd_m, rev_u, rev_m = fit_units(lex, folds, config.rotation, opt, [
-        FitUnit(kind, config.lm,
+        FitUnit(kind, make_lm_config(kind, config.lm),
                 seed_for(seed_for(config.seed, tag), "train", kind),
                 os.path.join(models_dir, f"{kind}_{tag}.archive"),
                 reverse=tag == "rev")

@@ -47,9 +47,11 @@ from .phonolm import (
 )
 from .phonolm.model import _pad
 from .pipeline import (
+    FitUnit,
     RunConfig,
     fit_model,
     load_batch,
+    make_lm_config,
     run_batch,
     run_estimate,
     seed_for,
@@ -190,10 +192,10 @@ def c02_variational_bound(hooks) -> tuple[bool, str]:
         lex, _ = generate(spec, 600, seed=200 + seed)
         fresh, _ = generate(spec, 3000, seed=900 + seed)
         folds = split_folds(lex, 4, seed)
-        cfg, params, *_ = fit_model(lex, folds, 0, "uncond", FAST_LM,
-                                    OptSettings(**FAST_OPT),
-                                    seed_for(seed, "train", "uncond"))
-        losses = evaluate(params, cfg, fresh.signs, fresh.inventory)
+        unit = FitUnit("uncond", make_lm_config("uncond", FAST_LM),
+                       seed_for(seed, "train", "uncond"), None)
+        params, *_ = fit_model(lex, folds, 0, unit, OptSettings(**FAST_OPT))
+        losses = evaluate(params, unit.cfg, fresh.signs, fresh.inventory)
         margins.append(entropy_estimate(losses).bits_per_phone - hstar)
     worst = min(margins)
     return worst >= -0.01, (f"min test margin over H* across 10 seeds: "

@@ -435,6 +435,27 @@ class TestRejectedBeforeTraining:
             "error": "SchemaError", "message": message, "stage": command}
         assert sorted(p.name for p in out.iterdir()) == ["error.json"]
 
+    @pytest.mark.parametrize("command", ["estimate", "batch", "synth"])
+    def test_bad_env_seed_rejected(self, corpus, tmp_path, capsys,
+                                   monkeypatch, command):
+        monkeypatch.setenv("SIGNFORM_SEED", "abc")
+        cfg = tmp_path / "good.json"
+        out = tmp_path / "failed"
+        doc = write_config(cfg, corpus)
+        if command == "batch":
+            cfg.write_text(json.dumps({"languages": [doc]}))
+        argv = (["synth", "--spec", "independent"] if command == "synth"
+                else [command])
+        rc = main(["--config", str(cfg), "--out", str(out), *argv])
+        assert rc == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {
+            "error": "ValueError",
+            "message": "SIGNFORM_SEED must be an integer, got 'abc'",
+            "stage": command}
+        assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+
     @pytest.mark.parametrize("command", ["estimate", "phonesthemes",
                                          "batch"])
     def test_pca_d_checked_before_any_fit(self, corpus, tmp_path, capsys,

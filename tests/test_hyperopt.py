@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from signform import forkrun
+from signform import forkrun, hyperopt
 from signform.errors import AllTrialsDivergedError, TrainingDivergedError
 from signform.hyperopt import (
     N_CANDIDATES,
@@ -216,30 +216,14 @@ class TestExpectedImprovement:
 
 
 class TestProposeNext:
-    def test_cold_start_in_bounds(self):
-        space = lm_space()
-        native = propose_next([], space, seed=4)
-        assert 1 <= native["layers"] <= 3
-        assert isinstance(native["layers"], int)
-        assert 32 <= native["hidden_size"] <= 512
-        assert 2 <= native["pca_d"] <= 300
-        assert 0.0 <= native["dropout"] <= 0.5
-
-    def test_init_proposals_are_latin_hypercube(self):
-        space = SearchSpace(dimensions=(
-            Dimension("x", "continuous", 0.0, 1.0),
-            Dimension("y", "continuous", 0.0, 1.0)))
-        trials = []
-        units = []
-        for _ in range(5):
-            native = propose_next(trials, space, seed=5)
-            u = space.to_unit(native)
-            units.append(u)
-            trials.append(Trial(native=native, unit=u, objective=1.0))
-        units = np.array(units)
-        for j in range(2):
-            assert sorted(np.floor(units[:, j] * 5).astype(int)) == \
-                [0, 1, 2, 3, 4]
+    def test_needs_an_ok_trial(self):
+        space = line_space()
+        with pytest.raises(ValueError, match="needs an ok trial"):
+            propose_next([], space, seed=4)
+        diverged = [trial_at(space, [x], 22.0, status="diverged")
+                    for x in (0.1, 0.5, 0.9)]
+        with pytest.raises(ValueError, match="needs an ok trial"):
+            propose_next(diverged, space, seed=4)
 
     def test_deterministic(self):
         space = line_space()
@@ -274,6 +258,34 @@ def quadratic(native):
 
 
 class TestRunSearch:
+    def test_cold_start_in_bounds(self):
+        native = run_search(lambda native: 1.0, lm_space(), budget=1,
+                            seed=4).trials[0].native
+        assert 1 <= native["layers"] <= 3
+        assert isinstance(native["layers"], int)
+        assert 32 <= native["hidden_size"] <= 512
+        assert 2 <= native["pca_d"] <= 300
+        assert 0.0 <= native["dropout"] <= 0.5
+
+    def test_init_proposals_are_latin_hypercube(self):
+        space = SearchSpace(dimensions=(
+            Dimension("x", "continuous", 0.0, 1.0),
+            Dimension("y", "continuous", 0.0, 1.0)))
+        result = run_search(lambda native: 1.0, space, budget=5, seed=5)
+        units = np.array([t.unit for t in result.trials])
+        for j in range(2):
+            assert sorted(np.floor(units[:, j] * 5).astype(int)) == \
+                [0, 1, 2, 3, 4]
+
+    def test_gp_steps_fill_the_budget(self, monkeypatch):
+        calls = []
+        real = hyperopt.propose_next
+        monkeypatch.setattr(hyperopt, "propose_next",
+                            lambda *a: calls.append(len(a[0])) or real(*a))
+        result = run_search(quadratic, line_space(), budget=8, seed=0)
+        assert len(result.trials) == 8
+        assert calls == [N_INIT, N_INIT + 1, N_INIT + 2]
+
     def test_budget_one(self):
         result = run_search(quadratic, line_space(), budget=1, seed=0)
         assert len(result.trials) == 1
@@ -338,8 +350,8 @@ class TestRunSearch:
             run_search(always_bad, space, budget=3, seed=5)
 
     def test_all_diverged_fits_each_point_once(self, monkeypatch):
-        # Past N_INIT, a search with no finite trial proposes its Latin-
-        # hypercube points again; their stored outcomes are reused.
+        # A search whose Latin-hypercube trials all diverge stops there,
+        # with the budget in its message, and fits each point once.
         with_cpus(monkeypatch, 1)
         calls = []
 

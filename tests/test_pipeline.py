@@ -24,6 +24,7 @@ from signform.pipeline import (
     fit_model,
     fit_units,
     load_config,
+    make_lm_config,
     resolve_lexicon,
     run_batch,
     run_estimate,
@@ -296,6 +297,10 @@ class TestSettingsTypes:
             cls(**given)
 
 
+def unit(kind, seed, path=None, lm=FAST_LM, reverse=False):
+    return FitUnit(kind, make_lm_config(kind, lm), seed, path, reverse)
+
+
 class TestFitModel:
     def test_pca_fit_on_training_rows_only(self, two_cluster_files,
                                            tmp_path):
@@ -303,8 +308,10 @@ class TestFitModel:
         lex = resolve_lexicon(fast_config(str(tmp_path), files))
         folds = split_folds(lex, 5, seed_for(3, "folds"))
         train_idx = folds.roles(1)[0]
-        _, _, pca, v_all, _ = fit_model(lex, folds, 1, "meaning", FAST_LM,
-                                        OptSettings(max_epochs=1), seed=0)
+        projections = {}
+        _, v_all, _ = fit_model(lex, folds, 1, unit("meaning", 0),
+                                OptSettings(max_epochs=1), projections)
+        pca, _ = projections[FAST_LM["pca_d"]]
         meanings = np.array([s.meaning for s in lex.signs])
         want = pca_fit(meanings[train_idx], FAST_LM["pca_d"])
         np.testing.assert_array_equal(pca.mean, want.mean)
@@ -325,8 +332,9 @@ class TestFitModel:
         lex, _ = generate(planted_prefix_spec(meaning_dim=300), 800, seed=3)
         folds = split_folds(lex, 10, seed=0)
         lm = {"hidden_size": 4, "phone_embed_size": 2, "pca_d": 8}
-        peak, _ = traced_peak(fit_model, lex, folds, 0, "meaning", lm,
-                              OptSettings(max_epochs=1), 0)
+        peak, _ = traced_peak(fit_model, lex, folds, 0,
+                              unit("meaning", 0, lm=lm),
+                              OptSettings(max_epochs=1))
         n, cap = len(lex.signs), 300
         assert peak < n * cap * 8 + 2.5 * cap * cap * 8
 
@@ -361,10 +369,10 @@ class TestFitModel:
         monkeypatch.setattr(pipeline, "_fingerprint",
                             lambda *a: calls.append(a) or real(*a))
         opt = OptSettings(max_epochs=1)
-        fit_model(lex, folds, 0, "meaning", FAST_LM, opt, seed=0)
+        fit_model(lex, folds, 0, unit("meaning", 0), opt)
         assert calls == []
         path = str(tmp_path / "meaning.archive")
-        fit_model(lex, folds, 0, "meaning", FAST_LM, opt, seed=0, path=path)
+        fit_model(lex, folds, 0, unit("meaning", 0, path), opt)
         assert len(calls) == 1
         assert load_model(path).extra["fingerprint"] == real(*calls[0])
 
@@ -377,15 +385,13 @@ class TestFitUnits:
         folds = split_folds(lex, 5, seed_for(3, "folds"))
         opt = OptSettings(max_epochs=1)
         idx = np.array([7, 2, 40])
-        units = [FitUnit("meaning", FAST_LM, 5, None, reverse=True),
-                 FitUnit("uncond", FAST_LM, 4, None)]
+        units = [unit("meaning", 5, reverse=True), unit("uncond", 4)]
         tables = fit_units(lex, folds, 0, opt, units, idx)
         rev = reverse_forms(lex)
         assert tables[0].keys == tuple(rev.signs[i].key for i in idx)
         assert tables[1].keys == tuple(lex.signs[i].key for i in idx)
-        cfg, params, _, v_all, _ = fit_model(rev, folds, 0, "meaning",
-                                             FAST_LM, opt, 5)
-        alone = evaluate(params, cfg, [rev.signs[i] for i in idx],
+        params, v_all, _ = fit_model(rev, folds, 0, units[0], opt)
+        alone = evaluate(params, units[0].cfg, [rev.signs[i] for i in idx],
                          rev.inventory, v=v_all[idx])
         np.testing.assert_array_equal(tables[0].bits, alone.bits)
         every = fit_units(lex, folds, 0, opt, units[1:])[0]
@@ -398,15 +404,38 @@ class TestFitUnits:
         folds = split_folds(lex, 5, seed_for(3, "folds"))
         calls = counting(monkeypatch, "train_on_indices")
         models = tmp_path / "models"
-        units = [FitUnit("uncond", FAST_LM, 4, str(models / "u.archive")),
-                 FitUnit("meaning", dict(FAST_LM, pca_d=9), 5,
-                         str(models / "m.archive"))]
+        units = [unit("uncond", 4, str(models / "u.archive")),
+                 unit("meaning", 5, str(models / "m.archive"),
+                      lm=dict(FAST_LM, pca_d=9))]
         with pytest.raises(ValueError, match=(
                 r"^lm pca_d must be at most the meaning dimension \(8\) and "
                 r"the training rows \(240\), got 9$")):
             fit_units(lex, folds, 0, OptSettings(max_epochs=1), units)
         assert calls == []
         assert not models.exists()
+
+    @pytest.mark.parametrize("run,budget", [
+        (run_estimate, 0), (run_estimate, 2), (run_hyperopt, 2)],
+        ids=["estimate-0", "estimate-2", "hyperopt-2"])
+    def test_pca_d_checked_before_any_search(self, tmp_path, monkeypatch,
+                                             run, budget):
+        # 2-d meanings leave the meaning search no pca_d dimension, so the
+        # configured pca_d (default 8) is checked before the first trial.
+        lex, _ = generate(planted_prefix_spec(meaning_dim=2), 200, seed=3)
+        calls = counting(monkeypatch, "train_on_indices")
+        config = RunConfig(language="flat", out_dir=str(tmp_path), folds=4,
+                           hyperopt_budget=budget)
+        with pytest.raises(ValueError, match=(
+                r"^lm pca_d must be at most the meaning dimension \(2\) and "
+                r"the training rows \(100\), got 8$")):
+            run(config, lex)
+        assert calls == []
+
+    def test_equal_units_hash_equal(self):
+        a, b = unit("meaning", 5, "m.archive"), unit("meaning", 5, "m.archive")
+        assert a == b and hash(a) == hash(b)
+        assert {a: 1}[b] == 1
+        assert len({a, b, unit("meaning", 6, "m.archive")}) == 2
 
 
 def counting(monkeypatch, name):
