@@ -168,6 +168,7 @@ def _clip(grads: dict[str, np.ndarray], flat: np.ndarray, max_norm: float):
     return norm
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def train_on_indices(lex: Lexicon, train_idx, val_idx, cfg: LMConfig,
                      opt: OptSettings, seed: int,
                      v: np.ndarray | None = None) -> TrainResult:
@@ -176,7 +177,7 @@ def train_on_indices(lex: Lexicon, train_idx, val_idx, cfg: LMConfig,
     v is an (n_signs, pca_d) matrix of compressed meaning vectors aligned
     with lex.signs, required exactly when the config conditions on meaning.
     Raises TrainingDivergedError with the offending epoch, batch, and loss
-    if the objective stops being finite.
+    if the objective stops being finite, and shows no numpy warning.
     """
     train_idx = np.asarray(train_idx, dtype=np.int64)
     val_idx = np.asarray(val_idx, dtype=np.int64)

@@ -2,12 +2,21 @@
 
 import json
 import os
+import shutil
 
 import pytest
 
 from signform.cli import build_parser, main
-from signform.pipeline import RunConfig, run_estimate, run_synth
+from signform.pipeline import (
+    RunConfig,
+    run_estimate,
+    run_synth,
+    write_embeddings,
+    write_lexicon_tsv,
+)
 from signform.reports import read_json
+from signform.synthbench import generate, planted_prefix_spec
+from signform.validate import run_python
 
 FAST_LM = {"hidden_size": 16, "phone_embed_size": 8, "pca_d": 3}
 FAST_OPT = {"max_epochs": 8, "patience": 3, "batch_size": 64}
@@ -560,6 +569,52 @@ class TestValidateCommand:
         assert rc == 1
         record = json.loads(capsys.readouterr().out.splitlines()[0])
         assert record["error"] == "ValueError"
+
+
+class TestBlasThreadCount:
+    """The command line runs BLAS on one thread whatever the environment
+    says, so its files do not depend on it. A 300-d meaning PCA's last bits
+    differ between one and two BLAS threads."""
+
+    @staticmethod
+    def estimate(cfg, out):
+        """`python -m signform ... estimate`."""
+        run_python("import runpy; runpy.run_module('signform', "
+                   "run_name='__main__')",
+                   "--config", str(cfg), "--out", str(out), "estimate")
+
+    @staticmethod
+    def files(out):
+        return {str(p.relative_to(out)): p.read_bytes()
+                for p in sorted(out.rglob("*")) if p.is_file()}
+
+    def test_same_bytes_and_archives_reused(self, set_blas_threads,
+                                            tmp_path):
+        lex, _ = generate(planted_prefix_spec(meaning_dim=300), 800, seed=21)
+        write_lexicon_tsv(str(tmp_path / "lexicon.tsv"), lex)
+        write_embeddings(str(tmp_path / "embeddings.vec"), lex)
+        cfg = tmp_path / "config.json"
+        write_config(cfg, str(tmp_path), language="planted",
+                     permutations=1000, lm={"hidden_size": 16},
+                     opt={"max_epochs": 2})
+        out = tmp_path / "out"
+        runs = []
+        for blas_threads in (None, "2", "1"):
+            shutil.rmtree(out, ignore_errors=True)
+            set_blas_threads(blas_threads)
+            self.estimate(cfg, out)
+            runs.append(self.files(out))
+        assert {"models/uncond.archive", "models/meaning.archive"} <= set(
+            runs[0])
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+        # Rerun under two threads over the one-thread output: save_model
+        # replaces an archive by rename, so a reused one keeps its inode.
+        archives = sorted((out / "models").glob("*.archive"))
+        inodes = [p.stat().st_ino for p in archives]
+        set_blas_threads("2")
+        self.estimate(cfg, out)
+        assert [p.stat().st_ino for p in archives] == inodes
+        assert self.files(out) == runs[0]
 
 
 class TestParser:

@@ -467,16 +467,23 @@ class TestForkedInitialDesign:
 
     @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
                         reason="needs sched_getaffinity")
-    def test_single_threaded_process_forks_per_cpu(self, monkeypatch):
-        # With BLAS pinned to one thread nothing else runs, so every
-        # usable CPU takes a share.
-        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                     "MKL_NUM_THREADS"):
-            monkeypatch.setenv(name, "1")
+    @pytest.mark.parametrize("blas_threads", [None, "2"], ids=["unset", "2"])
+    def test_single_threaded_process_forks_per_cpu(self, set_blas_threads,
+                                                   blas_threads):
+        # Importing signform pins BLAS to one thread whatever the caller
+        # exported, so nothing else runs and every usable CPU takes a share.
+        set_blas_threads(blas_threads)
         result = json.loads(run_python(FORK_SCRIPT))
         assert result["cpus"] == result["affinity"]
         assert (max(result["in_worker"]) > 0) == (result["affinity"] > 1)
         assert result["children_after"] == 0
+
+    def test_import_sets_one_blas_thread(self, set_blas_threads):
+        set_blas_threads("4")
+        assert json.loads(run_python(
+            "import json, os, signform\n"
+            "print(json.dumps([os.environ[n] for n in ('OPENBLAS_NUM_THREADS',"
+            " 'OMP_NUM_THREADS', 'MKL_NUM_THREADS')]))")) == ["1"] * 3
 
 
 FORK_SCRIPT = """

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -685,6 +686,19 @@ class TestTraining:
                              OptSettings(max_epochs=2), seed=0)
         assert exc.value.epoch == 0
         assert exc.value.batch == 0
+
+    def test_divergence_raises_without_numpy_warnings(self):
+        # lr 1e300 overflows the Adam step's cast to float32, and the NaN
+        # parameters then poison the next forward pass.
+        lex = small_corpus_lexicon()
+        cfg = LMConfig(hidden_size=8, phone_embed_size=4)
+        opt = OptSettings(lr=1e300, clip_norm=None, max_epochs=3,
+                          batch_size=16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingDivergedError):
+                train_on_indices(lex, np.arange(40), np.arange(40, 60), cfg,
+                                 opt, seed=0)
 
     def test_lengths_reach_loss_and_grads_positionally(self, monkeypatch):
         """Every batch's lengths arrive as loss_and_grads' fifth positional

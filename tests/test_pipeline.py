@@ -1079,8 +1079,7 @@ class TestPhonesthemes:
 
 class TestFitPlanOnOneAndTwoCPUs:
     """The fit-plan tests that pin log lines and archive reuse, with one and
-    with two usable CPUs forced: an unpinned BLAS pool keeps run_indexed
-    serial, whatever this machine has."""
+    with two usable CPUs forced, whatever this machine has."""
 
     @pytest.fixture(autouse=True, params=[1, 2])
     def cpus(self, request):
